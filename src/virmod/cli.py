@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, coset, virasoro, weights
-from .exact import QQ, matrix, rank
+from .exact import QQ, is_prime, matrix, rank
 from .virasoro import DegenerateParams, VermaParams, gram_matrix
 
 # Catalogue of documented divergences between the published statements and
@@ -106,7 +106,25 @@ def _emit(env: ReportEnvelope, args) -> int:
 
 
 def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction: {s!r}") from None
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
 
 
 def _parse_label(s: str) -> tuple[int, int]:
@@ -179,7 +197,7 @@ def cmd_gram(args) -> int:
     else:
         try:
             params = VermaParams.mod_p(args.c, args.h, args.prime)
-        except ValueError as e:
+        except DegenerateParams as e:
             env.add("gram", "info", f"degenerate parameters: {e}")
             return _emit(env, args)
         fmt = str
@@ -309,7 +327,7 @@ def reproduce(env: ReportEnvelope, probe_level: int = 8) -> None:
         if (ell + 1) ** 2 in b or (ell + 2) ** 2 in b:
             ok = False
         for q in (ell + 1, ell + 2):
-            if weights._is_prime(q) and weights.classify_prime(ell, q).is_bad:
+            if is_prime(q) and weights.classify_prime(ell, q).is_bad:
                 ok = False
     env.check("neighbour-prime/excluded-square suite ell=2..100", ok)
 
@@ -363,8 +381,15 @@ def cmd_reproduce(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="virmod", description="exact verification of minimal-series prime data"
     )
     out = argparse.ArgumentParser(add_help=False)
@@ -399,14 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out])
     p.add_argument("what", choices=["prop-h", "prop-x", "gko", "g-identity", "table1"])
-    p.add_argument("--ell", type=int)
-    p.add_argument("--ell-max", type=int)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--ell", type=int)
+    g.add_argument("--ell-max", type=_int_at_least(2))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gram", parents=[out])
     p.add_argument("--c", type=_parse_fraction, required=True)
     p.add_argument("--h", type=_parse_fraction, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_at_least(0), required=True)
     p.add_argument("--prime", type=int)
     p.set_defaults(func=cmd_gram)
 
@@ -414,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--label", type=_parse_label, required=True, metavar="M,N")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--max-level", type=int, default=8)
+    p.add_argument("--max-level", type=_int_at_least(0), default=8)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("reproduce-paper", parents=[out])

@@ -28,6 +28,22 @@ class ModularValue:
         return "undefined" if self.residue is None else str(self.residue)
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the program's one primality test."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def p_valuation(q: Fraction, p: int) -> int:
     """v such that q = p^v * (a/b) with p dividing neither a nor b.
 
@@ -103,7 +119,9 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p <= 2:
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.p == 2:
             raise ValueError("prime field requires an odd prime")
 
     @property

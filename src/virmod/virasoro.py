@@ -4,9 +4,17 @@ Basis monomials L_{-a1}...L_{-ak} v are indexed by partitions (a1 >= ... >= ak).
 Positive modes are commuted rightward with
 [L_m, L_n] = (m-n) L_{m+n} + delta_{m+n,0} * (1/2) * binom(m+1, 3) * C,
 annihilating the highest-weight vector; L0 acts on a degree-d monomial as
-h + d, and C as c.  The rewriting is memoized per parameter set: the
-commutator cascades are identical across Gram entries, only the (c, h)
-leaves differ.
+h + d, and C as c.  The images L_k (monomial) are memoized per parameter
+set: the commutator cascades are shared by every Gram entry, only the
+(c, h) leaves differ.
+
+Gram matrices are built by recursion on level.  Moving the leading mode of
+the left monomial across the contravariant form gives
+G_n[mu, lam] = sum_q (L_{mu_1} lam)_q * G_{n-mu_1}[mu minus mu_1, q],
+so level n needs one memoized image per (mu_1, lam) and the rows of lower
+levels.  Each parameter set keeps the rows of every level it has finished,
+so asking for levels one at a time builds each level once.  `apply_mode`
+and `PBWVector` apply whole mode words; they serve as the tests' oracle.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, rank, reduce_mod_p
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, is_prime, rank, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -38,6 +46,10 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
+class DegenerateParams(ValueError):
+    """Central charge or highest weight has no image mod p."""
+
+
 @dataclass
 class VermaParams:
     """Central charge and highest weight in a concrete field."""
@@ -46,6 +58,7 @@ class VermaParams:
     h: object
     field_: RationalField | PrimeField = QQ
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def rational(cls, c: Fraction, h: Fraction) -> "VermaParams":
@@ -53,8 +66,13 @@ class VermaParams:
 
     @classmethod
     def mod_p(cls, c: Fraction, h: Fraction, p: int) -> "VermaParams":
+        """Raises ValueError unless p is an odd prime, and DegenerateParams
+        when c or h has no image mod p."""
         f = PrimeField(p)
-        return cls(f.from_fraction(c), f.from_fraction(h), f)
+        try:
+            return cls(f.from_fraction(c), f.from_fraction(h), f)
+        except ValueError as e:
+            raise DegenerateParams(str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -153,25 +171,51 @@ def apply_mode(k: int, state: PBWVector, params: VermaParams) -> PBWVector:
     return _vector(state.degree - k, out)
 
 
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict[Partition, int]:
+    """Index of each partition of n in `partitions(n)`."""
+    return {part: i for i, part in enumerate(partitions(n))}
+
+
+def _build_levels(params: VermaParams, n: int) -> None:
+    """Append the Gram rows of the levels `params` lacks, through level n."""
+    f = params.field_
+    levels = params._levels
+    if not levels:
+        levels.append(((f.one,),))
+    for m in range(len(levels), n + 1):
+        basis = partitions(m)
+        # (mu_1, row of G_{m-mu_1} at mu minus mu_1) for each row mu
+        heads = [(mu[0], levels[m - mu[0]][_positions(m - mu[0])[mu[1:]]]) for mu in basis]
+        rows = [[f.zero] * len(basis) for _ in basis]
+        for j, lam in enumerate(basis):
+            images: dict[int, list] = {}
+            for i in range(j + 1):  # G is symmetric: build the upper triangle
+                k, lower = heads[i]
+                image = images.get(k)
+                if image is None:
+                    pos = _positions(m - k)
+                    image = images[k] = [(pos[q], s) for q, s in _act_pos(k, lam, params).items()]
+                total = f.zero
+                for idx, s in image:
+                    total = f.add(total, f.mul(s, lower[idx]))
+                rows[i][j] = rows[j][i] = total
+        levels.append(tuple(map(tuple, rows)))
+
+
 def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
     """Contravariant-form matrix at degree n over the partition basis.
 
     Entry (mu, lambda) is the vacuum coefficient of L_{mu_k}...L_{mu_1}
     applied to the lambda monomial (rightmost factor, the largest part,
-    acts first).
+    acts first).  It is built by the level recursion in the module
+    docstring from the rows of levels 0..n-1, which `params` keeps: a
+    later call on the same params builds only the levels it lacks.
     """
-    basis = partitions(n)
-    f = params.field_
-    rows = []
-    for mu in basis:
-        row = []
-        for lam in basis:
-            state = basis_vector(lam, f)
-            for k in mu:
-                state = apply_mode(k, state, params)
-            row.append(state.as_dict().get((), f.zero))
-        rows.append(tuple(row))
-    return DenseMatrix(f, tuple(rows))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _build_levels(params, n)
+    return DenseMatrix(params.field_, params._levels[n])
 
 
 @dataclass(frozen=True)
@@ -189,10 +233,6 @@ def graded_rank(params: VermaParams, n_max: int) -> GramReport:
         m = gram_matrix(params, n)
         levels.append((n, len(partitions(n)), rank(m)))
     return GramReport(params.c, params.h, repr(params.field_), tuple(levels))
-
-
-class DegenerateParams(ValueError):
-    """Central charge or highest weight has no image mod p."""
 
 
 @dataclass(frozen=True)
@@ -216,9 +256,11 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     the irreducible quotient at this truncation; the first level where the
     mod-p rank is smaller is reported as a rank drop.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     c = central_charge(ell)
     h = highest_weight(ell, label.m, label.n)
-    if p <= 2 or not reduce_mod_p(c, p).is_defined or not reduce_mod_p(h, p).is_defined:
+    if p == 2 or not reduce_mod_p(c, p).is_defined or not reduce_mod_p(h, p).is_defined:
         raise DegenerateParams(
             f"(c, h) = ({c}, {h}) does not reduce mod {p}; no naive mod-p module"
         )

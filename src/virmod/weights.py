@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import reduce_mod_p
+from .exact import is_prime, reduce_mod_p
 
 
 @dataclass(frozen=True, order=True)
@@ -184,21 +184,6 @@ class PrimeClassification:
         return self.status == "bad"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
@@ -217,7 +202,7 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
     divisible by p have no image mod p; they are reported in `degenerate`
     and excluded from the collision comparison.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cc_defined = central_charge(ell).denominator % p != 0
     if p == 2:

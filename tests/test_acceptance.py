@@ -11,7 +11,7 @@ import pytest
 
 from virmod import coset, weights
 from virmod.cli import EXPECTED_D5, run
-from virmod.exact import QQ, matrix
+from virmod.exact import QQ, is_prime, matrix
 from virmod.virasoro import (
     VermaParams,
     gram_matrix,
@@ -80,7 +80,7 @@ def test_criterion_5_remark_suite():
         if (ell + 1) ** 2 in b or (ell + 2) ** 2 in b:
             ok = False
         for q in (ell + 1, ell + 2):
-            if weights._is_prime(q) and weights.classify_prime(ell, q).is_bad:
+            if is_prime(q) and weights.classify_prime(ell, q).is_bad:
                 ok = False
     report("5 neighbour-prime / excluded-square suite", ok)
 

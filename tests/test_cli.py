@@ -74,6 +74,11 @@ def test_probe_degenerate_is_info(capsys):
     assert "degenerate parameters" in capsys.readouterr().out
 
 
+def test_gram_degenerate_is_info(capsys):
+    assert run(["gram", "--c", "1/5", "--h", "1", "--level", "1", "--prime", "5"]) == 0
+    assert "degenerate parameters" in capsys.readouterr().out
+
+
 def test_probe_good_prime(capsys):
     assert run(["probe", "--ell", "2", "--label", "1,1", "--prime", "11", "--max-level", "4"]) == 0
     assert "consistent" in capsys.readouterr().out
@@ -85,6 +90,31 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_contract_error_exits_2(capsys):
     assert run(["bad-primes", "--ell", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gram", "--c", "1/2", "--h", "1/16", "--level", "2", "--prime", "9"], "9 is not prime"),
+        (["probe", "--ell", "2", "--label", "2,2", "--prime", "15"], "15 is not prime"),
+        (["gram", "--c", "1/0", "--h", "1", "--level", "1"], "argument --c: invalid fraction: '1/0'"),
+        (["gram", "--c", "1/2", "--h", "abc", "--level", "1"], "argument --h: invalid fraction: 'abc'"),
+        (["gram", "--c", "1/2", "--h", "1/16", "--level", "-1"], "argument --level: must be >= 0"),
+        (
+            ["probe", "--ell", "2", "--label", "2,2", "--prime", "11", "--max-level", "-1"],
+            "argument --max-level: must be >= 0",
+        ),
+        (["verify", "prop-h", "--ell-max", "1"], "argument --ell-max: must be >= 2"),
+        (["verify", "prop-h", "--ell", "3", "--ell-max", "4"], "not allowed with argument --ell"),
+    ],
+)
+def test_bad_input_is_one_line_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_json_round_trip(tmp_path, capsys):

@@ -11,11 +11,13 @@ from virmod.exact import (
     PrimeField,
     determinant,
     identity,
+    is_prime,
     matrix,
     p_valuation,
     rank,
     reduce_mod_p,
 )
+from virmod.weights import primes_upto
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 101]
 
@@ -79,6 +81,20 @@ class TestReduceModP:
             rprod = reduce_mod_p(a * b, p)
             assert rsum.residue == (ra.residue + rb.residue) % p
             assert rprod.residue == (ra.residue * rb.residue) % p
+
+
+class TestPrimality:
+    def test_matches_sieve(self):
+        assert [n for n in range(-3, 500) if is_prime(n)] == primes_upto(499)
+
+    @pytest.mark.parametrize("p", [-7, 0, 1, 9, 15, 91])
+    def test_prime_field_rejects_non_primes(self, p):
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(p)
+
+    def test_prime_field_rejects_two(self):
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeField(2)
 
 
 class TestRank:

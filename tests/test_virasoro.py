@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,25 @@ def gram_oracle(c, h, level):
         for mu in basis
     ]
 
+
+def word_gram(params, level):
+    """Gram matrix by applying each whole mode word L_{mu_k}...L_{mu_1} to
+    each basis monomial with `apply_mode`, on params of its own."""
+    own = VermaParams(params.c, params.h, params.field_)
+    zero = own.field_.zero
+    rows = []
+    for mu in partitions(level):
+        row = []
+        for lam in partitions(level):
+            state = basis_vector(lam, own.field_)
+            for k in mu:
+                state = apply_mode(k, state, own)
+            row.append(state.as_dict().get((), zero))
+        rows.append(tuple(row))
+    return rows
+
+
+LEVEL9_FIXTURE = Path(__file__).parent / "data" / "gram_level9_c1_2_h1_16.txt"
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -187,6 +207,41 @@ class TestGramMatrix:
     def test_matches_word_oracle(self, c, h, n):
         g = gram_matrix(VermaParams.rational(c, h), n)
         assert [list(r) for r in g.entries] == gram_oracle(c, h, n)
+
+    @given(c=small_rationals, h=small_rationals)
+    @settings(max_examples=40, deadline=None)
+    def test_levels_0_to_5_match_apply_mode_words(self, c, h):
+        params = VermaParams.rational(c, h)
+        for n in range(6):
+            assert list(gram_matrix(params, n).entries) == word_gram(params, n)
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 101]), c=st.integers(0, 100), h=st.integers(0, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_levels_0_to_5_match_apply_mode_words_mod_p(self, p, c, h):
+        params = VermaParams(c % p, h % p, PrimeField(p))
+        for n in range(6):
+            assert list(gram_matrix(params, n).entries) == word_gram(params, n)
+
+    @pytest.mark.parametrize("field_", [QQ, PrimeField(11)])
+    @pytest.mark.parametrize("order", [(6, 3), (3, 6)])
+    def test_level_cache_in_either_order(self, field_, order):
+        c, h = field_.from_fraction(F(7, 10)), field_.from_fraction(F(3, 80))
+        shared = VermaParams(c, h, field_)
+        for n in order:
+            assert gram_matrix(shared, n) == gram_matrix(VermaParams(c, h, field_), n)
+
+    def test_level9_matches_recorded_word_engine(self):
+        rows = [
+            tuple(F(x) for x in line.split())
+            for line in LEVEL9_FIXTURE.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        params = VermaParams.rational(central_charge(2), highest_weight(2, 2, 2))
+        assert gram_matrix(params, 9).entries == tuple(rows)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            gram_matrix(VermaParams.rational(F(1, 2), F(1, 16)), -1)
 
     def test_mod_p_matches_reduced_rational(self):
         p = 11

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virmod import weights
+from virmod.exact import is_prime
 from virmod.weights import (
     IntervalSet,
     MinimalLabel,
@@ -235,7 +235,7 @@ class TestRemarks:
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_neighbour_primes_are_good(self, ell):
         for q in (ell + 1, ell + 2):
-            if weights._is_prime(q):
+            if is_prime(q):
                 assert classify_prime(ell, q).status == "good"
 
     @pytest.mark.parametrize("ell", range(2, 101))
