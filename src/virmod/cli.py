@@ -229,6 +229,10 @@ def cmd_probe(args) -> int:
 
 
 def _verify_range(args) -> list[int]:
+    if args.what == "table1":
+        if args.ell is not None or args.ell_max is not None:
+            raise ValueError("verify table1 covers a fixed table and takes no --ell or --ell-max")
+        return []
     if args.ell_max is not None:
         return list(range(2, args.ell_max + 1))
     return [args.ell if args.ell is not None else 2]

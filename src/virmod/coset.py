@@ -88,6 +88,8 @@ class GkoReport:
 
 def gko_verify(ell: int) -> GkoReport:
     """Structural checks of the decomposition over every (n, eps) cell."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     part_ok = labels_ok = depths_ok = mult_ok = True
     total = 0
     for n in range(ell):

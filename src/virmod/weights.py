@@ -1,18 +1,22 @@
 """Minimal-series weight arithmetic and the bad/good prime classifier.
 
 For the discrete-series central charge c_l = 1 - 6/((l+1)(l+2)) the highest
-weights h_{m,n} collide mod p exactly when p divides a difference of weight
-numerators, which factors as a product of two linear forms.  This module
-computes the collision set B_l both by brute force and by its closed interval
-decomposition, classifies primes as good/bad, and checks the bound
-2l^2 + l - 3 beyond which every prime is good.
+weight h_{m,n} is N/D with N = (m(l+2) - n(l+1))^2 - 1 and D = 4(l+1)(l+2);
+a difference of two numerators factors as `d_plus` * `d_minus`.  The prime
+classifier works on integers: for p not dividing D two weights collide mod p
+exactly when their numerators do, and for p dividing D it uses N/D reduced.
+This module also computes the collision set B_l by brute force and as closed
+intervals, the good-candidate set G_l as the complement of those intervals,
+and checks the bound 2l^2 + l - 3 beyond which every prime is good.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .exact import is_prime, reduce_mod_p
+from .exact import is_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -97,7 +101,8 @@ class IntervalSet:
         return [v for a, b in self.intervals for v in range(a, b + 1)]
 
     def __contains__(self, v: int) -> bool:
-        return any(a <= v <= b for a, b in self.intervals)
+        i = bisect_right(self.intervals, v, key=lambda iv: iv[0])
+        return i > 0 and v <= self.intervals[i - 1][1]
 
     def __str__(self) -> str:
         return " u ".join(f"[{a},{b}]" if a != b else f"{{{a}}}" for a, b in self.intervals)
@@ -138,6 +143,8 @@ def d_matrix(ell: int) -> list[list[int]]:
     (n+n')(l+1) for n+n' = 2..l+2 (the left half of the full table; the full
     table is symmetric under 180-degree rotation).
     """
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     rows = [s * (ell + 2) for s in range(2, 2 * ell + 1)]
     cols = [t * (ell + 1) for t in range(2, ell + 3)]
     return [[abs(c - r) for c in cols] for r in rows]
@@ -145,6 +152,8 @@ def d_matrix(ell: int) -> list[list[int]]:
 
 def d_matrix_full(ell: int) -> list[list[int]]:
     """The full (2l-1) x (2l+1) difference table over all column sums."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     rows = [s * (ell + 2) for s in range(2, 2 * ell + 1)]
     cols = [t * (ell + 1) for t in range(2, 2 * ell + 3)]
     return [[abs(c - r) for c in cols] for r in rows]
@@ -155,11 +164,14 @@ def g_set(ell: int, corrected: bool = False) -> IntervalSet:
 
     corrected=False uses the published range [1, 2l^2+l-3]; corrected=True
     uses [1, 2l^2+2l-3], the range under which the complement equals the
-    union of the blocks G_l(a) exactly.
+    union of the blocks G_l(a) exactly.  The complement is read off the gaps
+    between the l+1 intervals of `b_set_intervals`, in O(l).
     """
     top = 2 * ell * ell + (2 * ell if corrected else ell) - 3
-    b = b_set_intervals(ell)
-    return IntervalSet.from_values(v for v in range(1, top + 1) if v not in b)
+    b = b_set_intervals(ell).intervals
+    starts = [1] + [hi + 1 for _, hi in b]
+    ends = [lo - 1 for lo, _ in b] + [top]
+    return IntervalSet.from_intervals((a, min(e, top)) for a, e in zip(starts, ends))
 
 
 def g_blocks(ell: int) -> IntervalSet:
@@ -195,41 +207,70 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+def _weight_table(ell: int) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """D, then N and N/D reduced for each label of `canonical_labels(ell)`."""
+    den = 4 * (ell + 1) * (ell + 2)
+    nums = [weight_numerator(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1)]
+    gcds = [gcd(N, den) for N in nums]
+    return den, nums, [(N // g, den // g) for N, g in zip(nums, gcds)]
+
+
+def _residues(table, p: int) -> list[int | None]:
+    """A class mod p for each canonical weight; None where it has no image.
+
+    Equal classes mean equal weights mod p.  For p not dividing D the class
+    is N mod p, since D is invertible; otherwise it is n * d^-1 mod p of the
+    reduced fraction n/d, undefined when p divides d.
+    """
+    den, nums, reduced = table
+    if den % p:
+        return [N % p for N in nums]
+    return [n * pow(d, -1, p) % p if d % p else None for n, d in reduced]
+
+
+def _is_bad(table, p: int) -> bool:
+    """The verdict alone: fewer distinct classes than defined weights."""
+    if p == 2:
+        return True
+    defined = [r for r in _residues(table, p) if r is not None]
+    return len(set(defined)) < len(defined)
+
+
 def classify_prime(ell: int, p: int) -> PrimeClassification:
     """Good iff the canonical weights stay pairwise distinct mod p.
 
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
-    and excluded from the collision comparison.
+    and excluded from the collision comparison.  Collisions are the sorted
+    pairs of labels in one class of `_residues`.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cc_defined = central_charge(ell).denominator % p != 0
     if p == 2:
         return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
-    residues: dict[int, list[MinimalLabel]] = {}
+    classes: dict[int, list[MinimalLabel]] = {}
     degenerate = []
-    for lab in canonical_labels(ell):
-        mv = reduce_mod_p(highest_weight(ell, lab.m, lab.n), p)
-        if mv.is_defined:
-            residues.setdefault(mv.residue, []).append(lab)
-        else:
+    for lab, r in zip(canonical_labels(ell), _residues(_weight_table(ell), p)):
+        if r is None:
             degenerate.append(lab)
-    collisions = []
-    for labs in residues.values():
-        for i in range(len(labs)):
-            for j in range(i + 1, len(labs)):
-                collisions.append((labs[i], labs[j]))
+        else:
+            classes.setdefault(r, []).append(lab)
+    collisions = [(a, b) for labs in classes.values() for i, a in enumerate(labs) for b in labs[i + 1 :]]
     status = "bad" if collisions else "good"
     return PrimeClassification(ell, p, status, tuple(sorted(collisions)), tuple(degenerate), cc_defined)
 
 
 def bad_primes(ell: int) -> list[int]:
-    """All bad primes; complete because every prime above 2l^2+l-3 is good."""
+    """All bad primes; complete because every prime above 2l^2+l-3 is good.
+
+    Only the verdict is computed per prime, on one weight table for the call.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     bound = 2 * ell * ell + ell - 3
-    return [p for p in primes_upto(bound) if classify_prime(ell, p).is_bad]
+    table = _weight_table(ell)
+    return [p for p in primes_upto(bound) if _is_bad(table, p)]
 
 
 @dataclass(frozen=True)
@@ -242,9 +283,12 @@ class VerifyReport:
 
 def verify_prop_h(ell: int) -> VerifyReport:
     """Spot-check: every prime in (2l^2+l-3, 2l^2+3l] classifies good."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     bound = 2 * ell * ell + ell - 3
     window = [p for p in primes_upto(2 * ell * ell + 3 * ell) if p > bound]
-    offenders = [p for p in window if classify_prime(ell, p).is_bad]
+    table = _weight_table(ell)
+    offenders = [p for p in window if _is_bad(table, p)]
     return VerifyReport(
         "prop-h",
         ell,

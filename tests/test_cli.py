@@ -106,6 +106,12 @@ def test_contract_error_exits_2(capsys):
         ),
         (["verify", "prop-h", "--ell-max", "1"], "argument --ell-max: must be >= 2"),
         (["verify", "prop-h", "--ell", "3", "--ell-max", "4"], "not allowed with argument --ell"),
+        (["dmatrix", "--ell", "1"], "ell must be >= 2"),
+        (["dmatrix", "--ell", "0"], "ell must be >= 2"),
+        (["verify", "table1", "--ell", "5"], "takes no --ell or --ell-max"),
+        (["verify", "table1", "--ell-max", "3"], "takes no --ell or --ell-max"),
+        (["verify", "prop-h", "--ell", "0"], "ell must be >= 2"),
+        (["verify", "gko", "--ell", "0"], "ell must be >= 2"),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):

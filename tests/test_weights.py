@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virmod.exact import is_prime
+from virmod.exact import is_prime, reduce_mod_p
 from virmod.weights import (
     IntervalSet,
     MinimalLabel,
+    PrimeClassification,
     b_set_bruteforce,
     b_set_intervals,
     bad_primes,
@@ -41,6 +42,37 @@ def b_set_tuple_oracle(ell):
                     if v:
                         vals.add(v)
     return sorted(vals)
+
+
+def classify_oracle(ell, p):
+    """Fraction-by-fraction classifier: reduce each canonical weight with
+    reduce_mod_p and bucket the labels by residue; independent of the
+    integer-residue tables classify_prime uses."""
+    cc_defined = central_charge(ell).denominator % p != 0
+    if p == 2:
+        return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
+    residues = {}
+    degenerate = []
+    for lab in canonical_labels(ell):
+        mv = reduce_mod_p(highest_weight(ell, lab.m, lab.n), p)
+        if mv.is_defined:
+            residues.setdefault(mv.residue, []).append(lab)
+        else:
+            degenerate.append(lab)
+    collisions = []
+    for labs in residues.values():
+        for i in range(len(labs)):
+            for j in range(i + 1, len(labs)):
+                collisions.append((labs[i], labs[j]))
+    status = "bad" if collisions else "good"
+    return PrimeClassification(ell, p, status, tuple(sorted(collisions)), tuple(degenerate), cc_defined)
+
+
+def g_set_scan_oracle(ell, corrected):
+    """The good-candidate set by testing each integer of the range against B_l."""
+    top = 2 * ell * ell + (2 * ell if corrected else ell) - 3
+    b = set(b_set_intervals(ell).values())
+    return IntervalSet.from_values(v for v in range(1, top + 1) if v not in b)
 
 
 class TestScalars:
@@ -171,6 +203,12 @@ class TestDMatrix:
         a = d_matrix_full(ell)
         assert a == [row[::-1] for row in a[::-1]]
 
+    @pytest.mark.parametrize("table", [d_matrix, d_matrix_full])
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    def test_range(self, table, ell):
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            table(ell)
+
 
 class TestGSet:
     def test_ell2(self):
@@ -183,6 +221,11 @@ class TestGSet:
 
     def test_published_range_fails_at_ell2(self):
         assert g_set(2, corrected=False) != g_blocks(2)
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_matches_scan_oracle(self, ell):
+        for corrected in (False, True):
+            assert g_set(ell, corrected) == g_set_scan_oracle(ell, corrected)
 
 
 class TestClassifier:
@@ -214,6 +257,23 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_prime(3, 9)
 
+    @pytest.mark.parametrize("ell", range(2, 21))
+    def test_matches_oracle_every_prime(self, ell):
+        for p in primes_upto(2 * ell * ell + 3 * ell):
+            assert classify_prime(ell, p) == classify_oracle(ell, p)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_drawn(self, data):
+        ell = data.draw(st.integers(2, 80), label="ell")
+        den = 4 * (ell + 1) * (ell + 2)
+        divisors = [q for q in primes_upto(ell + 2) if den % q == 0]
+        p = data.draw(
+            st.sampled_from(divisors) | st.sampled_from(primes_upto(2 * ell * ell + 3 * ell)),
+            label="p",
+        )
+        assert classify_prime(ell, p) == classify_oracle(ell, p)
+
 
 class TestBadPrimes:
     def test_examples(self):
@@ -223,7 +283,12 @@ class TestBadPrimes:
         assert bad_primes(5) == [p for p in primes_upto(52) if p not in (7, 29, 41, 43, 47)]
         assert bad_primes(6) == [p for p in primes_upto(75) if p not in (7, 41, 71, 73)]
 
-    @pytest.mark.parametrize("ell", range(2, 13))
+    @pytest.mark.parametrize("ell", range(2, 21))
+    def test_matches_oracle(self, ell):
+        bound = 2 * ell * ell + ell - 3
+        assert bad_primes(ell) == [p for p in primes_upto(bound) if classify_oracle(ell, p).is_bad]
+
+    @pytest.mark.parametrize("ell", range(2, 41))
     def test_bad_primes_live_in_b_set(self, ell):
         b = b_set_intervals(ell)
         bound = 2 * ell * ell + ell - 3
@@ -246,9 +311,14 @@ class TestRemarks:
 
 
 class TestPropH:
-    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ell", range(2, 61))
     def test_window_above_bound_is_good(self, ell):
         assert verify_prop_h(ell).passed
+
+    @pytest.mark.parametrize("ell", [1, 0, -2])
+    def test_range(self, ell):
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            verify_prop_h(ell)
 
     def test_specific_primes(self):
         assert classify_prime(2, 11).status == "good"
@@ -267,3 +337,8 @@ class TestIntervalSet:
     @given(st.sets(st.integers(0, 60)))
     def test_values_round_trip(self, vals):
         assert IntervalSet.from_values(vals).values() == sorted(vals)
+
+    @given(st.sets(st.integers(0, 60)))
+    def test_membership(self, vals):
+        s = IntervalSet.from_values(vals)
+        assert [v for v in range(-2, 64) if v in s] == sorted(vals)
