@@ -87,17 +87,8 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -135,17 +126,8 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
 
     def from_int(self, n: int):
         return n % self.p

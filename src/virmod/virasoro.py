@@ -220,9 +220,6 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
 
 @dataclass(frozen=True)
 class GramReport:
-    c: object
-    h: object
-    field_repr: str
     levels: tuple[tuple[int, int, int], ...]  # (degree, verma dim p(N), rank)
 
 
@@ -232,7 +229,7 @@ def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     for n in range(n_max + 1):
         m = gram_matrix(params, n)
         levels.append((n, len(partitions(n)), rank(m)))
-    return GramReport(params.c, params.h, repr(params.field_), tuple(levels))
+    return GramReport(tuple(levels))
 
 
 @dataclass(frozen=True)

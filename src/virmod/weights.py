@@ -236,6 +236,15 @@ def _is_bad(table, p: int) -> bool:
     return len(set(defined)) < len(defined)
 
 
+def is_bad_prime(ell: int, p: int) -> bool:
+    """The verdict of `classify_prime` alone, without building its labels."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _is_bad(_weight_table(ell), p)
+
+
 def classify_prime(ell: int, p: int) -> PrimeClassification:
     """Good iff the canonical weights stay pairwise distinct mod p.
 

@@ -9,21 +9,28 @@ from fractions import Fraction as F
 
 import pytest
 
-from virmod import coset, weights
-from virmod.cli import EXPECTED_D5, run
-from virmod.exact import QQ, is_prime, matrix
-from virmod.virasoro import (
-    VermaParams,
-    gram_matrix,
-    irreducibility_probe,
-    kac_vanishing_check,
-)
+from virmod import cli, coset, weights
+from virmod.cli import EXPECTED_D5, ReportEnvelope, run
+from virmod.exact import QQ, matrix
+from virmod.virasoro import VermaParams, gram_matrix, kac_vanishing_check
 from test_virasoro import gram_oracle
 
 
 def report(name, ok):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
     assert ok
+
+
+def run_check(check):
+    """Run one entry of the reproduce-paper catalogue into a fresh report."""
+    env = ReportEnvelope("acceptance", {})
+    check(env)
+    return env.results
+
+
+def passes(rows, names):
+    """Every row is named as expected, in order, and none has failed."""
+    return [r["name"] for r in rows] == names and all(r["status"] != "fail" for r in rows)
 
 
 def test_criterion_1_bad_prime_examples(capsys):
@@ -46,13 +53,8 @@ def test_criterion_1_bad_prime_examples(capsys):
 
 def test_criterion_2_interval_decomposition():
     t0 = time.monotonic()
-    ok = True
-    for ell in range(2, 101):
-        b = weights.b_set_bruteforce(ell)
-        if b != weights.b_set_intervals(ell).values():
-            ok = False
-        if b[-1] != 2 * (ell * ell + ell - 1) or b[-2] != 2 * ell * ell + ell - 3:
-            ok = False
+    rows = run_check(cli.check_collision_set)
+    ok = passes(rows, ["collision-set intervals ell=2..100", "collision-set extremes ell=2..100"])
     ok = ok and time.monotonic() - t0 < 10.0
     report("2 interval decomposition ell=2..100", ok)
 
@@ -64,7 +66,8 @@ def test_criterion_3_printed_matrix():
 
 
 def test_criterion_4_g_identity():
-    ok = all(weights.verify_g_identity(ell).passed for ell in range(2, 101))
+    rows = run_check(cli.check_g_identity)
+    ok = passes(rows, ["g-identity corrected range ell=2..100", "g-identity published range ell=2"])
     # the published range fails at ell=2: {8, 9} are missing
     published = set(weights.g_set(2, corrected=False).values())
     corrected = set(weights.g_set(2, corrected=True).values())
@@ -74,14 +77,8 @@ def test_criterion_4_g_identity():
 
 
 def test_criterion_5_remark_suite():
-    ok = True
-    for ell in range(2, 101):
-        b = weights.b_set_intervals(ell)
-        if (ell + 1) ** 2 in b or (ell + 2) ** 2 in b:
-            ok = False
-        for q in (ell + 1, ell + 2):
-            if is_prime(q) and weights.classify_prime(ell, q).is_bad:
-                ok = False
+    rows = run_check(cli.check_neighbour_primes)
+    ok = passes(rows, ["neighbour-prime/excluded-square suite ell=2..100"])
     report("5 neighbour-prime / excluded-square suite", ok)
 
 
@@ -122,22 +119,24 @@ def test_criterion_7_kac_vanishing():
 
 def test_criterion_8_probe_evidence():
     t0 = time.monotonic()
-    ok = True
+    rows = run_check(cli.check_probes)
+    names = []
     for lab in weights.canonical_labels(2):
-        for p in (11, 13, 101):
-            if not irreducibility_probe(2, lab, p, 8).consistent:
-                ok = False
-        # experiment at the bad prime: record the verdict, assert nothing
-        v7 = irreducibility_probe(2, lab, 7, 8)
-        print(f"  experiment ell=2 label=({lab.m},{lab.n}) p=7 -> {v7.verdict}"
-              + (f" at level {v7.drop_level}" if v7.drop_level is not None else ""))
+        names += [f"probe ell=2 label=({lab.m},{lab.n}) p={p}" for p in (11, 13, 101)]
+        names.append(f"probe ell=2 label=({lab.m},{lab.n}) p=7 (experiment)")
+    ok = passes(rows, names) and cli.PROBE_LEVEL == 8
+    # experiment at the bad prime: record the verdict, assert nothing
+    for r in rows:
+        if r["name"].endswith("(experiment)"):
+            print(f"  {r['name']} -> {r['detail']}")
     ok = ok and time.monotonic() - t0 < 120.0
     report("8 probe consistency above the bound", ok)
 
 
 def test_criterion_9_gko_suite():
     t0 = time.monotonic()
-    ok = all(coset.gko_verify(ell).passed for ell in range(2, 21))
+    rows = run_check(cli.check_gko)
+    ok = passes(rows, [f"gko ell={ell}" for ell in range(2, 21)])
     ok = ok and time.monotonic() - t0 < 5.0
     report("9 coset structural suite ell=2..20", ok)
 

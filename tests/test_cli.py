@@ -1,9 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from virmod.cli import run
+
+# The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_paper.json"
 
 
 def test_bad_primes_output(capsys):
@@ -112,6 +116,11 @@ def test_contract_error_exits_2(capsys):
         (["verify", "table1", "--ell-max", "3"], "takes no --ell or --ell-max"),
         (["verify", "prop-h", "--ell", "0"], "ell must be >= 2"),
         (["verify", "gko", "--ell", "0"], "ell must be >= 2"),
+        (["probe", "--ell", "2", "--label", "x", "--prime", "11"], "invalid label: 'x' (expected M,N)"),
+        (
+            ["probe", "--ell", "2", "--label", "1,2,3", "--prime", "11"],
+            "invalid label: '1,2,3' (expected M,N)",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -139,3 +148,9 @@ def test_csv_report(tmp_path, capsys):
     assert rows[0] == ["name", "status", "detail"]
     assert len(rows) == 8
     assert all(r[1] == "pass" for r in rows[1:])
+
+
+def test_reproduce_paper_matches_golden_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["reproduce-paper", "--json", str(path)]) == 0
+    assert path.read_bytes() == GOLDEN_REPORT.read_bytes()

@@ -23,6 +23,7 @@ from virmod.weights import (
     g_blocks,
     g_set,
     highest_weight,
+    is_bad_prime,
     primes_upto,
     verify_prop_h,
     verify_prop_x,
@@ -257,10 +258,16 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_prime(3, 9)
 
+    @pytest.mark.parametrize("ell,p,message", [(3, 9, "9 is not prime"), (1, 3, "ell must be >= 2")])
+    def test_is_bad_prime_rejects(self, ell, p, message):
+        with pytest.raises(ValueError, match=message):
+            is_bad_prime(ell, p)
+
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_matches_oracle_every_prime(self, ell):
         for p in primes_upto(2 * ell * ell + 3 * ell):
             assert classify_prime(ell, p) == classify_oracle(ell, p)
+            assert is_bad_prime(ell, p) == classify_prime(ell, p).is_bad
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
