@@ -6,6 +6,7 @@ collide; the outcome is recorded as an experiment, not asserted.
 import argparse
 
 from virmod import weights
+from virmod.exact import is_prime
 from virmod.virasoro import DegenerateParams, irreducibility_probe
 
 
@@ -15,6 +16,12 @@ def main():
     ap.add_argument("--prime", type=int, default=7)
     ap.add_argument("--max-level", type=int, default=8)
     args = ap.parse_args()
+    if args.ell < 2:
+        ap.error("--ell must be >= 2")
+    if not is_prime(args.prime):
+        ap.error(f"--prime: {args.prime} is not prime")
+    if args.max_level < 0:
+        ap.error("--max-level must be >= 0")
 
     for lab in weights.canonical_labels(args.ell):
         h = weights.highest_weight(args.ell, lab.m, lab.n)

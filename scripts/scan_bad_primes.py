@@ -9,6 +9,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ell-max", type=int, default=12)
     args = ap.parse_args()
+    if args.ell_max < 2:
+        ap.error("--ell-max must be >= 2")
 
     for ell in range(2, args.ell_max + 1):
         bound = 2 * ell * ell + ell - 3

@@ -87,21 +87,29 @@ class ReportEnvelope:
 
 
 def _emit(env: ReportEnvelope, args) -> int:
+    """Writes the report files, then prints the table.
+
+    The files go first, so an unwritable path is a contract error (exit 2)
+    with nothing on stdout.
+    """
+    try:
+        if getattr(args, "json", None):
+            with open(args.json, "w", encoding="utf-8") as f:
+                f.write(env.to_json())
+        if getattr(args, "csv", None):
+            with open(args.csv, "w", encoding="utf-8", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(["name", "status", "detail"])
+                for r in env.results:
+                    w.writerow([r["name"], r["status"], r["detail"]])
+    except OSError as e:
+        raise ValueError(f"cannot write report: {e}") from None
     width = max((len(r["name"]) for r in env.results), default=4)
     print(f"{env.command}  ({env.parameters})")
     for r in env.results:
         print(f"  {r['name']:<{width}}  {r['status']:<4}  {r['detail']}")
     for n in env.notes:
         print(f"  note[{n['id']}]: {n['note']}")
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(env.to_json())
-    if getattr(args, "csv", None):
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["name", "status", "detail"])
-            for r in env.results:
-                w.writerow([r["name"], r["status"], r["detail"]])
     return 1 if env.failed else 0
 
 

@@ -2,14 +2,21 @@
 
 Rationals are `fractions.Fraction` (always stored reduced, arbitrary
 precision).  Prime-field elements are plain ints in [0, p-1].  All linear
-algebra is exact; over the rationals, rank and determinant go through
+algebra is exact.  Over the rationals, the determinant goes through
 fraction-free (Bareiss) elimination on a denominator-cleared integer matrix.
+The rank is first certified mod the fixed prime `_CERT_PRIME`: reduction mod
+p is a ring map, so a minor nonzero mod p is nonzero over Z, and full rank
+mod p proves full rank over QQ.  Only when the mod-p rank falls short does
+Bareiss run, and it gives the exact rank.  No randomness, no floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+# Largest prime below 2^30: its residues fit in one CPython digit.
+_CERT_PRIME = 1073741789
 
 
 @dataclass(frozen=True)
@@ -217,16 +224,24 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[list[int]], Fraction]:
     scale = Fraction(1)
     for row in M.entries:
         d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * d) for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
     return out, scale
 
 
 def rank(M: DenseMatrix) -> int:
-    """Rank over the matrix's field."""
+    """Rank over the matrix's field.
+
+    Over QQ, a full rank mod `_CERT_PRIME` of the denominator-cleared rows is
+    returned at once (it certifies full rank over QQ); any smaller mod-p rank
+    is only a lower bound, so Bareiss then computes the exact rank.
+    """
     if isinstance(M.field, PrimeField):
         return _rank_mod_p([list(r) for r in M.entries], M.field.p)
     int_rows, _ = _clear_denominators(M)
+    r = _rank_mod_p([[x % _CERT_PRIME for x in row] for row in int_rows], _CERT_PRIME)
+    if r == min(M.rows, M.cols):
+        return r
     r, _ = _bareiss(int_rows)
     return r
 

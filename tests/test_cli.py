@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from virmod.cli import run
 
 # The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_paper.json"
+ROOT = Path(__file__).parent.parent
 
 
 def test_bad_primes_output(capsys):
@@ -121,6 +125,14 @@ def test_contract_error_exits_2(capsys):
             ["probe", "--ell", "2", "--label", "1,2,3", "--prime", "11"],
             "invalid label: '1,2,3' (expected M,N)",
         ),
+        (
+            ["bad-primes", "--ell", "2", "--json", "/nonexistent/x.json"],
+            "cannot write report: [Errno 2] No such file or directory: '/nonexistent/x.json'",
+        ),
+        (
+            ["bad-primes", "--ell", "2", "--csv", "/nonexistent/x.csv"],
+            "cannot write report: [Errno 2] No such file or directory: '/nonexistent/x.csv'",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -130,6 +142,27 @@ def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bad_prime_probe_experiment.py", "--prime", "9"], "--prime: 9 is not prime"),
+        (["bad_prime_probe_experiment.py", "--ell", "1"], "--ell must be >= 2"),
+        (["bad_prime_probe_experiment.py", "--max-level", "-1"], "--max-level must be >= 0"),
+        (["scan_bad_primes.py", "--ell-max", "1"], "--ell-max must be >= 2"),
+    ],
+)
+def test_script_bad_input_is_usage_error(argv, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_json_round_trip(tmp_path, capsys):

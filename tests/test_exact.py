@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virmod import exact
 from virmod.exact import (
+    _CERT_PRIME,
     QQ,
     DenseMatrix,
     PrimeField,
@@ -44,6 +46,30 @@ def zip_signs(n):
     for perm in permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         yield (-1) ** inv, perm
+
+
+def gauss_jordan_rank(rows):
+    """Plain Fraction Gauss-Jordan rank; the independent oracle."""
+    m = [[F(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def rational_matrices(rows, cols):
+    return st.lists(
+        st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
 
 
 class TestValuation:
@@ -130,6 +156,58 @@ class TestRank:
         rq = rank(matrix(QQ, ints))
         rp = rank(matrix(PrimeField(p), ints))
         assert rp <= rq
+
+
+class TestCertifiedRank:
+    """Over QQ, full rank mod _CERT_PRIME is returned at once; anything less
+    falls back to Bareiss."""
+
+    def test_cert_prime_is_largest_prime_below_2_30(self):
+        assert is_prime(_CERT_PRIME)
+        assert _CERT_PRIME < 2**30
+        assert not any(is_prime(n) for n in range(_CERT_PRIME + 1, 2**30))
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_gauss_jordan(self, rows, cols, data):
+        m = data.draw(rational_matrices(rows, cols))
+        assert rank(matrix(QQ, m)) == gauss_jordan_rank(m)
+
+    @given(n=st.integers(2, 7), m=st.integers(2, 7), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_rank_deficient_products(self, n, m, data):
+        k = data.draw(st.integers(0, min(n, m) - 1))
+        a = data.draw(rational_matrices(n, k))
+        b = data.draw(rational_matrices(k, m))
+        prod = [[sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(m)]
+                for i in range(n)]
+        expected = gauss_jordan_rank(prod)
+        assert expected <= k
+        assert rank(matrix(QQ, prod)) == expected
+
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            ([[1, 1], [1, 1 + _CERT_PRIME]], 2),
+            ([[F(1, 3), 1], [1, 3 + _CERT_PRIME]], 2),
+            ([[1, 2, 3], [2, 4, 6 + _CERT_PRIME], [3, 6, 9]], 2),
+            ([[_CERT_PRIME, 0, 1], [0, _CERT_PRIME, 1]], 2),
+        ],
+    )
+    def test_rank_lost_mod_cert_prime_goes_through_bareiss(self, rows, expected, monkeypatch):
+        calls = []
+        bareiss = exact._bareiss
+        monkeypatch.setattr(exact, "_bareiss", lambda m: calls.append(m) or bareiss(m))
+        assert rank(matrix(QQ, rows)) == expected == gauss_jordan_rank(rows)
+        assert len(calls) == 1
+
+    def test_full_rank_skips_bareiss(self, monkeypatch):
+        def fail(m):
+            raise AssertionError("Bareiss ran on a certified full-rank matrix")
+
+        monkeypatch.setattr(exact, "_bareiss", fail)
+        assert rank(identity(QQ, 6)) == 6
+        assert rank(matrix(QQ, [[F(1, 2), 3, 5], [7, F(-11, 13), 17]])) == 2
 
 
 class TestDeterminant:

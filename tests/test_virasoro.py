@@ -3,7 +3,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from virmod.exact import QQ, PrimeField, determinant, matrix, rank
@@ -87,6 +87,33 @@ def word_gram(params, level):
 LEVEL9_FIXTURE = Path(__file__).parent / "data" / "gram_level9_c1_2_h1_16.txt"
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+nonzero_rationals = small_rationals.filter(lambda t: t != 0)
+
+
+def kac_h(r, s, t):
+    """h_{r,s} at c = 13 - 6(t + 1/t)."""
+    return ((r * r - 1) * t + F(s * s - 1) / t) / 4 - F(r * s - 1, 2)
+
+
+def kac_product(t, h, level):
+    """prod over rs <= level of (h - h_{r,s}(t))^{p(level - rs)}."""
+    prod = F(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            prod *= (h - kac_h(r, s, t)) ** len(partitions(level - r * s))
+    return prod
+
+
+def kac_constants(t, h, n_max):
+    """det G_N / kac_product for N = 1..n_max; the same for every (t, h) off
+    the Kac curves (Kac 1979)."""
+    params = VermaParams.rational(13 - 6 * (t + 1 / t), h)
+    return [
+        determinant(gram_matrix(params, n)) / kac_product(t, h, n) for n in range(1, n_max + 1)
+    ]
+
+
+KAC_REFERENCE = (F(2), F(1, 3))
 
 
 class TestPartitions:
@@ -277,6 +304,35 @@ class TestGradedRank:
         rp = graded_rank(VermaParams.mod_p(c, h, p), 5)
         for (_, _, a), (_, _, b) in zip(rq.levels, rp.levels):
             assert b <= a
+
+
+class TestKacDeterminant:
+    """The Kac determinant formula as an oracle for the Gram engine, the
+    determinant and both rank paths, past the word oracle's level 3."""
+
+    def test_reference_constants(self):
+        assert kac_constants(*KAC_REFERENCE, 6) == [
+            2, 32, 2304, 37748736, 8697308774400, 3403943096276485354291200
+        ]
+
+    @given(t=nonzero_rationals, h=small_rationals)
+    @settings(max_examples=30, deadline=None)
+    def test_determinant_over_kac_product_is_constant(self, t, h):
+        assume(kac_product(t, h, 6) != 0)
+        assert kac_constants(t, h, 6) == kac_constants(*KAC_REFERENCE, 6)
+        params = VermaParams.rational(13 - 6 * (t + 1 / t), h)
+        for n in range(1, 7):
+            assert rank(gram_matrix(params, n)) == len(partitions(n))
+
+    @given(
+        t=nonzero_rationals,
+        rs=st.sampled_from([(r, s) for r in range(1, 7) for s in range(1, 6 // r + 1)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rank_drops_on_kac_curve(self, t, rs):
+        r, s = rs
+        params = VermaParams.rational(13 - 6 * (t + 1 / t), kac_h(r, s, t))
+        assert rank(gram_matrix(params, r * s)) < len(partitions(r * s))
 
 
 class TestProbe:
