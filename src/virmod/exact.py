@@ -4,7 +4,8 @@ Rationals are `fractions.Fraction` (always stored reduced, arbitrary
 precision).  Prime-field elements are plain ints in [0, p-1].  All linear
 algebra is exact.  Over the rationals, the determinant goes through
 fraction-free (Bareiss) elimination on a denominator-cleared integer matrix.
-The rank is first certified mod the fixed prime `_CERT_PRIME`: reduction mod
+The rank works on those integer rows divided by their content, and is
+first certified mod the fixed prime `_CERT_PRIME`: reduction mod
 p is a ring map, so a minor nonzero mod p is nonzero over Z, and full rank
 mod p proves full rank over QQ.  Only when the mod-p rank falls short does
 Bareiss run, and it gives the exact rank.  No randomness, no floats.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 # Largest prime below 2^30: its residues fit in one CPython digit.
 _CERT_PRIME = 1073741789
@@ -157,7 +158,7 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Rectangular matrix over QQ (Fraction entries) or GF(p) (int entries)."""
+    """Rectangular matrix over QQ (Fraction or int entries) or GF(p) (int entries)."""
 
     field: RationalField | PrimeField
     entries: tuple[tuple, ...]
@@ -179,12 +180,6 @@ class DenseMatrix:
 def matrix(field, rows) -> DenseMatrix:
     conv = field.from_fraction if isinstance(field, RationalField) else field.from_int
     return DenseMatrix(field, tuple(tuple(conv(x) for x in row) for row in rows))
-
-
-def identity(field, n: int) -> DenseMatrix:
-    return DenseMatrix(
-        field, tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
-    )
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -232,13 +227,20 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[list[int]], Fraction]:
 def rank(M: DenseMatrix) -> int:
     """Rank over the matrix's field.
 
-    Over QQ, a full rank mod `_CERT_PRIME` of the denominator-cleared rows is
-    returned at once (it certifies full rank over QQ); any smaller mod-p rank
-    is only a lower bound, so Bareiss then computes the exact rank.
+    Over QQ, each denominator-cleared row is divided by its content (the gcd
+    of its entries): scaling a row by a nonzero rational keeps the rank, and
+    it keeps Bareiss's entries small when the rows carry a common factor,
+    as Gram levels scaled by D^n do.  A full rank mod `_CERT_PRIME` of these
+    rows is returned at once (it certifies full rank over QQ); any smaller
+    mod-p rank is only a lower bound, so Bareiss then computes the exact rank.
     """
     if isinstance(M.field, PrimeField):
         return _rank_mod_p([list(r) for r in M.entries], M.field.p)
     int_rows, _ = _clear_denominators(M)
+    for row in int_rows:
+        g = gcd(*row)
+        if g > 1:
+            row[:] = [x // g for x in row]
     r = _rank_mod_p([[x % _CERT_PRIME for x in row] for row in int_rows], _CERT_PRIME)
     if r == min(M.rows, M.cols):
         return r

@@ -15,15 +15,26 @@ so level n needs one memoized image per (mu_1, lam) and the rows of lower
 levels.  Each parameter set keeps the rows of every level it has finished,
 so asking for levels one at a time builds each level once.  `apply_mode`
 and `PBWVector` apply whole mode words; they serve as the tests' oracle.
+
+Both fields run one integer engine.  Each parameter set fixes a scale D:
+over QQ, D = lcm(den h, 2 den c), so D*h and D*c/2 are integers; over F_p,
+D = 1 and c/2 is c * 2^-1 mod p.  Commuting L_k rightward through a
+monomial meets at most one (c, h) scalar per term, where L_k meets L_{-k};
+every other structure constant is an integer.  So D * (L_k monomial) is
+integral, and the memo holds it as ints (residues over F_p).  Levels are
+kept as S_n = D^n G_n, built without a gcd by the recursion above times D^n:
+S_n[mu, lam] = sum_q (D L_{mu_1} lam)_q * D^(mu_1 - 1) * S_{n-mu_1}[mu minus mu_1, q].
+`gram_matrix` divides by D^n; ranks are taken on S_n, since scaling a row
+by a nonzero number keeps the rank.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, is_prime, rank, reduce_mod_p
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, rank
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -59,6 +70,17 @@ class VermaParams:
     field_: RationalField | PrimeField = QQ
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
     _levels: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
+        if isinstance(self.field_, PrimeField):
+            p = self._mod = self.field_.p
+            self._scale, self._dh, self._dc2 = 1, self.h % p, self.c * pow(2, -1, p) % p
+        else:
+            c, h = Fraction(self.c), Fraction(self.h)
+            d = lcm(h.denominator, 2 * c.denominator)
+            self._mod = 0
+            self._scale, self._dh, self._dc2 = d, int(d * h), int(d * c / 2)
 
     @classmethod
     def rational(cls, c: Fraction, h: Fraction) -> "VermaParams":
@@ -112,43 +134,36 @@ def _prepend(a: int, part: Partition) -> tuple[tuple[Partition, int], ...]:
     return tuple((q, s) for q, s in out.items() if s)
 
 
-def _act_pos(k: int, part: Partition, params: VermaParams) -> dict[Partition, object]:
-    """Image of L_k (k > 0) on a basis monomial, as partition -> scalar."""
+def _act_pos(k: int, part: Partition, params: VermaParams) -> dict[Partition, int]:
+    """D times the image of L_k (k > 0) on a basis monomial, as partition ->
+    int (a residue mod p over F_p)."""
     key = (k, part)
     memo = params._memo
     if key in memo:
         return memo[key]
-    f = params.field_
-    out: dict[Partition, object] = {}
+    out: dict[Partition, int] = {}
     if part:
         a, rest = part[0], part[1:]
-
-        def accumulate(q: Partition, s):
-            if f.is_zero(s):
-                return
-            out[q] = f.add(out.get(q, f.zero), s) if q in out else s
-
         # L_k L_{-a} X = L_{-a} (L_k X) + [L_k, L_{-a}] X
         for q, s in _act_pos(k, rest, params).items():
             for q2, c2 in _prepend(a, q):
-                accumulate(q2, f.mul(s, f.from_int(c2)))
+                out[q2] = out.get(q2, 0) + s * c2
         m2 = k - a
-        coeff = f.from_int(k + a)
+        coeff = k + a
         if m2 > 0:
             for q, s in _act_pos(m2, rest, params).items():
-                accumulate(q, f.mul(coeff, s))
+                out[q] = out.get(q, 0) + coeff * s
         elif m2 < 0:
+            coeff *= params._scale
             for q, c2 in _prepend(-m2, rest):
-                accumulate(q, f.mul(coeff, f.from_int(c2)))
+                out[q] = out.get(q, 0) + coeff * c2
         else:
-            # bracket = 2k L0 + (1/2) binom(k+1,3) C; both act as scalars
-            half_binom = Fraction(comb(k + 1, 3), 2)
-            scalar = f.add(
-                f.mul(coeff, f.add(params.h, f.from_int(sum(rest)))),
-                f.mul(f.from_fraction(half_binom), params.c),
-            )
-            accumulate(rest, scalar)
-    out = {q: s for q, s in out.items() if not f.is_zero(s)}
+            # D * (2k L0 + (1/2) binom(k+1,3) C); both act as scalars
+            scalar = coeff * (params._dh + params._scale * sum(rest)) + comb(k + 1, 3) * params._dc2
+            out[rest] = out.get(rest, 0) + scalar
+    if params._mod:
+        out = {q: s % params._mod for q, s in out.items()}
+    out = {q: s for q, s in out.items() if s}
     memo[key] = out
     return out
 
@@ -158,10 +173,11 @@ def apply_mode(k: int, state: PBWVector, params: VermaParams) -> PBWVector:
     if k == 0:
         raise ValueError("L0 acts as the scalar h + degree; use the scalar directly")
     f = params.field_
+    unscale = f.from_fraction(Fraction(1, params._scale))
     out: dict[Partition, object] = {}
     for part, coeff in state.terms:
         if k > 0:
-            img = _act_pos(k, part, params)
+            img = {q: f.mul(s, unscale) for q, s in _act_pos(k, part, params).items()}
         else:
             img = {q: f.from_int(s) for q, s in _prepend(-k, part)}
         for q, s in img.items():
@@ -178,28 +194,28 @@ def _positions(n: int) -> dict[Partition, int]:
 
 
 def _build_levels(params: VermaParams, n: int) -> None:
-    """Append the Gram rows of the levels `params` lacks, through level n."""
-    f = params.field_
+    """Append S_m = D^m G_m for the levels `params` lacks, through level n."""
     levels = params._levels
     if not levels:
-        levels.append(((f.one,),))
+        levels.append(((1,),))
+    d, p = params._scale, params._mod
     for m in range(len(levels), n + 1):
         basis = partitions(m)
-        # (mu_1, row of G_{m-mu_1} at mu minus mu_1) for each row mu
+        # (mu_1, row of S_{m-mu_1} at mu minus mu_1) for each row mu
         heads = [(mu[0], levels[m - mu[0]][_positions(m - mu[0])[mu[1:]]]) for mu in basis]
-        rows = [[f.zero] * len(basis) for _ in basis]
+        rows = [[0] * len(basis) for _ in basis]
         for j, lam in enumerate(basis):
             images: dict[int, list] = {}
-            for i in range(j + 1):  # G is symmetric: build the upper triangle
+            for i in range(j + 1):  # S is symmetric: build the upper triangle
                 k, lower = heads[i]
                 image = images.get(k)
                 if image is None:
-                    pos = _positions(m - k)
-                    image = images[k] = [(pos[q], s) for q, s in _act_pos(k, lam, params).items()]
-                total = f.zero
+                    pos, dk = _positions(m - k), d ** (k - 1)
+                    image = images[k] = [(pos[q], s * dk) for q, s in _act_pos(k, lam, params).items()]
+                total = 0
                 for idx, s in image:
-                    total = f.add(total, f.mul(s, lower[idx]))
-                rows[i][j] = rows[j][i] = total
+                    total += s * lower[idx]
+                rows[i][j] = rows[j][i] = total % p if p else total
         levels.append(tuple(map(tuple, rows)))
 
 
@@ -208,14 +224,18 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
 
     Entry (mu, lambda) is the vacuum coefficient of L_{mu_k}...L_{mu_1}
     applied to the lambda monomial (rightmost factor, the largest part,
-    acts first).  It is built by the level recursion in the module
-    docstring from the rows of levels 0..n-1, which `params` keeps: a
+    acts first).  It is S_n / D^n, with S_n built by the level recursion in
+    the module docstring from the levels 0..n-1, which `params` keeps: a
     later call on the same params builds only the levels it lacks.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _build_levels(params, n)
-    return DenseMatrix(params.field_, params._levels[n])
+    rows = params._levels[n]
+    if not params._mod:
+        scale = params._scale**n
+        rows = tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+    return DenseMatrix(params.field_, rows)
 
 
 @dataclass(frozen=True)
@@ -224,12 +244,18 @@ class GramReport:
 
 
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
-    """Per-level Gram ranks: the graded dimension of the irreducible quotient."""
-    levels = []
-    for n in range(n_max + 1):
-        m = gram_matrix(params, n)
-        levels.append((n, len(partitions(n)), rank(m)))
-    return GramReport(tuple(levels))
+    """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
+    _build_levels(params, n_max)
+    return GramReport(tuple(
+        (n, len(partitions(n)), rank(DenseMatrix(params.field_, params._levels[n])))
+        for n in range(n_max + 1)
+    ))
+
+
+@lru_cache(maxsize=32)
+def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[int, ...]:
+    """QQ Gram ranks at levels 0..n_max; probes at one (c, h) share them."""
+    return tuple(r for _, _, r in graded_rank(VermaParams.rational(c, h), n_max).levels)
 
 
 @dataclass(frozen=True)
@@ -253,19 +279,12 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     the irreducible quotient at this truncation; the first level where the
     mod-p rank is smaller is reported as a rank drop.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     c = central_charge(ell)
     h = highest_weight(ell, label.m, label.n)
-    if p == 2 or not reduce_mod_p(c, p).is_defined or not reduce_mod_p(h, p).is_defined:
-        raise DegenerateParams(
-            f"(c, h) = ({c}, {h}) does not reduce mod {p}; no naive mod-p module"
-        )
-    over_q = graded_rank(VermaParams.rational(c, h), n_max)
-    over_p = graded_rank(VermaParams.mod_p(c, h, p), n_max)
-    levels = tuple(
-        (n, rq, rp) for (n, _, rq), (_, _, rp) in zip(over_q.levels, over_p.levels)
-    )
+    if p == 2:
+        raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
+    over_p = graded_rank(VermaParams.mod_p(c, h, p), n_max).levels
+    levels = tuple((n, rq, rp) for (n, _, rp), rq in zip(over_p, _rational_ranks(c, h, n_max)))
     drop = next((n for n, rq, rp in levels if rp != rq), None)
     return ProbeVerdict(
         label, p, n_max, levels, "consistent" if drop is None else "rank-drop", drop
@@ -291,10 +310,13 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
         raise ValueError("label must be canonical")
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
     params = VermaParams.rational(central_charge(ell), highest_weight(ell, label.m, label.n))
+    _build_levels(params, n_max)
     dets = []
     ok = True
     for n in range(1, n_max + 1):
-        d = determinant(gram_matrix(params, n))
+        # det G_n = det S_n / D^(n p(n)), as S_n = D^n G_n is p(n) x p(n)
+        scaled = DenseMatrix(QQ, params._levels[n])
+        d = determinant(scaled) / params._scale ** (n * scaled.rows)
         dets.append((n, d))
         if (d == 0) != (n >= d_min):
             ok = False

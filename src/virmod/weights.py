@@ -150,15 +150,6 @@ def d_matrix(ell: int) -> list[list[int]]:
     return [[abs(c - r) for c in cols] for r in rows]
 
 
-def d_matrix_full(ell: int) -> list[list[int]]:
-    """The full (2l-1) x (2l+1) difference table over all column sums."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    rows = [s * (ell + 2) for s in range(2, 2 * ell + 1)]
-    cols = [t * (ell + 1) for t in range(2, 2 * ell + 3)]
-    return [[abs(c - r) for c in cols] for r in rows]
-
-
 def g_set(ell: int, corrected: bool = False) -> IntervalSet:
     """Complement of B_l in an initial interval: candidate good-prime range.
 

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from virmod.exact import (
     DenseMatrix,
     PrimeField,
     determinant,
-    identity,
     is_prime,
     matrix,
     p_valuation,
@@ -64,6 +64,12 @@ def gauss_jordan_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def identity(field, n):
+    return DenseMatrix(
+        field, tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+    )
 
 
 def rational_matrices(rows, cols):
@@ -208,6 +214,38 @@ class TestCertifiedRank:
         monkeypatch.setattr(exact, "_bareiss", fail)
         assert rank(identity(QQ, 6)) == 6
         assert rank(matrix(QQ, [[F(1, 2), 3, 5], [7, F(-11, 13), 17]])) == 2
+
+
+class TestRowContent:
+    """Over QQ, rank divides each row by its content; determinant does not."""
+
+    @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_rank_ignores_huge_row_factors(self, n, m, data):
+        ints = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                                  min_size=n, max_size=n))
+        scales = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        scaled = [[10**60 * s * x for x in row] for s, row in zip(scales, ints)]
+        assert rank(DenseMatrix(QQ, tuple(map(tuple, scaled)))) == gauss_jordan_rank(ints)
+
+    def test_bareiss_sees_primitive_rows(self, monkeypatch):
+        seen = []
+        bareiss = exact._bareiss
+        monkeypatch.setattr(exact, "_bareiss", lambda rows: seen.append(rows) or bareiss(rows))
+        big = 3**200
+        rows = ((big, 2 * big, 3 * big), (7 * big, 14 * big, 21 * big), (F(1, 5), 0, F(big, 5)))
+        assert rank(DenseMatrix(QQ, rows)) == 2
+        assert seen == [[[1, 2, 3], [1, 2, 3], [1, 0, big]]]
+
+    @given(n=st.integers(1, 4), data=st.data())
+    @settings(max_examples=30)
+    def test_determinant_keeps_row_factors(self, n, data):
+        ints = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        scales = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        scaled = [[10**30 * s * x for x in row] for s, row in zip(scales, ints)]
+        factor = prod(10**30 * s for s in scales)
+        assert determinant(DenseMatrix(QQ, tuple(map(tuple, scaled)))) == factor * cofactor_det(ints)
 
 
 class TestDeterminant:

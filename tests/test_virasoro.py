@@ -6,11 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_exact import gauss_jordan_rank
+from virmod import cli
 from virmod.exact import QQ, PrimeField, determinant, matrix, rank
 from virmod.virasoro import (
     DegenerateParams,
     PBWVector,
     VermaParams,
+    _rational_ranks,
     apply_mode,
     basis_vector,
     gram_matrix,
@@ -271,14 +274,35 @@ class TestGramMatrix:
             gram_matrix(VermaParams.rational(F(1, 2), F(1, 16)), -1)
 
     def test_mod_p_matches_reduced_rational(self):
-        p = 11
-        c, h = central_charge(2), highest_weight(2, 2, 2)
-        gq = gram_matrix(VermaParams.rational(c, h), 3)
-        gp = gram_matrix(VermaParams.mod_p(c, h, p), 3)
-        gf = PrimeField(p)
-        assert gp.entries == tuple(
-            tuple(gf.from_fraction(x) for x in row) for row in gq.entries
-        )
+        for ell in (2, 3, 4):
+            for lab in canonical_labels(ell):
+                c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
+                rational = VermaParams.rational(c, h)
+                for p in (7, 11, 13, 101):
+                    gf, reduced = PrimeField(p), VermaParams.mod_p(c, h, p)
+                    for n in range(9):
+                        assert gram_matrix(reduced, n).entries == tuple(
+                            tuple(gf.from_fraction(x) for x in row)
+                            for row in gram_matrix(rational, n).entries
+                        )
+
+    @pytest.mark.parametrize(
+        "c,h,scale",
+        [
+            (F(7, 10), F(3, 7), 140),  # D = lcm(den h, 2 den c)
+            (F(-22, 5), F(-1, 5), 10),
+            (F(734521, 912346), F(-612345, 555557), 2 * 912346 * 555557),
+        ],
+        ids=["even-den-c", "lee-yang", "six-digit"],
+    )
+    def test_scaled_levels_are_d_power_times_vacuum_oracle(self, c, h, scale):
+        params = VermaParams.rational(c, h)
+        gram_matrix(params, 4)
+        assert params._scale == scale
+        for n in range(5):
+            level = params._levels[n]
+            assert all(type(x) is int for row in level for x in row)
+            assert [list(r) for r in level] == [[scale**n * x for x in row] for row in gram_oracle(c, h, n)]
 
     def test_memo_determinism(self):
         c, h = F(7, 10), F(3, 80)
@@ -296,6 +320,13 @@ class TestGradedRank:
         rep = graded_rank(VermaParams.rational(F(17, 5), F(23, 7)), 5)
         for n, dim, r in rep.levels:
             assert r == dim == len(partitions(n))
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_matches_gauss_jordan_at_minimal_points(self, ell):
+        for lab in canonical_labels(ell):
+            params = VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
+            ranks = [r for _, _, r in graded_rank(params, 9).levels]
+            assert ranks == [gauss_jordan_rank(gram_matrix(params, n).entries) for n in range(10)]
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_rank_mod_p_bounded(self, p):
@@ -345,6 +376,15 @@ class TestProbe:
     def test_degenerate_params(self):
         with pytest.raises(DegenerateParams):
             irreducibility_probe(3, MinimalLabel(3, 2, 2), 5, 4)
+        with pytest.raises(DegenerateParams):
+            irreducibility_probe(2, MinimalLabel(2, 2, 2), 2, 4)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            irreducibility_probe(2, MinimalLabel(2, 2, 2), 9, 4)
+
+    def test_paper_probes_rank_each_rational_tower_once(self):
+        _rational_ranks.cache_clear()
+        cli.check_probes(cli.ReportEnvelope("t", {}))
+        assert _rational_ranks.cache_info().misses == len(canonical_labels(2))
 
     def test_bad_prime_runs_to_completion(self):
         # experiment: no expected verdict, only that ranks are well defined

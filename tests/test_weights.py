@@ -17,7 +17,6 @@ from virmod.weights import (
     central_charge,
     classify_prime,
     d_matrix,
-    d_matrix_full,
     d_minus,
     d_plus,
     g_blocks,
@@ -67,6 +66,14 @@ def classify_oracle(ell, p):
                 collisions.append((labs[i], labs[j]))
     status = "bad" if collisions else "good"
     return PrimeClassification(ell, p, status, tuple(sorted(collisions)), tuple(degenerate), cc_defined)
+
+
+def d_matrix_full(ell):
+    """The full (2l-1) x (2l+1) difference table over all column sums; the
+    oracle for B_l as a set of table entries."""
+    rows = [s * (ell + 2) for s in range(2, 2 * ell + 1)]
+    cols = [t * (ell + 1) for t in range(2, 2 * ell + 3)]
+    return [[abs(c - r) for c in cols] for r in rows]
 
 
 def g_set_scan_oracle(ell, corrected):
@@ -204,7 +211,7 @@ class TestDMatrix:
         a = d_matrix_full(ell)
         assert a == [row[::-1] for row in a[::-1]]
 
-    @pytest.mark.parametrize("table", [d_matrix, d_matrix_full])
+    @pytest.mark.parametrize("table", [d_matrix])
     @pytest.mark.parametrize("ell", [1, 0, -3])
     def test_range(self, table, ell):
         with pytest.raises(ValueError, match="ell must be >= 2"):
