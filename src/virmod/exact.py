@@ -8,7 +8,9 @@ The rank works on those integer rows divided by their content, and is
 first certified mod the fixed prime `_CERT_PRIME`: reduction mod
 p is a ring map, so a minor nonzero mod p is nonzero over Z, and full rank
 mod p proves full rank over QQ.  Only when the mod-p rank falls short does
-Bareiss run, and it gives the exact rank.  No randomness, no floats.
+Bareiss run, and it gives the exact rank.  `kernel` certifies a zero null
+space the same way, and otherwise finds a basis by integer Gauss-Jordan
+elimination.  No randomness, no floats.
 """
 from __future__ import annotations
 
@@ -224,6 +226,28 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[list[int]], Fraction]:
     return out, scale
 
 
+def _primitive_rows(M: DenseMatrix) -> list[list[int]]:
+    """Denominator-cleared rows of a QQ matrix, each divided by its content."""
+    int_rows, _ = _clear_denominators(M)
+    for row in int_rows:
+        g = gcd(*row)
+        if g > 1:
+            row[:] = [x // g for x in row]
+    return int_rows
+
+
+def independent_rows(rows: list[list[int]]) -> list[tuple[int, int]]:
+    """A maximal set of integer rows independent mod `_CERT_PRIME`, as
+    (row index, pivot column) pairs, one pivot column per row.
+
+    The chosen rows restricted to their pivot columns form a square matrix
+    invertible mod the prime, hence over QQ, so they are independent over QQ
+    too.  Rows that depend on them mod the prime need not depend on them
+    over QQ.
+    """
+    return _echelon_mod_p([[x % _CERT_PRIME for x in row] for row in rows], _CERT_PRIME)
+
+
 def rank(M: DenseMatrix) -> int:
     """Rank over the matrix's field.
 
@@ -235,17 +259,59 @@ def rank(M: DenseMatrix) -> int:
     mod-p rank is only a lower bound, so Bareiss then computes the exact rank.
     """
     if isinstance(M.field, PrimeField):
-        return _rank_mod_p([list(r) for r in M.entries], M.field.p)
-    int_rows, _ = _clear_denominators(M)
-    for row in int_rows:
-        g = gcd(*row)
-        if g > 1:
-            row[:] = [x // g for x in row]
-    r = _rank_mod_p([[x % _CERT_PRIME for x in row] for row in int_rows], _CERT_PRIME)
+        return len(_echelon_mod_p([list(r) for r in M.entries], M.field.p))
+    int_rows = _primitive_rows(M)
+    r = len(independent_rows(int_rows))
     if r == min(M.rows, M.cols):
         return r
     r, _ = _bareiss(int_rows)
     return r
+
+
+def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
+    """Basis of the null space {v : M v = 0} of a QQ matrix in primitive
+    integer vectors: one per free column f of the reduced echelon form,
+    positive at f and zero at the other free columns.
+
+    Full column rank mod `_CERT_PRIME` proves the null space zero.
+    Otherwise integer Gauss-Jordan elimination runs on the primitive rows,
+    each updated row divided by its content, which keeps the entries near
+    the size of the minors.
+    """
+    if not isinstance(M.field, RationalField):
+        raise ValueError("kernel is provided over the rationals only")
+    m = _primitive_rows(M)
+    ncol = M.cols
+    if len(independent_rows(m)) == ncol:
+        return []
+    pivots: list[int] = []  # pivots[i] is the pivot column of row i
+    for col in range(ncol):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        a = top[col]
+        for i, row in enumerate(m):
+            b = row[col]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    out = []
+    for f in sorted(set(range(ncol)) - set(pivots)):
+        scale = lcm(*(abs(m[i][c]) for i, c in enumerate(pivots) if m[i][f]))
+        v = [0] * ncol
+        v[f] = scale
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f] * scale // m[i][c]
+        g = gcd(*v)
+        out.append(tuple(x // g for x in v))
+    return out
 
 
 def determinant(M: DenseMatrix) -> Fraction:
@@ -261,21 +327,29 @@ def determinant(M: DenseMatrix) -> Fraction:
     return Fraction(det) / scale
 
 
-def _rank_mod_p(m: list[list[int]], p: int) -> int:
+def _echelon_mod_p(m: list[list[int]], p: int) -> list[tuple[int, int]]:
+    """Row echelon form mod p, in place; the rank is the length of the result.
+
+    Returns one (row, column) pair per pivot, where `row` indexes the input:
+    those rows restricted to the pivot columns form an invertible minor mod p.
+    """
     nrow = len(m)
     ncol = len(m[0]) if m else 0
-    rank_ = 0
+    order = list(range(nrow))
+    pivots: list[tuple[int, int]] = []
     for col in range(ncol):
-        piv = next((i for i in range(rank_, nrow) if m[i][col] % p != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, nrow) if m[i][col] % p != 0), None)
         if piv is None:
             continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        inv = pow(m[rank_][col] % p, -1, p)
-        for i in range(rank_ + 1, nrow):
+        m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
+        inv = pow(m[r][col] % p, -1, p)
+        for i in range(r + 1, nrow):
             f = m[i][col] * inv % p
             if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank_])]
-        rank_ += 1
-        if rank_ == nrow:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append((order[r], col))
+        if r + 1 == nrow:
             break
-    return rank_
+    return pivots

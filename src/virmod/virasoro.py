@@ -26,6 +26,19 @@ kept as S_n = D^n G_n, built without a gcd by the recursion above times D^n:
 S_n[mu, lam] = sum_q (D L_{mu_1} lam)_q * D^(mu_1 - 1) * S_{n-mu_1}[mu minus mu_1, q].
 `gram_matrix` divides by D^n; ranks are taken on S_n, since scaling a row
 by a nonzero number keeps the rank.
+
+Over QQ, `graded_rank` never eliminates a whole singular level.  It carries
+an integer basis K_n of the radical ker S_n up the levels, on three facts.
+The radical is a submodule, so L_{-1} K_{n-1} and L_{-2} K_{n-2} lie in
+ker S_n.  U(Vir^-) is generated by L_{-1} and L_{-2}, so those images span
+the radical at level n except for new singular vectors (Feigin-Fuchs: at
+minimal points only the levels mn and (l+1-m)(l+2-n) bring any).  And if
+kernel vectors K have an invertible minor on columns P, then, S_n being
+symmetric, the rows and columns in P are combinations of those in the
+complement C, so rank S_n = rank S_n[C, C].  The images kept are those
+independent mod `exact._CERT_PRIME`, each with one pivot column in P; the
+null vectors of S_n[C, C], extended by zero on P, are the new radical
+vectors.
 """
 from __future__ import annotations
 
@@ -34,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, rank
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, independent_rows, kernel, rank
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -245,11 +258,44 @@ class GramReport:
 
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
+    if params._mod:
+        _build_levels(params, n_max)
+        ranks = [rank(DenseMatrix(params.field_, params._levels[n])) for n in range(n_max + 1)]
+    else:
+        ranks = [r for r, _ in _radical_levels(params, n_max)]
+    return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
+
+
+def _radical_levels(params: VermaParams, n_max: int):
+    """Yield (rank S_n, K_n) for n = 0..n_max over QQ, K_n an integer basis
+    of ker S_n as dense vectors over `partitions(n)`, built as the module
+    docstring says."""
     _build_levels(params, n_max)
-    return GramReport(tuple(
-        (n, len(partitions(n)), rank(DenseMatrix(params.field_, params._levels[n])))
-        for n in range(n_max + 1)
-    ))
+    bases: list[list[list[int]]] = []
+    for n in range(n_max + 1):
+        size, pos = len(partitions(n)), _positions(n)
+        images = []
+        for a in range(1, min(n, 2) + 1):
+            for v in bases[n - a]:
+                image = [0] * size
+                for part, x in zip(partitions(n - a), v):
+                    if x:
+                        for q, s in _prepend(a, part):
+                            image[pos[q]] += s * x
+                images.append(image)
+        kept = independent_rows(images)
+        basis = [images[i] for i, _ in kept]
+        pivots = {col for _, col in kept}
+        free = [j for j in range(size) if j not in pivots]
+        level = params._levels[n]
+        null = kernel(DenseMatrix(QQ, tuple(tuple(level[i][j] for j in free) for i in free)))
+        for w in null:
+            v = [0] * size
+            for j, x in zip(free, w):
+                v[j] = x
+            basis.append(v)
+        bases.append(basis)
+        yield len(free) - len(null), basis
 
 
 @lru_cache(maxsize=32)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .exact import is_prime
@@ -112,18 +113,24 @@ def b_set_bruteforce(ell: int) -> list[int]:
     """Collision values |(m+m')(l+2) - (n+n')(l+1)|, zero excluded, sorted.
 
     The value depends on the index tuple only through the sums s = m+m' and
-    t = n+n', so enumerating sums covers every tuple.  The zero value occurs
-    exactly at symmetry-paired tuples and is discarded.
+    t = n+n', so enumerating sums covers every tuple.  For fixed s the values
+    over t form two arithmetic progressions of step l+1, one on each side of
+    zero; each is marked whole, so every value is still enumerated.  The
+    zero value occurs exactly at symmetry-paired tuples and is discarded.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    vals = set()
+    a, b, t_max = ell + 2, ell + 1, 2 * ell + 2
+    top = max(2 * ell * a - 2 * b, t_max * b - 2 * a)
+    marks = bytearray(top + 1)
     for s in range(2, 2 * ell + 1):
-        for t in range(2, 2 * ell + 3):
-            v = abs(s * (ell + 2) - t * (ell + 1))
-            if v:
-                vals.add(v)
-    return sorted(vals)
+        x = s * a
+        k = min(x // b, t_max)  # x - t*b >= 0 exactly for t <= k; k >= 2 as x > 2b
+        for lo, hi in ((x - k * b, x - 2 * b), ((k + 1) * b - x, t_max * b - x)):
+            if lo <= hi:
+                marks[lo : hi + 1 : b] = b"\x01" * ((hi - lo) // b + 1)
+    marks[0] = 0
+    return list(compress(range(top + 1), marks))
 
 
 def b_set_intervals(ell: int) -> IntervalSet:

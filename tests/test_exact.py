@@ -14,6 +14,7 @@ from virmod.exact import (
     PrimeField,
     determinant,
     is_prime,
+    kernel,
     matrix,
     p_valuation,
     rank,
@@ -70,6 +71,21 @@ def identity(field, n):
     return DenseMatrix(
         field, tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
     )
+
+
+def int_matrices(rows, cols, bound=9):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+# Full rank over QQ, but not mod _CERT_PRIME: the certificate cannot decide them.
+LOST_MOD_CERT_PRIME = [
+    ([[1, 1], [1, 1 + _CERT_PRIME]], 2),
+    ([[F(1, 3), 1], [1, 3 + _CERT_PRIME]], 2),
+    ([[1, 2, 3], [2, 4, 6 + _CERT_PRIME], [3, 6, 9]], 2),
+    ([[_CERT_PRIME, 0, 1], [0, _CERT_PRIME, 1]], 2),
+]
 
 
 def rational_matrices(rows, cols):
@@ -191,15 +207,7 @@ class TestCertifiedRank:
         assert expected <= k
         assert rank(matrix(QQ, prod)) == expected
 
-    @pytest.mark.parametrize(
-        "rows,expected",
-        [
-            ([[1, 1], [1, 1 + _CERT_PRIME]], 2),
-            ([[F(1, 3), 1], [1, 3 + _CERT_PRIME]], 2),
-            ([[1, 2, 3], [2, 4, 6 + _CERT_PRIME], [3, 6, 9]], 2),
-            ([[_CERT_PRIME, 0, 1], [0, _CERT_PRIME, 1]], 2),
-        ],
-    )
+    @pytest.mark.parametrize("rows,expected", LOST_MOD_CERT_PRIME)
     def test_rank_lost_mod_cert_prime_goes_through_bareiss(self, rows, expected, monkeypatch):
         calls = []
         bareiss = exact._bareiss
@@ -214,6 +222,56 @@ class TestCertifiedRank:
         monkeypatch.setattr(exact, "_bareiss", fail)
         assert rank(identity(QQ, 6)) == 6
         assert rank(matrix(QQ, [[F(1, 2), 3, 5], [7, F(-11, 13), 17]])) == 2
+
+
+class TestKernel:
+    """kernel returns a primitive integer basis of the null space."""
+
+    @staticmethod
+    def check(rows):
+        vecs = kernel(matrix(QQ, rows))
+        cols = len(rows[0])
+        assert len(vecs) == cols - gauss_jordan_rank(rows)
+        for v in vecs:
+            assert len(v) == cols and all(type(x) is int for x in v)
+            assert gcd(*v) == 1
+            assert all(sum((F(a) * x for a, x in zip(row, v)), F(0)) == 0 for row in rows)
+        if vecs:
+            assert gauss_jordan_rank(vecs) == len(vecs)
+        return vecs
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_matrices(self, rows, cols, data):
+        self.check(data.draw(int_matrices(rows, cols, bound=3)))
+
+    @given(n=st.integers(2, 7), m=st.integers(2, 7), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_deficient_products(self, n, m, data):
+        k = data.draw(st.integers(0, min(n, m) - 1))
+        a = data.draw(int_matrices(n, k))
+        b = data.draw(int_matrices(k, m))
+        prod = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        assert len(self.check(prod)) >= m - k
+
+    @pytest.mark.parametrize("rows,rank_qq", LOST_MOD_CERT_PRIME)
+    def test_rank_lost_mod_cert_prime(self, rows, rank_qq):
+        # as given, and transposed so that all four have full column rank
+        # over QQ, where the exact elimination must find no vector
+        transposed = [list(col) for col in zip(*rows)]
+        for m in (rows, transposed):
+            vecs = self.check(m)
+            if len(m[0]) == rank_qq:
+                assert vecs == []
+
+    def test_free_column_normalisation(self):
+        assert kernel(matrix(QQ, [[2, 4, 6], [1, 2, 3]])) == [(-2, 1, 0), (-3, 0, 1)]
+        assert kernel(matrix(QQ, [[0, 0]])) == [(1, 0), (0, 1)]
+        assert kernel(matrix(QQ, [[F(1, 2), F(1, 3)]])) == [(-2, 3)]
+
+    def test_rejects_prime_field(self):
+        with pytest.raises(ValueError):
+            kernel(matrix(PrimeField(5), [[1, 2]]))
 
 
 class TestRowContent:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_exact import gauss_jordan_rank
-from virmod import cli
+from virmod import cli, exact
 from virmod.exact import QQ, PrimeField, determinant, matrix, rank
 from virmod.virasoro import (
     DegenerateParams,
     PBWVector,
     VermaParams,
+    _radical_levels,
     _rational_ranks,
     apply_mode,
     basis_vector,
@@ -117,6 +117,33 @@ def kac_constants(t, h, n_max):
 
 
 KAC_REFERENCE = (F(2), F(1, 3))
+
+kac_curve_points = st.tuples(
+    nonzero_rationals, st.sampled_from([(r, s) for r in range(1, 9) for s in range(1, 8 // r + 1)])
+)
+
+
+def rocha_caridi_ranks(ell, m, n, n_max):
+    """Level coefficients 0..n_max of the irreducible minimal-model character
+    (Rocha-Caridi 1985), with p = l+2 and p' = l+1:
+    q^-h chi = (1/phi(q)) sum_k (q^a_k(m,n) - q^a_k(m,-n)),
+    a_k(m,s) = ((2pp'k + pm - p's)^2 - (pm - p'n)^2) / (4pp')."""
+    p, pp = ell + 2, ell + 1
+
+    def a(k, s):
+        return ((2 * p * pp * k + p * m - pp * s) ** 2 - (p * m - pp * n) ** 2) // (4 * p * pp)
+
+    # a_k >= pp'((|k|-1)^2 - 1/4) > n_max once |k| > n_max + 1
+    shifts = [(a(k, s), sign) for k in range(-n_max - 1, n_max + 2) for s, sign in ((n, 1), (-n, -1))]
+    return [
+        sum(sign * len(partitions(level - e)) for e, sign in shifts if e <= level)
+        for level in range(n_max + 1)
+    ]
+
+
+def minimal_points(ell):
+    for lab in canonical_labels(ell):
+        yield lab, VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
 
 
 class TestPartitions:
@@ -322,11 +349,44 @@ class TestGradedRank:
             assert r == dim == len(partitions(n))
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
-    def test_matches_gauss_jordan_at_minimal_points(self, ell):
-        for lab in canonical_labels(ell):
-            params = VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
-            ranks = [r for _, _, r in graded_rank(params, 9).levels]
-            assert ranks == [gauss_jordan_rank(gram_matrix(params, n).entries) for n in range(10)]
+    def test_matches_rocha_caridi_character(self, ell):
+        for lab, params in minimal_points(ell):
+            ranks = [r for _, _, r in graded_rank(params, 12).levels]
+            assert ranks == rocha_caridi_ranks(ell, lab.m, lab.n, 12)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_radical_basis_is_exact_kernel(self, ell):
+        for _, params in minimal_points(ell):
+            for n, (r, basis) in enumerate(_radical_levels(params, 11)):
+                level = params._levels[n]
+                assert len(basis) == len(partitions(n)) - r
+                assert r == exact._bareiss([list(row) for row in level])[0]
+                for v in basis:
+                    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in level)
+
+    @given(point=kac_curve_points)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_bareiss_on_kac_curves(self, point):
+        # the first singular vector sits at level rs, which need not be a
+        # level where the kernel step runs at the minimal points
+        t, (r, s) = point
+        params = VermaParams.rational(13 - 6 * (t + 1 / t), kac_h(r, s, t))
+        ranks = [rk for _, _, rk in graded_rank(params, 8).levels]
+        assert ranks == [exact._bareiss([list(row) for row in params._levels[n]])[0] for n in range(9)]
+        assert ranks[r * s] < len(partitions(r * s))
+
+    @pytest.mark.parametrize(
+        "c,h",
+        [(central_charge(ell), highest_weight(ell, m, n)) for ell, m, n in [(2, 2, 2), (3, 3, 2), (4, 3, 2)]]
+        + [(F(734521, 912346), F(-612345, 555557))],
+        ids=["2-2-2", "3-3-2", "4-3-2", "generic"],
+    )
+    def test_rational_ranks_never_run_bareiss(self, c, h, monkeypatch):
+        def fail(rows):
+            raise AssertionError("Bareiss ran in a QQ graded rank")
+
+        monkeypatch.setattr(exact, "_bareiss", fail)
+        graded_rank(VermaParams.rational(c, h), 11)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_rank_mod_p_bounded(self, p):

@@ -44,6 +44,17 @@ def b_set_tuple_oracle(ell):
     return sorted(vals)
 
 
+def b_set_sum_loop_oracle(ell):
+    """Value-by-value double loop over the sums s = m+m' and t = n+n'."""
+    vals = set()
+    for s in range(2, 2 * ell + 1):
+        for t in range(2, 2 * ell + 3):
+            v = abs(s * (ell + 2) - t * (ell + 1))
+            if v:
+                vals.add(v)
+    return sorted(vals)
+
+
 def classify_oracle(ell, p):
     """Fraction-by-fraction classifier: reduce each canonical weight with
     reduce_mod_p and bucket the labels by residue; independent of the
@@ -155,6 +166,10 @@ class TestBSet:
     @pytest.mark.parametrize("ell", range(2, 13))
     def test_matches_tuple_oracle(self, ell):
         assert b_set_bruteforce(ell) == b_set_tuple_oracle(ell)
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_matches_sum_loop_oracle(self, ell):
+        assert b_set_bruteforce(ell) == b_set_sum_loop_oracle(ell)
 
     @pytest.mark.parametrize("ell", range(2, 51))
     def test_extremes(self, ell):
