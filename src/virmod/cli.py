@@ -215,7 +215,10 @@ def cmd_gram(args) -> int:
     m = gram_matrix(params, args.level)
     for row in m.entries:
         env.add("row", "pass", "  ".join(fmt(v) for v in row))
-    env.add("rank", "info", str(rank(m)))
+    # Over QQ the graded rank carries the radical up the levels and never
+    # runs Bareiss, which a singular level on its own would need.
+    r = rank(m) if args.prime is not None else virasoro.graded_rank(params, args.level).levels[-1][2]
+    env.add("rank", "info", str(r))
     return _emit(env, args)
 
 

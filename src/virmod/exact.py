@@ -10,10 +10,13 @@ p is a ring map, so a minor nonzero mod p is nonzero over Z, and full rank
 mod p proves full rank over QQ.  Only when the mod-p rank falls short does
 Bareiss run, and it gives the exact rank.  `kernel` certifies a zero null
 space the same way, and otherwise finds a basis by integer Gauss-Jordan
-elimination.  No randomness, no floats.
+elimination.  Every elimination mod p packs each row into one int, a
+fixed-width slot per column, so that a row update is one big-int
+multiply-add with no reduction of the updated row.  No randomness, no floats.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -236,7 +239,7 @@ def _primitive_rows(M: DenseMatrix) -> list[list[int]]:
     return int_rows
 
 
-def independent_rows(rows: list[list[int]]) -> list[tuple[int, int]]:
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """A maximal set of integer rows independent mod `_CERT_PRIME`, as
     (row index, pivot column) pairs, one pivot column per row.
 
@@ -245,7 +248,7 @@ def independent_rows(rows: list[list[int]]) -> list[tuple[int, int]]:
     too.  Rows that depend on them mod the prime need not depend on them
     over QQ.
     """
-    return _echelon_mod_p([[x % _CERT_PRIME for x in row] for row in rows], _CERT_PRIME)
+    return _echelon_mod_p(rows, _CERT_PRIME)
 
 
 def rank(M: DenseMatrix) -> int:
@@ -259,7 +262,7 @@ def rank(M: DenseMatrix) -> int:
     mod-p rank is only a lower bound, so Bareiss then computes the exact rank.
     """
     if isinstance(M.field, PrimeField):
-        return len(_echelon_mod_p([list(r) for r in M.entries], M.field.p))
+        return len(_echelon_mod_p(M.entries, M.field.p))
     int_rows = _primitive_rows(M)
     r = len(independent_rows(int_rows))
     if r == min(M.rows, M.cols):
@@ -327,29 +330,54 @@ def determinant(M: DenseMatrix) -> Fraction:
     return Fraction(det) / scale
 
 
-def _echelon_mod_p(m: list[list[int]], p: int) -> list[tuple[int, int]]:
-    """Row echelon form mod p, in place; the rank is the length of the result.
+def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
+    """Row echelon form mod p of the integer rows `m`, which stay unchanged;
+    the rank is the length of the result.
 
     Returns one (row, column) pair per pivot, where `row` indexes the input:
     those rows restricted to the pivot columns form an invertible minor mod p.
+    Each column's pivot is the first remaining row nonzero there mod p.
+
+    Each row is packed into one int, column j in slot ncol-1-j (the first
+    column on top), a slot being 8·nb bits with 8·nb > bitlen((k+1)·p²),
+    k = min(rows, cols).  Slots start as residues below p.  A pivot row is
+    unpacked, reduced, scaled by -1/pivot and repacked into residues; adding
+    f times it to a row (f < p) adds at most (p-1)² to each slot, once per
+    pivot, so no slot reaches (k+1)·p² and no carry crosses into the next.
+    Updated rows lose the finished column and those above it, so they
+    shrink as the elimination proceeds.
     """
     nrow = len(m)
     ncol = len(m[0]) if m else 0
+    nb = ((min(nrow, ncol) + 1) * p * p).bit_length() // 8 + 1
+    width = 8 * nb
+    slot = (1 << width) - 1
+    rows = [int.from_bytes(b"".join([(x % p).to_bytes(nb, "big") for x in row]), "big") for row in m]
     order = list(range(nrow))
     pivots: list[tuple[int, int]] = []
     for col in range(ncol):
         r = len(pivots)
-        piv = next((i for i in range(r, nrow) if m[i][col] % p != 0), None)
+        sh = width * (ncol - 1 - col)
+        piv = next((i for i in range(r, nrow) if (rows[i] >> sh & slot) % p), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         order[r], order[piv] = order[piv], order[r]
-        inv = pow(m[r][col] % p, -1, p)
-        for i in range(r + 1, nrow):
-            f = m[i][col] * inv % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append((order[r], col))
         if r + 1 == nrow:
             break
+        top = rows[r]
+        scale = -pow((top >> sh & slot) % p, -1, p)
+        below = (1 << sh) - 1
+        tail = (top & below).to_bytes(sh // 8, "big")
+        neg = int.from_bytes(
+            b"".join([(scale * int.from_bytes(tail[j:j + nb], "big") % p).to_bytes(nb, "big")
+                      for j in range(0, len(tail), nb)]),
+            "big",
+        )
+        for i in range(r + 1, nrow):
+            row = rows[i]
+            f = (row >> sh & slot) % p
+            if f:
+                rows[i] = (row + f * neg) & below
     return pivots

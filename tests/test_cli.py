@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from virmod import exact
 from virmod.cli import run
 
 # The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
@@ -74,6 +75,16 @@ def test_gram(capsys):
 
 def test_gram_mod_p(capsys):
     assert run(["gram", "--c", "1/2", "--h", "1/16", "--level", "2", "--prime", "11"]) == 0
+
+
+def test_gram_qq_rank_skips_bareiss(capsys, monkeypatch):
+    def tripwire(rows):
+        raise AssertionError("Bareiss ran")
+
+    monkeypatch.setattr(exact, "_bareiss", tripwire)
+    assert run(["gram", "--c", "1/2", "--h", "1/16", "--level", "6"]) == 0
+    rank_rows = [l.split() for l in capsys.readouterr().out.splitlines() if l.split()[:1] == ["rank"]]
+    assert rank_rows == [["rank", "info", "4"]]
 
 
 def test_probe_degenerate_is_info(capsys):

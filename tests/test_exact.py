@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd, prod
@@ -77,6 +78,32 @@ def int_matrices(rows, cols, bound=9):
     return st.lists(
         st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols), min_size=rows, max_size=rows
     )
+
+
+def list_echelon_mod_p(m, p):
+    """The list elimination that the packed `exact._echelon_mod_p` replaced,
+    run on a copy; the oracle for its pivots."""
+    m = [list(row) for row in m]
+    nrow = len(m)
+    ncol = len(m[0]) if m else 0
+    order = list(range(nrow))
+    pivots = []
+    for col in range(ncol):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrow) if m[i][col] % p != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
+        inv = pow(m[r][col] % p, -1, p)
+        for i in range(r + 1, nrow):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append((order[r], col))
+        if r + 1 == nrow:
+            break
+    return pivots
 
 
 # Full rank over QQ, but not mod _CERT_PRIME: the certificate cannot decide them.
@@ -178,6 +205,58 @@ class TestRank:
         rq = rank(matrix(QQ, ints))
         rp = rank(matrix(PrimeField(p), ints))
         assert rp <= rq
+
+
+ECHELON_PRIMES = [3, 5, 7, 11, 101, _CERT_PRIME]
+
+
+def echelon_entries(p):
+    """Residues at the edges of [0, p), and ints outside it on both sides."""
+    return st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(max_value=-1), st.integers(min_value=p))
+
+
+def fixed_matrix(rows, cols, p, seed, rank_bound=None):
+    """A reproducible matrix of entries drawn as in `echelon_entries` or
+    below p; with `rank_bound` k, a product of rows x k and k x cols such
+    matrices."""
+    rng = random.Random(seed)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([0, 1, p - 1])
+        if kind == 1:
+            return -rng.randrange(1, 10**20)
+        return rng.randrange(p, p + 10**20) if kind == 2 else rng.randrange(p)
+
+    if rank_bound is None:
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+    a = fixed_matrix(rows, rank_bound, p, seed + 1)
+    b = fixed_matrix(rank_bound, cols, p, seed + 2)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestEchelonModP:
+    """The packed elimination picks the list oracle's pivots, in its order,
+    and leaves its input alone."""
+
+    @staticmethod
+    def check(m, p):
+        before = [list(row) for row in m]
+        assert exact._echelon_mod_p(m, p) == list_echelon_mod_p(m, p)
+        assert m == before
+
+    @given(rows=st.integers(0, 12), cols=st.integers(0, 12), p=st.sampled_from(ECHELON_PRIMES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_oracle(self, rows, cols, p, data):
+        self.check(data.draw(st.lists(st.lists(echelon_entries(p), min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)), p)
+
+    @pytest.mark.parametrize("p", ECHELON_PRIMES)
+    @pytest.mark.parametrize("rows,cols", [(40, 40), (60, 25), (25, 60)])
+    @pytest.mark.parametrize("rank_bound", [None, 12])
+    def test_large_matches_list_oracle(self, rows, cols, p, rank_bound):
+        self.check(fixed_matrix(rows, cols, p, rows * cols + p % 1000, rank_bound), p)
 
 
 class TestCertifiedRank:
