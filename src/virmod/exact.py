@@ -4,15 +4,16 @@ Rationals are `fractions.Fraction` (always stored reduced, arbitrary
 precision).  Prime-field elements are plain ints in [0, p-1].  All linear
 algebra is exact.  Over the rationals, the determinant goes through
 fraction-free (Bareiss) elimination on a denominator-cleared integer matrix.
-The rank works on those integer rows divided by their content, and is
-first certified mod the fixed prime `_CERT_PRIME`: reduction mod
-p is a ring map, so a minor nonzero mod p is nonzero over Z, and full rank
-mod p proves full rank over QQ.  Only when the mod-p rank falls short does
-Bareiss run, and it gives the exact rank.  `kernel` certifies a zero null
+The rank is first certified on those integer rows mod the fixed prime
+`_CERT_PRIME`: reduction mod p is a ring map, so a minor nonzero mod p is
+nonzero over Z, and full rank mod p proves full rank over QQ.  Only when
+the mod-p rank falls short are the rows divided by their content and
+Bareiss run, which gives the exact rank.  `kernel` certifies a zero null
 space the same way, and otherwise finds a basis by integer Gauss-Jordan
-elimination.  Every elimination mod p packs each row into one int, a
-fixed-width slot per column, so that a row update is one big-int
-multiply-add with no reduction of the updated row.  No randomness, no floats.
+elimination on the content-divided rows.  Every elimination mod p packs
+each row into one int, a fixed-width slot per column, so that a row update
+is one big-int multiply-add with no reduction of the updated row.  No
+randomness, no floats.
 """
 from __future__ import annotations
 
@@ -229,14 +230,21 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[list[int]], Fraction]:
     return out, scale
 
 
-def _primitive_rows(M: DenseMatrix) -> list[list[int]]:
-    """Denominator-cleared rows of a QQ matrix, each divided by its content."""
+def _certified_rank(M: DenseMatrix) -> tuple[list[list[int]], int]:
+    """Denominator-cleared rows of a QQ matrix and their rank mod
+    `_CERT_PRIME`: a lower bound on the rank over QQ, and equal to it when
+    it is min(rows, cols)."""
     int_rows, _ = _clear_denominators(M)
-    for row in int_rows:
+    return int_rows, len(independent_rows(int_rows))
+
+
+def _divide_content(rows: list[list[int]]) -> list[list[int]]:
+    """Divide each integer row, in place, by its content (the gcd of its entries)."""
+    for row in rows:
         g = gcd(*row)
         if g > 1:
             row[:] = [x // g for x in row]
-    return int_rows
+    return rows
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -254,20 +262,19 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 def rank(M: DenseMatrix) -> int:
     """Rank over the matrix's field.
 
-    Over QQ, each denominator-cleared row is divided by its content (the gcd
-    of its entries): scaling a row by a nonzero rational keeps the rank, and
-    it keeps Bareiss's entries small when the rows carry a common factor,
-    as Gram levels scaled by D^n do.  A full rank mod `_CERT_PRIME` of these
-    rows is returned at once (it certifies full rank over QQ); any smaller
-    mod-p rank is only a lower bound, so Bareiss then computes the exact rank.
+    Over QQ, a full rank mod `_CERT_PRIME` of the denominator-cleared rows
+    is returned at once (it certifies full rank over QQ).  Any smaller mod-p
+    rank is only a lower bound, so Bareiss then computes the exact rank on
+    those rows divided by their content: scaling a row by a nonzero rational
+    keeps the rank, and it keeps Bareiss's entries small when the rows carry
+    a common factor, as Gram levels scaled by D^n do.
     """
     if isinstance(M.field, PrimeField):
         return len(_echelon_mod_p(M.entries, M.field.p))
-    int_rows = _primitive_rows(M)
-    r = len(independent_rows(int_rows))
+    int_rows, r = _certified_rank(M)
     if r == min(M.rows, M.cols):
         return r
-    r, _ = _bareiss(int_rows)
+    r, _ = _bareiss(_divide_content(int_rows))
     return r
 
 
@@ -276,17 +283,18 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     integer vectors: one per free column f of the reduced echelon form,
     positive at f and zero at the other free columns.
 
-    Full column rank mod `_CERT_PRIME` proves the null space zero.
-    Otherwise integer Gauss-Jordan elimination runs on the primitive rows,
-    each updated row divided by its content, which keeps the entries near
-    the size of the minors.
+    Full column rank mod `_CERT_PRIME` of the denominator-cleared rows
+    proves the null space zero.  Otherwise integer Gauss-Jordan elimination
+    runs on those rows divided by their content, each updated row divided
+    by its content again, which keeps the entries near the size of the minors.
     """
     if not isinstance(M.field, RationalField):
         raise ValueError("kernel is provided over the rationals only")
-    m = _primitive_rows(M)
+    m, r = _certified_rank(M)
     ncol = M.cols
-    if len(independent_rows(m)) == ncol:
+    if r == ncol:
         return []
+    _divide_content(m)
     pivots: list[int] = []  # pivots[i] is the pivot column of row i
     for col in range(ncol):
         r = len(pivots)

@@ -4,25 +4,29 @@ Basis monomials L_{-a1}...L_{-ak} v are indexed by partitions (a1 >= ... >= ak).
 Positive modes are commuted rightward with
 [L_m, L_n] = (m-n) L_{m+n} + delta_{m+n,0} * (1/2) * binom(m+1, 3) * C,
 annihilating the highest-weight vector; L0 acts on a degree-d monomial as
-h + d, and C as c.  The images L_k (monomial) are memoized per parameter
-set: the commutator cascades are shared by every Gram entry, only the
-(c, h) leaves differ.
+h + d, and C as c.  The commutator cascade of L_k on a monomial does not
+depend on (c, h): only its leaves, where L_k meets L_{-k}, do.  So
+`_lower` computes each image once per process with the scalars left
+symbolic, and every parameter set, over either field, evaluates it at its
+own (c, h).
 
 Gram matrices are built by recursion on level.  Moving the leading mode of
 the left monomial across the contravariant form gives
 G_n[mu, lam] = sum_q (L_{mu_1} lam)_q * G_{n-mu_1}[mu minus mu_1, q],
-so level n needs one memoized image per (mu_1, lam) and the rows of lower
+so level n needs one image per (mu_1, lam) and the rows of lower
 levels.  Each parameter set keeps the rows of every level it has finished,
 so asking for levels one at a time builds each level once.  `apply_mode`
-and `PBWVector` apply whole mode words; they serve as the tests' oracle.
+and `PBWVector` apply whole mode words; they serve as the tests' oracle,
+and `apply_mode` memoizes its evaluated images per parameter set.
 
 Both fields run one integer engine.  Each parameter set fixes a scale D:
 over QQ, D = lcm(den h, 2 den c), so D*h and D*c/2 are integers; over F_p,
 D = 1 and c/2 is c * 2^-1 mod p.  Commuting L_k rightward through a
 monomial meets at most one (c, h) scalar per term, where L_k meets L_{-k};
-every other structure constant is an integer.  So D * (L_k monomial) is
-integral, and the memo holds it as ints (residues over F_p).  Levels are
-kept as S_n = D^n G_n, built without a gcd by the recursion above times D^n:
+every other structure constant is an integer.  So each coefficient of
+D * (L_k monomial) is the integer a*D + b*(D h) + e*(D c/2), with (a, b, e)
+from `_lower`, reduced mod p over F_p.  Levels are kept as S_n = D^n G_n,
+built without a gcd by the recursion above times D^n:
 S_n[mu, lam] = sum_q (D L_{mu_1} lam)_q * D^(mu_1 - 1) * S_{n-mu_1}[mu minus mu_1, q].
 `gram_matrix` divides by D^n; ranks are taken on S_n, since scaling a row
 by a nonzero number keeps the rank.
@@ -147,50 +151,55 @@ def _prepend(a: int, part: Partition) -> tuple[tuple[Partition, int], ...]:
     return tuple((q, s) for q, s in out.items() if s)
 
 
-def _act_pos(k: int, part: Partition, params: VermaParams) -> dict[Partition, int]:
-    """D times the image of L_k (k > 0) on a basis monomial, as partition ->
-    int (a residue mod p over F_p)."""
-    key = (k, part)
-    memo = params._memo
-    if key in memo:
-        return memo[key]
-    out: dict[Partition, int] = {}
+@lru_cache(maxsize=None)
+def _lower(k: int, part: Partition) -> tuple[tuple[Partition, int, int, int], ...]:
+    """L_k (k > 0) on a basis monomial with (c, h) left symbolic: terms
+    (q, a, b, e) with D * (L_k part)_q = a*D + b*(D h) + e*(D c/2), for
+    every scale D.  The integers do not depend on (c, h), so one process-wide
+    cache serves every parameter set and both fields."""
+    out: dict[Partition, list[int]] = {}
     if part:
-        a, rest = part[0], part[1:]
-        # L_k L_{-a} X = L_{-a} (L_k X) + [L_k, L_{-a}] X
-        for q, s in _act_pos(k, rest, params).items():
-            for q2, c2 in _prepend(a, q):
-                out[q2] = out.get(q2, 0) + s * c2
-        m2 = k - a
-        coeff = k + a
+        a0, rest = part[0], part[1:]
+        # L_k L_{-a0} X = L_{-a0} (L_k X) + [L_k, L_{-a0}] X
+        for q, a, b, e in _lower(k, rest):
+            for q2, s in _prepend(a0, q):
+                t = out.setdefault(q2, [0, 0, 0])
+                t[0] += s * a
+                t[1] += s * b
+                t[2] += s * e
+        m2 = k - a0
+        coeff = k + a0
         if m2 > 0:
-            for q, s in _act_pos(m2, rest, params).items():
-                out[q] = out.get(q, 0) + coeff * s
+            for q, a, b, e in _lower(m2, rest):
+                t = out.setdefault(q, [0, 0, 0])
+                t[0] += coeff * a
+                t[1] += coeff * b
+                t[2] += coeff * e
         elif m2 < 0:
-            coeff *= params._scale
-            for q, c2 in _prepend(-m2, rest):
-                out[q] = out.get(q, 0) + coeff * c2
+            for q, s in _prepend(-m2, rest):
+                out.setdefault(q, [0, 0, 0])[0] += coeff * s
         else:
-            # D * (2k L0 + (1/2) binom(k+1,3) C); both act as scalars
-            scalar = coeff * (params._dh + params._scale * sum(rest)) + comb(k + 1, 3) * params._dc2
-            out[rest] = out.get(rest, 0) + scalar
-    if params._mod:
-        out = {q: s % params._mod for q, s in out.items()}
-    out = {q: s for q, s in out.items() if s}
-    memo[key] = out
-    return out
+            # 2k L0 + (1/2) binom(k+1, 3) C; both act as scalars
+            t = out.setdefault(rest, [0, 0, 0])
+            t[0] += coeff * sum(rest)
+            t[1] += coeff
+            t[2] += comb(k + 1, 3)
+    return tuple((q, a, b, e) for q, (a, b, e) in out.items() if a or b or e)
 
 
 def apply_mode(k: int, state: PBWVector, params: VermaParams) -> PBWVector:
     """Normal-ordered image of L_k on a homogeneous vector; degree drops by k."""
     if k == 0:
         raise ValueError("L0 acts as the scalar h + degree; use the scalar directly")
-    f = params.field_
-    unscale = f.from_fraction(Fraction(1, params._scale))
+    f, d, dh, dc2 = params.field_, params._scale, params._dh, params._dc2
     out: dict[Partition, object] = {}
     for part, coeff in state.terms:
         if k > 0:
-            img = {q: f.mul(s, unscale) for q, s in _act_pos(k, part, params).items()}
+            img = params._memo.get((k, part))
+            if img is None:
+                img = params._memo[k, part] = {
+                    q: f.from_fraction(Fraction(a * d + b * dh + e * dc2, d)) for q, a, b, e in _lower(k, part)
+                }
         else:
             img = {q: f.from_int(s) for q, s in _prepend(-k, part)}
         for q, s in img.items():
@@ -211,7 +220,7 @@ def _build_levels(params: VermaParams, n: int) -> None:
     levels = params._levels
     if not levels:
         levels.append(((1,),))
-    d, p = params._scale, params._mod
+    d, dh, dc2, p = params._scale, params._dh, params._dc2, params._mod
     for m in range(len(levels), n + 1):
         basis = partitions(m)
         # (mu_1, row of S_{m-mu_1} at mu minus mu_1) for each row mu
@@ -224,7 +233,10 @@ def _build_levels(params: VermaParams, n: int) -> None:
                 image = images.get(k)
                 if image is None:
                     pos, dk = _positions(m - k), d ** (k - 1)
-                    image = images[k] = [(pos[q], s * dk) for q, s in _act_pos(k, lam, params).items()]
+                    image = [(pos[q], (a * d + b * dh + e * dc2) * dk) for q, a, b, e in _lower(k, lam)]
+                    if p:
+                        image = [(at, s % p) for at, s in image]
+                    images[k] = image
                 total = 0
                 for idx, s in image:
                     total += s * lower[idx]

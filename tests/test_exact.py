@@ -14,6 +14,7 @@ from virmod.exact import (
     DenseMatrix,
     PrimeField,
     determinant,
+    independent_rows,
     is_prime,
     kernel,
     matrix,
@@ -303,6 +304,32 @@ class TestCertifiedRank:
         assert rank(matrix(QQ, [[F(1, 2), 3, 5], [7, F(-11, 13), 17]])) == 2
 
 
+class TestCertificateFallback:
+    """rank and kernel certify the denominator-cleared rows as they are, and
+    divide by content only when the certificate fails."""
+
+    P = _CERT_PRIME
+
+    @pytest.mark.parametrize(
+        "rows,vecs,rank_qq",
+        [([[P, 2 * P], [P, 3 * P]], [], 2), ([[P, 2 * P], [2 * P, 4 * P]], [(-2, 1)], 1)],
+    )
+    def test_raw_rows_failing_the_certificate(self, rows, vecs, rank_qq):
+        assert independent_rows(rows) == []
+        assert kernel(matrix(QQ, rows)) == vecs
+        assert rank(matrix(QQ, rows)) == rank_qq
+
+    def test_certified_rows_skip_content_division(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("content divided out of certified rows")
+
+        monkeypatch.setattr(exact, "_divide_content", fail)
+        rows = [[6, 10, 4], [9, 3, 12], [F(1, 2), 0, 5]]
+        assert kernel(matrix(QQ, rows)) == []
+        assert rank(matrix(QQ, rows)) == 3
+        assert rank(matrix(QQ, [[2, 4, 6], [3, 3, 9]])) == 2
+
+
 class TestKernel:
     """kernel returns a primitive integer basis of the null space."""
 
@@ -354,7 +381,7 @@ class TestKernel:
 
 
 class TestRowContent:
-    """Over QQ, rank divides each row by its content; determinant does not."""
+    """Over QQ, rank divides each row by its content before Bareiss; determinant does not."""
 
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     @settings(max_examples=50, deadline=None)

@@ -12,6 +12,9 @@ from virmod.virasoro import (
     DegenerateParams,
     PBWVector,
     VermaParams,
+    _build_levels,
+    _lower,
+    _prepend,
     _radical_levels,
     _rational_ranks,
     apply_mode,
@@ -85,6 +88,52 @@ def word_gram(params, level):
             row.append(state.as_dict().get((), zero))
         rows.append(tuple(row))
     return rows
+
+
+def act_pos_oracle(k, part, params, memo):
+    """The per-parameter recursion that `_lower` replaced: D times the image
+    of L_k (k > 0) on a basis monomial, as partition -> int (a residue mod p
+    over F_p), memoized in `memo` for this one parameter set."""
+    key = (k, part)
+    if key in memo:
+        return memo[key]
+    out = {}
+    if part:
+        a, rest = part[0], part[1:]
+        # L_k L_{-a} X = L_{-a} (L_k X) + [L_k, L_{-a}] X
+        for q, s in act_pos_oracle(k, rest, params, memo).items():
+            for q2, c2 in _prepend(a, q):
+                out[q2] = out.get(q2, 0) + s * c2
+        m2 = k - a
+        coeff = k + a
+        if m2 > 0:
+            for q, s in act_pos_oracle(m2, rest, params, memo).items():
+                out[q] = out.get(q, 0) + coeff * s
+        elif m2 < 0:
+            coeff *= params._scale
+            for q, c2 in _prepend(-m2, rest):
+                out[q] = out.get(q, 0) + coeff * c2
+        else:
+            # D * (2k L0 + (1/2) binom(k+1,3) C); both act as scalars
+            scalar = coeff * (params._dh + params._scale * sum(rest)) + comb(k + 1, 3) * params._dc2
+            out[rest] = out.get(rest, 0) + scalar
+    if params._mod:
+        out = {q: s % params._mod for q, s in out.items()}
+    out = {q: s for q, s in out.items() if s}
+    memo[key] = out
+    return out
+
+
+def evaluated_lower(k, part, params):
+    """`_lower(k, part)` evaluated at params' D, D h and D c/2, zeros dropped."""
+    out = {}
+    for q, a, b, e in _lower(k, part):
+        s = a * params._scale + b * params._dh + e * params._dc2
+        if params._mod:
+            s %= params._mod
+        if s:
+            out[q] = s
+    return out
 
 
 LEVEL9_FIXTURE = Path(__file__).parent / "data" / "gram_level9_c1_2_h1_16.txt"
@@ -336,6 +385,42 @@ class TestGramMatrix:
         a = gram_matrix(VermaParams.rational(c, h), 4)
         b = gram_matrix(VermaParams.rational(c, h), 4)  # fresh memo table
         assert a == b
+
+
+class TestStructureConstants:
+    """`_lower` evaluated at (c, h) equals the per-parameter recursion."""
+
+    @staticmethod
+    def check(params):
+        memo = {}
+        for n in range(9):
+            for part in partitions(n):
+                for k in range(1, 7):
+                    assert evaluated_lower(k, part, params) == act_pos_oracle(k, part, params, memo)
+
+    @given(c=small_rationals, h=small_rationals)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_recursion_over_qq(self, c, h):
+        self.check(VermaParams.rational(c, h))
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 101])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_recursion_mod_p(self, p, data):
+        c, h = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        self.check(VermaParams(c, h, PrimeField(p)))
+
+    def test_second_parameter_set_reuses_the_cache(self):
+        _lower.cache_clear()
+        _build_levels(VermaParams.rational(F(7, 10), F(3, 80)), 8)
+        first = _lower.cache_info()
+        assert first.misses > 0
+        for other in (VermaParams.rational(F(-22, 5), F(-1, 5)), VermaParams.mod_p(F(1, 2), F(1, 16), 11)):
+            _build_levels(other, 8)
+            assert other._memo == {}
+        second = _lower.cache_info()
+        assert second.misses == first.misses
+        assert second.hits > first.hits
 
 
 class TestGradedRank:
