@@ -12,6 +12,7 @@ import csv
 import json
 import random
 import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -308,12 +309,18 @@ def check_bad_primes(env: ReportEnvelope) -> None:
 
 
 def check_collision_set(env: ReportEnvelope) -> None:
-    """B_l by brute force equals its intervals, and ends in 2l^2+l-3, 2(l^2+l-1)."""
+    """B_l by brute force equals its intervals, and ends in 2l^2+l-3, 2(l^2+l-1).
+
+    The brute-force marks are compared with the intervals run by run, and the
+    two largest values are the last two marks.
+    """
     intervals = extremes = True
     for ell in range(2, 101):
-        b = weights.b_set_bruteforce(ell)
-        intervals = intervals and b == weights.b_set_intervals(ell).values()
-        extremes = extremes and b[-1] == 2 * (ell * ell + ell - 1) and b[-2] == 2 * ell * ell + ell - 3
+        marks = weights.b_set_marks(ell)
+        intervals = intervals and weights.IntervalSet.from_marks(marks) == weights.b_set_intervals(ell)
+        top = marks.rfind(1)
+        second = marks.rfind(1, 0, top)
+        extremes = extremes and top == 2 * (ell * ell + ell - 1) and second == 2 * ell * ell + ell - 3
     env.check("collision-set intervals ell=2..100", intervals)
     env.check("collision-set extremes ell=2..100", extremes)
 
@@ -394,14 +401,27 @@ PAPER_CHECKS = (
 )
 
 
-def reproduce(env: ReportEnvelope) -> None:
+def reproduce(env: ReportEnvelope) -> dict[str, dict]:
+    """Runs every paper check into `env`; returns each check's wall seconds,
+    keyed by its name (`check_<name>` with hyphens), in report order."""
+    timings = {}
     for check in PAPER_CHECKS:
+        t0 = time.perf_counter()
         check(env)
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        timings[name] = {"wall_s": time.perf_counter() - t0}
+    return timings
 
 
 def cmd_reproduce(args) -> int:
     env = ReportEnvelope("reproduce-paper", {})
-    reproduce(env)
+    timings = reproduce(env)
+    if args.timings:
+        try:
+            with open(args.timings, "w", encoding="utf-8") as f:
+                f.write(json.dumps(timings, indent=2) + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write timings: {e}") from None
     return _emit(env, args)
 
 
@@ -471,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("reproduce-paper", parents=[out])
+    p.add_argument("--timings", metavar="PATH", help="write each paper check's wall seconds as JSON")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

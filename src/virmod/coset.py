@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weights import MinimalLabel, canonicalize, highest_weight
+from .weights import MinimalLabel
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,30 @@ def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
 
     First branch: j in [0, n], j = n+eps (mod 2), label (n+1, j+1).
     Second branch: j in [n+1, l], same parity, label (l-n, l+1-j).
-    Depth is the L0 offset of the summand's top vector inside the product.
+    The labels are built as given, so `gko_verify` checks that they are
+    canonical.  Depth is the L0 offset of the summand's top vector inside
+    the product, h_j^(l) + h_{label} - h_n^(l-1) - h_eps^(1) in the
+    Sugawara weights of `sugawara_weight`.  It is computed as one integer
+    over the common denominator 12(l+1)(l+2):
+    3j(j+2)(l+1) + 3N - 3n(n+2)(l+2) - eps(eps+2)(l+1)(l+2), N the weight
+    numerator of the label.
     """
     if ell < 2 or not (0 <= n <= ell - 1) or eps not in (0, 1):
         raise ValueError("index out of range")
-    base = sugawara_weight(ell - 1, n) + sugawara_weight(1, eps)
+    a, b = ell + 2, ell + 1
+    den = 12 * a * b
+    base = 3 * n * (n + 2) * a + eps * (eps + 2) * a * b
     out = []
     for j in range(0, ell + 1):
         if (j - n - eps) % 2:
             continue
         if j <= n:
-            label = canonicalize(ell, n + 1, j + 1)
-            branch = "first"
+            m, k, branch = n + 1, j + 1, "first"
         else:
-            label = canonicalize(ell, ell - n, ell + 1 - j)
-            branch = "second"
-        h = highest_weight(ell, label.m, label.n)
-        depth = sugawara_weight(ell, j) + h - base
+            m, k, branch = ell - n, ell + 1 - j, "second"
+        label = MinimalLabel(ell, m, k)
+        num = (m * a - k * b) ** 2 - 1
+        depth = Fraction(3 * j * (j + 2) * b + 3 * num - base, den)
         out.append(CosetSummand(j, label, branch, depth))
     return out
 
@@ -102,7 +109,7 @@ def gko_verify(ell: int) -> GkoReport:
                 part_ok = False
             if any(not s.label.is_canonical for s in summands):
                 labels_ok = False
-            if any(s.depth < 0 or s.depth.denominator != 1 for s in summands):
+            if any(s.depth.denominator != 1 or s.depth.numerator < 0 for s in summands):
                 depths_ok = False
             if len({(s.j, s.label) for s in summands}) != len(summands):
                 mult_ok = False

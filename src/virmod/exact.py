@@ -2,9 +2,11 @@
 
 Rationals are `fractions.Fraction` (always stored reduced, arbitrary
 precision).  Prime-field elements are plain ints in [0, p-1].  All linear
-algebra is exact.  Over the rationals, the determinant goes through
-fraction-free (Bareiss) elimination on a denominator-cleared integer matrix.
-The rank is first certified on those integer rows mod the fixed prime
+algebra is exact.  Over the rationals, rows are cleared of denominators
+(rows of ints pass through as they are).  The determinant goes through
+fraction-free (Bareiss) elimination on those rows divided by their content,
+the product of the contents multiplied back into the result.  The rank is
+first certified on those integer rows mod the fixed prime
 `_CERT_PRIME`: reduction mod p is a ring map, so a minor nonzero mod p is
 nonzero over Z, and full rank mod p proves full rank over QQ.  Only when
 the mod-p rank falls short are the rows divided by their content and
@@ -219,18 +221,24 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, det
 
 
-def _clear_denominators(M: DenseMatrix) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; returns (int rows, product of row scales)."""
+def _clear_denominators(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
+    """Scale each row to integers; returns (int rows, product of row scales).
+
+    A row of ints is passed through as it is, with scale 1.
+    """
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in M.entries:
-        d = lcm(*(x.denominator for x in row)) if row else 1
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
+        d = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
     return out, scale
 
 
-def _certified_rank(M: DenseMatrix) -> tuple[list[list[int]], int]:
+def _certified_rank(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
     """Denominator-cleared rows of a QQ matrix and their rank mod
     `_CERT_PRIME`: a lower bound on the rank over QQ, and equal to it when
     it is min(rows, cols)."""
@@ -238,13 +246,16 @@ def _certified_rank(M: DenseMatrix) -> tuple[list[list[int]], int]:
     return int_rows, len(independent_rows(int_rows))
 
 
-def _divide_content(rows: list[list[int]]) -> list[list[int]]:
-    """Divide each integer row, in place, by its content (the gcd of its entries)."""
+def _divide_content(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Each integer row divided by its content (the gcd of its entries), as
+    new lists, and the product of the contents (0 when a row is zero)."""
+    out = []
+    content = 1
     for row in rows:
         g = gcd(*row)
-        if g > 1:
-            row[:] = [x // g for x in row]
-    return rows
+        content *= g
+        out.append([x // g for x in row] if g > 1 else list(row))
+    return out, content
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -274,7 +285,7 @@ def rank(M: DenseMatrix) -> int:
     int_rows, r = _certified_rank(M)
     if r == min(M.rows, M.cols):
         return r
-    r, _ = _bareiss(_divide_content(int_rows))
+    r, _ = _bareiss(_divide_content(int_rows)[0])
     return r
 
 
@@ -294,7 +305,7 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     ncol = M.cols
     if r == ncol:
         return []
-    _divide_content(m)
+    m, _ = _divide_content(m)
     pivots: list[int] = []  # pivots[i] is the pivot column of row i
     for col in range(ncol):
         r = len(pivots)
@@ -326,7 +337,14 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
 
 
 def determinant(M: DenseMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix.
+
+    Bareiss runs on the denominator-cleared rows divided by their content,
+    and the product of the contents is multiplied back in: the determinant
+    is linear in each row, and the primitive rows keep Bareiss's entries
+    small when the rows carry large common factors, as Gram levels scaled
+    by D^n do.  A zero row gives 0 without elimination.
+    """
     if not isinstance(M.field, RationalField):
         raise ValueError("determinant is provided over the rationals only")
     if M.rows != M.cols:
@@ -334,8 +352,11 @@ def determinant(M: DenseMatrix) -> Fraction:
     if M.rows == 0:
         return Fraction(1)
     int_rows, scale = _clear_denominators(M)
-    _, det = _bareiss(int_rows)
-    return Fraction(det) / scale
+    rows, content = _divide_content(int_rows)
+    if not content:
+        return Fraction(0)
+    _, det = _bareiss(rows)
+    return Fraction(det * content, scale)
 
 
 def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:

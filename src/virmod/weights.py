@@ -4,10 +4,13 @@ For the discrete-series central charge c_l = 1 - 6/((l+1)(l+2)) the highest
 weight h_{m,n} is N/D with N = (m(l+2) - n(l+1))^2 - 1 and D = 4(l+1)(l+2);
 a difference of two numerators factors as `d_plus` * `d_minus`.  The prime
 classifier works on integers: for p not dividing D two weights collide mod p
-exactly when their numerators do, and for p dividing D it uses N/D reduced.
-This module also computes the collision set B_l by brute force and as closed
-intervals, the good-candidate set G_l as the complement of those intervals,
-and checks the bound 2l^2 + l - 3 beyond which every prime is good.
+exactly when their numerators do; for p dividing D, with p^e the exact power
+of p in D, N/D has an image mod p exactly when p^e divides N, and its class
+is then (N/p^e)(D/p^e)^-1.  This module also computes the collision set B_l
+by brute force (a bytearray of marks, compared with the closed form run by
+run) and as closed intervals, the good-candidate set G_l as the complement
+of those intervals, and checks the bound 2l^2 + l - 3 beyond which every
+prime is good.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd
 
 from .exact import is_prime
 
@@ -98,6 +100,20 @@ class IntervalSet:
     def from_values(cls, values) -> "IntervalSet":
         return cls.from_intervals((v, v) for v in values)
 
+    @classmethod
+    def from_marks(cls, marks: bytes) -> "IntervalSet":
+        """The set {v : marks[v] == 1} of a sequence of 0/1 bytes, read off
+        run by run."""
+        runs = []
+        lo = marks.find(1)
+        while lo >= 0:
+            hi = marks.find(0, lo)
+            if hi < 0:
+                hi = len(marks)
+            runs.append((lo, hi - 1))
+            lo = marks.find(1, hi)
+        return cls(tuple(runs))
+
     def values(self) -> list[int]:
         return [v for a, b in self.intervals for v in range(a, b + 1)]
 
@@ -109,8 +125,9 @@ class IntervalSet:
         return " u ".join(f"[{a},{b}]" if a != b else f"{{{a}}}" for a, b in self.intervals)
 
 
-def b_set_bruteforce(ell: int) -> list[int]:
-    """Collision values |(m+m')(l+2) - (n+n')(l+1)|, zero excluded, sorted.
+def b_set_marks(ell: int) -> bytearray:
+    """Marks of the collision values |(m+m')(l+2) - (n+n')(l+1)|, zero excluded:
+    byte v is 1 exactly when v is a collision value.
 
     The value depends on the index tuple only through the sums s = m+m' and
     t = n+n', so enumerating sums covers every tuple.  For fixed s the values
@@ -121,16 +138,22 @@ def b_set_bruteforce(ell: int) -> list[int]:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     a, b, t_max = ell + 2, ell + 1, 2 * ell + 2
-    top = max(2 * ell * a - 2 * b, t_max * b - 2 * a)
-    marks = bytearray(top + 1)
-    for s in range(2, 2 * ell + 1):
-        x = s * a
-        k = min(x // b, t_max)  # x - t*b >= 0 exactly for t <= k; k >= 2 as x > 2b
-        for lo, hi in ((x - k * b, x - 2 * b), ((k + 1) * b - x, t_max * b - x)):
-            if lo <= hi:
-                marks[lo : hi + 1 : b] = b"\x01" * ((hi - lo) // b + 1)
+    # the largest value, 2l(l+2) - 2(l+1) = (2l+2)(l+1) - 2(l+2), is at both ends
+    marks = bytearray(2 * ell * a - 2 * b + 1)
+    ones = b"\x01" * t_max
+    for x in range(2 * a, 2 * ell * a + 1, a):  # x = s(l+2), s = 2..2l
+        # x - t*b >= 0 exactly for t <= k, and 2 <= k < t_max as 2b < x < t_max*b
+        k = x // b
+        marks[x - k * b : x - 2 * b + 1 : b] = ones[: k - 1]  # t = k..2
+        marks[(k + 1) * b - x : t_max * b - x + 1 : b] = ones[: t_max - k]  # t = k+1..t_max
     marks[0] = 0
-    return list(compress(range(top + 1), marks))
+    return marks
+
+
+def b_set_bruteforce(ell: int) -> list[int]:
+    """Collision values by brute force, sorted: the marked values of `b_set_marks`."""
+    marks = b_set_marks(ell)
+    return list(compress(range(len(marks)), marks))
 
 
 def b_set_intervals(ell: int) -> IntervalSet:
@@ -205,25 +228,30 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def _weight_table(ell: int) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """D, then N and N/D reduced for each label of `canonical_labels(ell)`."""
-    den = 4 * (ell + 1) * (ell + 2)
-    nums = [weight_numerator(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1)]
-    gcds = [gcd(N, den) for N in nums]
-    return den, nums, [(N // g, den // g) for N, g in zip(nums, gcds)]
+def _weight_table(ell: int) -> tuple[int, list[int]]:
+    """D, then the numerator N for each label of `canonical_labels(ell)`."""
+    a, b = ell + 2, ell + 1
+    # x = m(l+2) - n(l+1) for n = 1..m, stepping down from m(l+2) - (l+1) to m
+    return 4 * a * b, [x * x - 1 for m in range(1, ell + 1) for x in range(m * a - b, m - 1, -b)]
 
 
 def _residues(table, p: int) -> list[int | None]:
     """A class mod p for each canonical weight; None where it has no image.
 
     Equal classes mean equal weights mod p.  For p not dividing D the class
-    is N mod p, since D is invertible; otherwise it is n * d^-1 mod p of the
-    reduced fraction n/d, undefined when p divides d.
+    is N mod p, since D is invertible.  Otherwise let p^e be the exact power
+    of p in D: N/D has an image exactly when p^e divides N (the reduced
+    denominator then keeps no factor p), and the class is (N/p^e)(D/p^e)^-1
+    mod p, one inverse for the whole table.
     """
-    den, nums, reduced = table
+    den, nums = table
     if den % p:
         return [N % p for N in nums]
-    return [n * pow(d, -1, p) % p if d % p else None for n, d in reduced]
+    pe = p
+    while den % (pe * p) == 0:
+        pe *= p
+    inv = pow(den // pe, -1, p)
+    return [N // pe * inv % p if N % pe == 0 else None for N in nums]
 
 
 def _is_bad(table, p: int) -> bool:
@@ -305,8 +333,8 @@ def verify_prop_h(ell: int) -> VerifyReport:
 
 
 def verify_prop_x(ell: int) -> VerifyReport:
-    """Brute-force collision set equals its interval decomposition."""
-    ok = b_set_bruteforce(ell) == b_set_intervals(ell).values()
+    """Brute-force collision set equals its interval decomposition, run by run."""
+    ok = IntervalSet.from_marks(b_set_marks(ell)) == b_set_intervals(ell)
     return VerifyReport("prop-x", ell, ok)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from virmod import exact
-from virmod.cli import run
+from virmod.cli import PAPER_CHECKS, run
 
 # The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_paper.json"
@@ -144,6 +144,10 @@ def test_contract_error_exits_2(capsys):
             ["bad-primes", "--ell", "2", "--csv", "/nonexistent/x.csv"],
             "cannot write report: [Errno 2] No such file or directory: '/nonexistent/x.csv'",
         ),
+        (
+            ["reproduce-paper", "--timings", "/nonexistent/t.json"],
+            "cannot write timings: [Errno 2] No such file or directory: '/nonexistent/t.json'",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -198,3 +202,21 @@ def test_reproduce_paper_matches_golden_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert run(["reproduce-paper", "--json", str(path)]) == 0
     assert path.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+def test_reproduce_paper_timings(tmp_path, capsys):
+    """--timings writes one wall time per paper check, in report order, and
+    leaves the --json report and the table as they are."""
+    plain, timed, timings = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "timings.json"
+    assert run(["reproduce-paper", "--json", str(plain)]) == 0
+    table = capsys.readouterr().out
+    assert run(["reproduce-paper", "--json", str(timed), "--timings", str(timings)]) == 0
+    assert capsys.readouterr().out == table
+    assert timed.read_bytes() == plain.read_bytes() == GOLDEN_REPORT.read_bytes()
+    doc = json.loads(timings.read_text(encoding="utf-8"))
+    assert list(doc) == [
+        "bad-primes", "collision-set", "difference-table", "g-identity", "neighbour-primes",
+        "level2-gram", "kac-vanishing", "probes", "gko", "table1",
+    ]
+    assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
+    assert all(list(v) == ["wall_s"] and v["wall_s"] >= 0 for v in doc.values())

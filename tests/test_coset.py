@@ -11,7 +11,7 @@ from virmod.coset import (
     sugawara_weight,
     table1_check,
 )
-from virmod.weights import MinimalLabel
+from virmod.weights import MinimalLabel, highest_weight
 
 
 class TestSugawara:
@@ -51,7 +51,20 @@ class TestSummands:
             gko_summands(2, 0, 2)
 
 
+def depth_oracle(ell, n, eps, s):
+    """The depth as a sum of Fractions: h_j^(l) + h_{label} - h_n^(l-1) - h_eps^(1)."""
+    base = sugawara_weight(ell - 1, n) + sugawara_weight(1, eps)
+    return sugawara_weight(ell, s.j) + highest_weight(ell, s.label.m, s.label.n) - base
+
+
 class TestVerify:
+    @pytest.mark.parametrize("ell", range(2, 41))
+    def test_depths_match_sugawara_sum(self, ell):
+        for n in range(ell):
+            for eps in (0, 1):
+                for s in gko_summands(ell, n, eps):
+                    assert s.depth == depth_oracle(ell, n, eps, s)
+
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_all_checks_pass(self, ell):
         rep = gko_verify(ell)

@@ -69,6 +69,25 @@ def gauss_jordan_rank(rows):
     return r
 
 
+def gauss_jordan_det(rows):
+    """Plain Fraction Gauss-Jordan determinant; the independent oracle at
+    sizes where cofactor expansion is too slow."""
+    m = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
 def identity(field, n):
     return DenseMatrix(
         field, tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
@@ -381,7 +400,8 @@ class TestKernel:
 
 
 class TestRowContent:
-    """Over QQ, rank divides each row by its content before Bareiss; determinant does not."""
+    """Over QQ, rank divides each row by its content before Bareiss; determinant
+    does too, and multiplies the contents back into the result."""
 
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -412,7 +432,70 @@ class TestRowContent:
         assert determinant(DenseMatrix(QQ, tuple(map(tuple, scaled)))) == factor * cofactor_det(ints)
 
 
+class TestIntRows:
+    """Rows of ints skip the denominator clearing; Fraction rows with the same
+    values give the same rank, kernel and determinant."""
+
+    @given(n=st.integers(1, 6), m=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int_and_fraction_entries_agree(self, n, m, data):
+        k = data.draw(st.integers(0, min(n, m)))
+        a = data.draw(int_matrices(n, k))
+        b = data.draw(int_matrices(k, m))
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        ints = DenseMatrix(QQ, tuple(map(tuple, rows)))
+        fracs = DenseMatrix(QQ, tuple(tuple(F(x) for x in row) for row in rows))
+        assert rank(ints) == rank(fracs) == gauss_jordan_rank(rows)
+        assert kernel(ints) == kernel(fracs)
+        if n == m:
+            assert determinant(ints) == determinant(fracs) == gauss_jordan_det(rows)
+
+    def test_int_rows_pass_through(self):
+        rows = ((6, 10), (F(1, 2), F(3, 4)))
+        out, scale = exact._clear_denominators(DenseMatrix(QQ, rows))
+        assert out[0] is rows[0]
+        assert out[1] == [2, 3] and scale == 4
+
+
 class TestDeterminant:
+    @given(n=st.integers(1, 7), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_gauss_jordan_on_scaled_rows(self, n, data):
+        """Rows scaled by 10^k * s, zero rows, and rational rows."""
+        rows = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["int", "scaled", "zero", "rational"]))
+            if kind == "zero":
+                rows.append([0] * n)
+            elif kind == "rational":
+                rows.append(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+            else:
+                row = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+                if kind == "scaled":
+                    f = 10 ** data.draw(st.integers(0, 40)) * data.draw(st.integers(-10**6, 10**6))
+                    row = [f * x for x in row]
+                rows.append(row)
+        assert determinant(matrix(QQ, rows)) == gauss_jordan_det(rows)
+
+    @given(n=st.integers(2, 7), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_singular_products(self, n, data):
+        k = data.draw(st.integers(0, n - 1))
+        a = data.draw(int_matrices(n, k))
+        b = data.draw(int_matrices(k, n))
+        scales = data.draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n))
+        rows = [[s * sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                for i, s in enumerate(scales)]
+        assert determinant(matrix(QQ, rows)) == 0 == gauss_jordan_det(rows)
+
+    def test_zero_row_skips_bareiss(self, monkeypatch):
+        def fail(m):
+            raise AssertionError("Bareiss ran on a matrix with a zero row")
+
+        monkeypatch.setattr(exact, "_bareiss", fail)
+        assert determinant(matrix(QQ, [[1, 2], [0, 0]])) == 0
+        assert determinant(matrix(QQ, [[F(0), F(0)], [F(1, 3), 2]])) == 0
+
     def test_identity(self):
         assert determinant(identity(QQ, 4)) == 1
 

@@ -1,16 +1,21 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virmod import cli, weights
 from virmod.exact import is_prime, reduce_mod_p
 from virmod.weights import (
     IntervalSet,
     MinimalLabel,
     PrimeClassification,
+    _residues,
+    _weight_table,
     b_set_bruteforce,
     b_set_intervals,
+    b_set_marks,
     bad_primes,
     canonical_labels,
     canonicalize,
@@ -77,6 +82,20 @@ def classify_oracle(ell, p):
                 collisions.append((labs[i], labs[j]))
     status = "bad" if collisions else "good"
     return PrimeClassification(ell, p, status, tuple(sorted(collisions)), tuple(degenerate), cc_defined)
+
+
+def residues_oracle(ell, primes):
+    """For each p in `primes`, the classes `_residues` gave from a gcd per
+    label: N mod p for p not dividing D, else n * d^-1 mod p of the reduced
+    fraction n/d = N/D, None where p divides d."""
+    den = 4 * (ell + 1) * (ell + 2)
+    nums = [weight_numerator(ell, lab.m, lab.n) for lab in canonical_labels(ell)]
+    reduced = [(N // gcd(N, den), den // gcd(N, den)) for N in nums]
+    return {
+        p: [N % p for N in nums] if den % p
+        else [n * pow(d, -1, p) % p if d % p else None for n, d in reduced]
+        for p in primes
+    }
 
 
 def d_matrix_full(ell):
@@ -184,6 +203,31 @@ class TestBSet:
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_intervals_equal_bruteforce(self, ell):
         assert verify_prop_x(ell).passed
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_runs_of_marks_equal_bruteforce(self, ell):
+        marks = b_set_marks(ell)
+        assert set(marks) <= {0, 1}
+        assert IntervalSet.from_marks(marks) == IntervalSet.from_values(b_set_bruteforce(ell))
+
+    @pytest.mark.parametrize("ell", [2, 57, 100])
+    @pytest.mark.parametrize("where", [0, 0.5, 1])
+    def test_collision_check_catches_a_dropped_value(self, ell, where, monkeypatch):
+        """check_collision_set fails when the closed form loses one value at one ell."""
+        real = weights.b_set_intervals
+
+        def dropped(k):
+            if k != ell:
+                return real(k)
+            vals = real(k).values()
+            del vals[int(where * (len(vals) - 1))]
+            return IntervalSet.from_values(vals)
+
+        monkeypatch.setattr(weights, "b_set_intervals", dropped)
+        env = cli.ReportEnvelope("test", {})
+        cli.check_collision_set(env)
+        status = {r["name"]: r["status"] for r in env.results}
+        assert status["collision-set intervals ell=2..100"] == "fail"
 
     @pytest.mark.parametrize("ell", range(2, 51))
     def test_top_block_is_singleton_max(self, ell):
@@ -304,6 +348,23 @@ class TestClassifier:
         assert classify_prime(ell, p) == classify_oracle(ell, p)
 
 
+class TestResidues:
+    """The p^e rule of `_residues` against the gcd of every label."""
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_primes_dividing_d(self, ell):
+        table = _weight_table(ell)
+        primes = [p for p in primes_upto(ell + 2) if table[0] % p == 0]
+        for p, expected in residues_oracle(ell, primes).items():
+            assert _residues(table, p) == expected
+
+    @pytest.mark.parametrize("ell", range(2, 31))
+    def test_every_prime_to_the_window(self, ell):
+        table = _weight_table(ell)
+        for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)).items():
+            assert _residues(table, p) == expected
+
+
 class TestBadPrimes:
     def test_examples(self):
         assert bad_primes(2) == [2, 7]
@@ -362,6 +423,14 @@ class TestIntervalSet:
 
     def test_from_values(self):
         assert IntervalSet.from_values([3, 1, 2, 7]).intervals == ((1, 3), (7, 7))
+
+    @given(st.sets(st.integers(0, 60)), st.integers(0, 5))
+    @settings(max_examples=50)
+    def test_from_marks(self, vals, pad):
+        marks = bytearray(max(vals, default=-1) + 1 + pad)
+        for v in vals:
+            marks[v] = 1
+        assert IntervalSet.from_marks(marks) == IntervalSet.from_values(vals)
 
     @given(st.sets(st.integers(0, 60)))
     def test_values_round_trip(self, vals):
