@@ -15,7 +15,8 @@ def main():
     for ell in range(2, args.ell_max + 1):
         bound = 2 * ell * ell + ell - 3
         bad = weights.bad_primes(ell)
-        good = [p for p in weights.primes_upto(bound) if p not in bad]
+        listed = set(bad)
+        good = [p for p in weights.primes_upto(bound) if p not in listed]
         print(f"ell={ell:<3} bound={bound:<5} bad={bad}")
         print(f"        good below bound: {good}")
         print(f"        collision intervals: {weights.b_set_intervals(ell)}")

@@ -2,15 +2,32 @@
 
 For the discrete-series central charge c_l = 1 - 6/((l+1)(l+2)) the highest
 weight h_{m,n} is N/D with N = (m(l+2) - n(l+1))^2 - 1 and D = 4(l+1)(l+2);
-a difference of two numerators factors as `d_plus` * `d_minus`.  The prime
-classifier works on integers: for p not dividing D two weights collide mod p
-exactly when their numerators do; for p dividing D, with p^e the exact power
-of p in D, N/D has an image mod p exactly when p^e divides N, and its class
-is then (N/p^e)(D/p^e)^-1.  This module also computes the collision set B_l
-by brute force (a bytearray of marks, compared with the closed form run by
-run) and as closed intervals, the good-candidate set G_l as the complement
-of those intervals, and checks the bound 2l^2 + l - 3 beyond which every
-prime is good.
+a difference of two numerators factors as `d_plus` * `d_minus`.  This module
+computes the collision set B_l by brute force (a bytearray of marks,
+compared with the closed form run by run) and as closed intervals, the
+good-candidate set G_l as the complement of those intervals, and checks the
+bound 2l^2 + l - 3 beyond which every prime is good.
+
+Prime verdicts come from the marks.  Let p be an odd prime not dividing D.
+Then p is bad exactly when p < 2(l^2+l-1), the top value of B_l, and p lies
+in B_l.  Proof: as D is invertible mod p, two distinct canonical weights
+collide exactly when p divides N_a - N_b = d_minus * d_plus, that is, when
+p divides |d_plus| or |d_minus| of the pair.  The d_minus of (a, b) is the
+d_plus of (a, b') with b' = (l+1-m', l+2-n') the conjugate label, so every
+realized |d+-| is a value of B_l.  Enumeration over the distinct canonical
+pairs (tests/test_weights.py, ell = 2..30) shows the realized values are all
+of B_l except its top value, and at ell = 2 also except 2; no odd p divides
+2 (p = 2 is bad by convention), so p is bad exactly when a multiple of p
+other than the top lies in B_l.  B_l holds [1, l^2+l-2], so every odd
+p <= l^2+l-2 not dividing D is bad, and is marked.  A larger p has
+2p >= 2(l^2+l-1), so p itself is the only candidate.
+
+Where the rule does not apply the classifier works on the integer
+numerators: for the odd primes dividing D (each at most l+2), and in
+`classify_prime`, which lists the colliding labels.  With p^e the exact
+power of p in D, N/D has an image mod p exactly when p^e divides N, and its
+class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights collide
+exactly when their numerators do.
 """
 from __future__ import annotations
 
@@ -18,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import isqrt
 
 from .exact import is_prime
 
@@ -51,11 +69,6 @@ def highest_weight(ell: int, m: int, n: int) -> Fraction:
     MinimalLabel(ell, m, n)  # range check
     num = (m * (ell + 2) - n * (ell + 1)) ** 2 - 1
     return Fraction(num, 4 * (ell + 1) * (ell + 2))
-
-
-def weight_numerator(ell: int, m: int, n: int) -> int:
-    """The integer (m(l+2) - n(l+1))^2 - 1, i.e. 4(l+1)(l+2) * h_{m,n}."""
-    return (m * (ell + 2) - n * (ell + 1)) ** 2 - 1
 
 
 def canonicalize(ell: int, m: int, n: int) -> MinimalLabel:
@@ -97,10 +110,6 @@ class IntervalSet:
         return cls(tuple((a, b) for a, b in merged))
 
     @classmethod
-    def from_values(cls, values) -> "IntervalSet":
-        return cls.from_intervals((v, v) for v in values)
-
-    @classmethod
     def from_marks(cls, marks: bytes) -> "IntervalSet":
         """The set {v : marks[v] == 1} of a sequence of 0/1 bytes, read off
         run by run."""
@@ -113,9 +122,6 @@ class IntervalSet:
             runs.append((lo, hi - 1))
             lo = marks.find(1, hi)
         return cls(tuple(runs))
-
-    def values(self) -> list[int]:
-        return [v for a, b in self.intervals for v in range(a, b + 1)]
 
     def __contains__(self, v: int) -> bool:
         i = bisect_right(self.intervals, v, key=lambda iv: iv[0])
@@ -212,20 +218,16 @@ class PrimeClassification:
     degenerate: tuple[MinimalLabel, ...]
     central_charge_defined: bool
 
-    @property
-    def is_bad(self) -> bool:
-        return self.status == "bad"
-
 
 def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 def _weight_table(ell: int) -> tuple[int, list[int]]:
@@ -262,13 +264,25 @@ def _is_bad(table, p: int) -> bool:
     return len(set(defined)) < len(defined)
 
 
+def _marked_below_top(marks: bytearray, p: int) -> bool:
+    """The verdict for an odd prime p not dividing D, from `b_set_marks`:
+    p lies below the top value of B_l, the last mark, and is marked."""
+    return p < len(marks) - 1 and marks[p] == 1
+
+
 def is_bad_prime(ell: int, p: int) -> bool:
-    """The verdict of `classify_prime` alone, without building its labels."""
+    """The verdict of `classify_prime` alone, without building its labels.
+
+    p = 2 and the odd p dividing D take it from the residue table; every
+    other p from the collision marks, by the rule of the module docstring.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _is_bad(_weight_table(ell), p)
+    if 4 * (ell + 1) * (ell + 2) % p == 0:
+        return _is_bad(_weight_table(ell), p)
+    return _marked_below_top(b_set_marks(ell), p)
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:
@@ -299,13 +313,17 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
 def bad_primes(ell: int) -> list[int]:
     """All bad primes; complete because every prime above 2l^2+l-3 is good.
 
-    Only the verdict is computed per prime, on one weight table for the call.
+    Only the verdict is computed per prime.  p = 2 and the odd primes
+    dividing D (at most l+2) take it from one residue table; every other
+    prime reads its collision mark, which for p <= 2l^2+l-3 < 2(l^2+l-1) is
+    the whole rule of the module docstring.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     bound = 2 * ell * ell + ell - 3
-    table = _weight_table(ell)
-    return [p for p in primes_upto(bound) if _is_bad(table, p)]
+    table, marks = _weight_table(ell), b_set_marks(ell)
+    den = table[0]
+    return [p for p in primes_upto(bound) if (marks[p] if den % p else _is_bad(table, p))]
 
 
 @dataclass(frozen=True)
@@ -317,13 +335,19 @@ class VerifyReport:
 
 
 def verify_prop_h(ell: int) -> VerifyReport:
-    """Spot-check: every prime in (2l^2+l-3, 2l^2+3l] classifies good."""
+    """Spot-check: every prime in (2l^2+l-3, 2l^2+3l] classifies good.
+
+    Every prime of the window exceeds l+2, so none divides D, and each takes
+    its verdict from the collision marks by the rule of the module docstring:
+    the check is that no prime in (2l^2+l-3, 2(l^2+l-1)) is a collision value.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     bound = 2 * ell * ell + ell - 3
-    window = [p for p in primes_upto(2 * ell * ell + 3 * ell) if p > bound]
-    table = _weight_table(ell)
-    offenders = [p for p in window if _is_bad(table, p)]
+    primes = primes_upto(2 * ell * ell + 3 * ell)
+    window = primes[bisect_right(primes, bound) :]
+    marks = b_set_marks(ell)
+    offenders = [p for p in window if _marked_below_top(marks, p)]
     return VerifyReport(
         "prop-h",
         ell,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from virmod import exact
-from virmod.cli import PAPER_CHECKS, run
+from virmod.cli import ELL_MAX, PAPER_CHECKS, run
 
 # The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_paper.json"
@@ -148,6 +148,21 @@ def test_contract_error_exits_2(capsys):
             ["reproduce-paper", "--timings", "/nonexistent/t.json"],
             "cannot write timings: [Errno 2] No such file or directory: '/nonexistent/t.json'",
         ),
+        (["bad-primes", "--ell", str(ELL_MAX + 1)], f"argument --ell: must be <= {ELL_MAX}, got {ELL_MAX + 1}"),
+        (["bad-primes", "--ell", "100000"], f"argument --ell: must be <= {ELL_MAX}, got 100000"),
+        (
+            ["classify", "--ell", str(ELL_MAX + 1), "--prime", "7"],
+            f"argument --ell: must be <= {ELL_MAX}, got {ELL_MAX + 1}",
+        ),
+        (["bset", "--ell", str(ELL_MAX + 1)], f"argument --ell: must be <= {ELL_MAX}, got {ELL_MAX + 1}"),
+        (
+            ["verify", "prop-h", "--ell", str(ELL_MAX + 1)],
+            f"argument --ell: must be <= {ELL_MAX}, got {ELL_MAX + 1}",
+        ),
+        (
+            ["verify", "prop-x", "--ell-max", str(ELL_MAX + 1)],
+            f"argument --ell-max: must be <= {ELL_MAX}, got {ELL_MAX + 1}",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -157,6 +172,12 @@ def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_ell_limit_is_inclusive(capsys):
+    assert run(["bset", "--ell", str(ELL_MAX)]) == 0
+    top = 2 * (ELL_MAX * ELL_MAX + ELL_MAX - 1)
+    assert capsys.readouterr().out.split("\n")[1].endswith(f"{{{top}}}")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -11,6 +13,7 @@ from virmod.weights import (
     IntervalSet,
     MinimalLabel,
     PrimeClassification,
+    _is_bad,
     _residues,
     _weight_table,
     b_set_bruteforce,
@@ -31,8 +34,33 @@ from virmod.weights import (
     primes_upto,
     verify_prop_h,
     verify_prop_x,
-    weight_numerator,
 )
+
+
+def weight_numerator(ell, m, n):
+    """The integer (m(l+2) - n(l+1))^2 - 1, i.e. 4(l+1)(l+2) * h_{m,n}."""
+    return (m * (ell + 2) - n * (ell + 1)) ** 2 - 1
+
+
+def interval_values(s):
+    """Every integer of an IntervalSet, ascending."""
+    return [v for a, b in s.intervals for v in range(a, b + 1)]
+
+
+def intervals_from_values(values):
+    """The IntervalSet of a collection of integers."""
+    return IntervalSet.from_intervals((v, v) for v in values)
+
+
+def realized_differences(ell):
+    """The values |d_plus| and |d_minus| over the pairs of distinct canonical labels."""
+    labs = canonical_labels(ell)
+    vals = set()
+    for i, a in enumerate(labs):
+        for b in labs[i + 1 :]:
+            vals.add(abs(d_plus(ell, a.m, a.n, b.m, b.n)))
+            vals.add(abs(d_minus(ell, a.m, a.n, b.m, b.n)))
+    return vals
 
 
 def b_set_tuple_oracle(ell):
@@ -109,8 +137,8 @@ def d_matrix_full(ell):
 def g_set_scan_oracle(ell, corrected):
     """The good-candidate set by testing each integer of the range against B_l."""
     top = 2 * ell * ell + (2 * ell if corrected else ell) - 3
-    b = set(b_set_intervals(ell).values())
-    return IntervalSet.from_values(v for v in range(1, top + 1) if v not in b)
+    b = set(interval_values(b_set_intervals(ell)))
+    return intervals_from_values(v for v in range(1, top + 1) if v not in b)
 
 
 class TestScalars:
@@ -208,7 +236,7 @@ class TestBSet:
     def test_runs_of_marks_equal_bruteforce(self, ell):
         marks = b_set_marks(ell)
         assert set(marks) <= {0, 1}
-        assert IntervalSet.from_marks(marks) == IntervalSet.from_values(b_set_bruteforce(ell))
+        assert IntervalSet.from_marks(marks) == intervals_from_values(b_set_bruteforce(ell))
 
     @pytest.mark.parametrize("ell", [2, 57, 100])
     @pytest.mark.parametrize("where", [0, 0.5, 1])
@@ -219,9 +247,9 @@ class TestBSet:
         def dropped(k):
             if k != ell:
                 return real(k)
-            vals = real(k).values()
+            vals = interval_values(real(k))
             del vals[int(where * (len(vals) - 1))]
-            return IntervalSet.from_values(vals)
+            return intervals_from_values(vals)
 
         monkeypatch.setattr(weights, "b_set_intervals", dropped)
         env = cli.ReportEnvelope("test", {})
@@ -279,8 +307,8 @@ class TestDMatrix:
 
 class TestGSet:
     def test_ell2(self):
-        assert g_set(2, corrected=False).values() == [5]
-        assert g_set(2, corrected=True).values() == [5, 8, 9]
+        assert interval_values(g_set(2, corrected=False)) == [5]
+        assert interval_values(g_set(2, corrected=True)) == [5, 8, 9]
 
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_corrected_matches_block_union(self, ell):
@@ -298,7 +326,7 @@ class TestGSet:
 class TestClassifier:
     def test_ell2_p7_collision(self):
         cls = classify_prime(2, 7)
-        assert cls.is_bad
+        assert cls.status == "bad"
         assert cls.collisions == ((MinimalLabel(2, 2, 1), MinimalLabel(2, 2, 2)),)
 
     def test_ell2_p3_good(self):
@@ -315,10 +343,10 @@ class TestClassifier:
         assert not cls.central_charge_defined
 
     def test_ell3_p13_bad(self):
-        assert classify_prime(3, 13).is_bad
+        assert classify_prime(3, 13).status == "bad"
 
     def test_p2_bad_by_convention(self):
-        assert classify_prime(4, 2).is_bad
+        assert classify_prime(4, 2).status == "bad"
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
@@ -333,7 +361,7 @@ class TestClassifier:
     def test_matches_oracle_every_prime(self, ell):
         for p in primes_upto(2 * ell * ell + 3 * ell):
             assert classify_prime(ell, p) == classify_oracle(ell, p)
-            assert is_bad_prime(ell, p) == classify_prime(ell, p).is_bad
+            assert is_bad_prime(ell, p) == (classify_prime(ell, p).status == "bad")
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -376,7 +404,7 @@ class TestBadPrimes:
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_matches_oracle(self, ell):
         bound = 2 * ell * ell + ell - 3
-        assert bad_primes(ell) == [p for p in primes_upto(bound) if classify_oracle(ell, p).is_bad]
+        assert bad_primes(ell) == [p for p in primes_upto(bound) if classify_oracle(ell, p).status == "bad"]
 
     @pytest.mark.parametrize("ell", range(2, 41))
     def test_bad_primes_live_in_b_set(self, ell):
@@ -384,6 +412,87 @@ class TestBadPrimes:
         bound = 2 * ell * ell + ell - 3
         for p in bad_primes(ell):
             assert p in b and p <= bound
+
+
+class TestMarksRule:
+    """The verdicts from the collision marks (the rule in the `weights`
+    docstring) against the residue table they replace."""
+
+    @pytest.mark.parametrize("ell", range(2, 31))
+    def test_realized_differences_are_b_set_below_top(self, ell):
+        b = set(b_set_bruteforce(ell))
+        realized = realized_differences(ell)
+        top = 2 * (ell * ell + ell - 1)
+        assert realized <= b
+        assert b - realized == ({2, top} if ell == 2 else {top})
+
+    @pytest.mark.parametrize("ell", range(2, 41))
+    def test_verdict_matches_residue_table(self, ell):
+        table = _weight_table(ell)
+        for p in primes_upto(2 * ell * ell + 3 * ell):
+            assert is_bad_prime(ell, p) == _is_bad(table, p), p
+
+    @pytest.mark.parametrize("ell", range(2, 61))
+    def test_bad_primes_match_residue_table(self, ell):
+        table = _weight_table(ell)
+        bound = 2 * ell * ell + ell - 3
+        assert bad_primes(ell) == [p for p in primes_upto(bound) if _is_bad(table, p)]
+
+    @pytest.mark.parametrize("ell", [3, 5, 30, 112])
+    def test_prop_h_fails_on_a_mark_above_the_bound(self, ell, monkeypatch):
+        top = 2 * (ell * ell + ell - 1)
+        p = next(q for q in primes_upto(top) if q > 2 * ell * ell + ell - 3)
+        real = weights.b_set_marks
+
+        def marked(k):
+            marks = real(k)
+            marks[p] = 1
+            return marks
+
+        monkeypatch.setattr(weights, "b_set_marks", marked)
+        report = verify_prop_h(ell)
+        assert not report.passed
+        assert report.detail == f"bad above bound: [{p}]"
+
+    def test_primes_dividing_d_build_no_marks(self, monkeypatch):
+        def tripwire(ell):
+            raise AssertionError("b_set_marks ran")
+
+        monkeypatch.setattr(weights, "b_set_marks", tripwire)
+        for ell in range(2, 101):
+            for q in (ell + 1, ell + 2):
+                if is_prime(q):
+                    assert not is_bad_prime(ell, q)
+
+
+class TestEll1000:
+    """bad_primes and verify_prop_h at ell = 1000 under a wall-clock budget;
+    they took about 0.5 s and 0.1 s on a busy 2-CPU host."""
+
+    ELL = 1000
+    BUDGET_S = 5.0
+
+    def test_bad_primes(self):
+        ell = self.ELL
+        t0 = time.monotonic()
+        bad = bad_primes(ell)
+        elapsed = time.monotonic() - t0
+        assert elapsed < self.BUDGET_S
+        listed = set(bad)
+        den = 4 * (ell + 1) * (ell + 2)
+        low = ell * ell + ell - 2
+        assert all(p in listed for p in primes_upto(low) if den % p)
+        b = b_set_intervals(ell)
+        assert all(p in b for p in bad if p > low)
+        table = _weight_table(ell)
+        for p in random.Random(ell).sample(primes_upto(2 * ell * ell + 3 * ell), 10):
+            assert (p in listed) == _is_bad(table, p), p
+
+    def test_verify_prop_h(self):
+        t0 = time.monotonic()
+        report = verify_prop_h(self.ELL)
+        assert time.monotonic() - t0 < self.BUDGET_S
+        assert report.passed
 
 
 class TestRemarks:
@@ -422,7 +531,7 @@ class TestIntervalSet:
         assert s.intervals == ((1, 7), (10, 10))
 
     def test_from_values(self):
-        assert IntervalSet.from_values([3, 1, 2, 7]).intervals == ((1, 3), (7, 7))
+        assert intervals_from_values([3, 1, 2, 7]).intervals == ((1, 3), (7, 7))
 
     @given(st.sets(st.integers(0, 60)), st.integers(0, 5))
     @settings(max_examples=50)
@@ -430,13 +539,13 @@ class TestIntervalSet:
         marks = bytearray(max(vals, default=-1) + 1 + pad)
         for v in vals:
             marks[v] = 1
-        assert IntervalSet.from_marks(marks) == IntervalSet.from_values(vals)
+        assert IntervalSet.from_marks(marks) == intervals_from_values(vals)
 
     @given(st.sets(st.integers(0, 60)))
     def test_values_round_trip(self, vals):
-        assert IntervalSet.from_values(vals).values() == sorted(vals)
+        assert interval_values(intervals_from_values(vals)) == sorted(vals)
 
     @given(st.sets(st.integers(0, 60)))
     def test_membership(self, vals):
-        s = IntervalSet.from_values(vals)
+        s = intervals_from_values(vals)
         assert [v for v in range(-2, 64) if v in s] == sorted(vals)
