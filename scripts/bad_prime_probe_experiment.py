@@ -6,6 +6,7 @@ collide; the outcome is recorded as an experiment, not asserted.
 import argparse
 
 from virmod import weights
+from virmod.cli import LEVEL_MAX, _int_in, _prime
 from virmod.exact import is_prime
 from virmod.virasoro import DegenerateParams, irreducibility_probe
 
@@ -13,8 +14,8 @@ from virmod.virasoro import DegenerateParams, irreducibility_probe
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ell", type=int, default=2)
-    ap.add_argument("--prime", type=int, default=7)
-    ap.add_argument("--max-level", type=int, default=8)
+    ap.add_argument("--prime", type=_prime, default=7)
+    ap.add_argument("--max-level", type=_int_in(high=LEVEL_MAX), default=8)
     args = ap.parse_args()
     if args.ell < 2:
         ap.error("--ell must be >= 2")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, coset, virasoro, weights
-from .exact import QQ, is_prime, matrix, rank
+from .exact import is_prime, rank
 from .virasoro import DegenerateParams, VermaParams, gram_matrix
 
 # Catalogue of documented divergences between the published statements and
@@ -124,6 +124,12 @@ def _parse_fraction(s: str) -> Fraction:
 # The largest ell any subcommand takes: bad-primes at 2000 runs in about 2 s
 # and 150 MB, while the tables of a far larger ell exhaust memory.
 ELL_MAX = 2000
+# The largest Gram level: gram --level 20 takes about 3 s and 145 MB, while
+# level 24 takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
+LEVEL_MAX = 20
+# The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
+# unbounded at a 31-digit prime.
+PRIME_MAX = 2**40
 
 
 def _int_in(low: int | None = None, high: int | None = None):
@@ -145,6 +151,9 @@ def _int_in(low: int | None = None, high: int | None = None):
 
 # Every --ell: too small an ell is the library's error ("ell must be >= 2").
 _ell = _int_in(high=ELL_MAX)
+# Every --prime: a non-prime below the cap is the library's error ("9 is not prime").
+_prime = _int_in(high=PRIME_MAX)
+_level = _int_in(0, LEVEL_MAX)
 
 
 def _parse_label(s: str) -> tuple[int, int]:
@@ -227,8 +236,8 @@ def cmd_gram(args) -> int:
     m = gram_matrix(params, args.level)
     for row in m.entries:
         env.add("row", "pass", "  ".join(fmt(v) for v in row))
-    # Over QQ the graded rank carries the radical up the levels and never
-    # runs Bareiss, which a singular level on its own would need.
+    # exact.rank serves F_p only; over QQ the graded rank carries the
+    # radical up the levels.
     r = rank(m) if args.prime is not None else virasoro.graded_rank(params, args.level).levels[-1][2]
     env.add("rank", "info", str(r))
     return _emit(env, args)
@@ -366,8 +375,8 @@ def check_level2_gram(env: ReportEnvelope) -> None:
     for _ in range(5):
         c = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         h = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        expected = matrix(QQ, [[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]])
-        ok = gram_matrix(VermaParams.rational(c, h), 2) == expected and ok
+        expected = ((4 * h + c / 2, 6 * h), (6 * h, 8 * h * h + 4 * h))
+        ok = gram_matrix(VermaParams.rational(c, h), 2).entries == expected and ok
     env.check("level-2 Gram closed form (5 samples)", ok)
 
 
@@ -461,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[out])
     p.add_argument("--ell", type=_ell, required=True)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_prime, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bset", parents=[out])
@@ -490,15 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", parents=[out])
     p.add_argument("--c", type=_parse_fraction, required=True)
     p.add_argument("--h", type=_parse_fraction, required=True)
-    p.add_argument("--level", type=_int_in(0), required=True)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--level", type=_level, required=True)
+    p.add_argument("--prime", type=_prime)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("probe", parents=[out])
     p.add_argument("--ell", type=_ell, required=True)
     p.add_argument("--label", type=_parse_label, required=True, metavar="M,N")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--max-level", type=_int_in(0), default=8)
+    p.add_argument("--prime", type=_prime, required=True)
+    p.add_argument("--max-level", type=_level, default=8)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("reproduce-paper", parents=[out])

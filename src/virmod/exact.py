@@ -1,21 +1,24 @@
 """Exact numeric substrate: rationals, prime fields, dense linear algebra.
 
 Rationals are `fractions.Fraction` (always stored reduced, arbitrary
-precision).  Prime-field elements are plain ints in [0, p-1].  All linear
-algebra is exact.  Over the rationals, rows are cleared of denominators
-(rows of ints pass through as they are).  The determinant goes through
-fraction-free (Bareiss) elimination on those rows divided by their content,
-the product of the contents multiplied back into the result.  The rank is
-first certified on those integer rows mod the fixed prime
-`_CERT_PRIME`: reduction mod p is a ring map, so a minor nonzero mod p is
-nonzero over Z, and full rank mod p proves full rank over QQ.  Only when
-the mod-p rank falls short are the rows divided by their content and
-Bareiss run, which gives the exact rank.  `kernel` certifies a zero null
-space the same way, and otherwise finds a basis by integer Gauss-Jordan
-elimination on the content-divided rows.  Every elimination mod p packs
-each row into one int, a fixed-width slot per column, so that a row update
-is one big-int multiply-add with no reduction of the updated row.  No
-randomness, no floats.
+precision).  Prime-field elements are plain ints in [0, p-1].  A matrix
+carries a field tag, `QQ` or a `PrimeField` holding the modulus p, and no
+scalar operations: callers compute in ints and reduce mod p themselves.
+All linear algebra is exact.  Over the rationals, rows are cleared of
+denominators (rows of ints pass through as they are).  The determinant goes
+through fraction-free (Bareiss) elimination on those rows divided by their
+content, the product of the contents multiplied back into the result.
+`rank` serves F_p only; QQ ranks of Gram levels come from
+`virasoro.graded_rank`, and of any other matrix from `kernel`, as the
+number of columns less the kernel dimension.  `kernel` first certifies the
+integer rows mod the fixed prime `_CERT_PRIME`: reduction mod p is a ring
+map, so a minor nonzero mod p is nonzero over Z, and full column rank mod p
+proves the null space zero over QQ.  Only when it falls short are the rows
+divided by their content and a basis found by integer Gauss-Jordan
+elimination.  Every elimination mod p packs each row into one int, a
+fixed-width slot per column, so that a row update is one big-int
+multiply-add with no reduction of the updated row.  No randomness, no
+floats.
 """
 from __future__ import annotations
 
@@ -26,22 +29,6 @@ from math import gcd, lcm
 
 # Largest prime below 2^30: its residues fit in one CPython digit.
 _CERT_PRIME = 1073741789
-
-
-@dataclass(frozen=True)
-class ModularValue:
-    """Image of a rational in F_p: a residue, or Undefined when p divides
-    the reduced denominator (residue is None in that case)."""
-
-    prime: int
-    residue: int | None
-
-    @property
-    def is_defined(self) -> bool:
-        return self.residue is not None
-
-    def __str__(self) -> str:
-        return "undefined" if self.residue is None else str(self.residue)
 
 
 def is_prime(n: int) -> bool:
@@ -79,41 +66,23 @@ def p_valuation(q: Fraction, p: int) -> int:
     return v
 
 
-def reduce_mod_p(q: Fraction, p: int) -> ModularValue:
+def reduce_mod_p(q: Fraction, p: int) -> int | None:
     """Reduce a rational mod an odd prime p.
 
-    Defined (num * den^-1 mod p) exactly when p does not divide the reduced
-    denominator; otherwise Undefined.  p = 2 is rejected: the scalar
-    normalization upstream carries factors of 1/2, and characteristic 2 is
-    handled by fiat in the prime classifier.
+    The residue num * den^-1 mod p, or None when p divides the reduced
+    denominator.  p = 2 is rejected: the scalar normalization upstream
+    carries factors of 1/2, and characteristic 2 is handled by fiat in the
+    prime classifier.
     """
     if p <= 2:
         raise ValueError("reduction requires an odd prime")
     if q.denominator % p == 0:
-        return ModularValue(p, None)
-    return ModularValue(p, q.numerator * pow(q.denominator, -1, p) % p)
+        return None
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 class RationalField:
-    """Scalar ops on Fraction elements."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction):
-        return q
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    """The field tag of matrices over the rationals."""
 
     def __repr__(self) -> str:
         return "QQ"
@@ -121,7 +90,7 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Scalar ops on int residues mod p, p an odd prime."""
+    """The field tag of matrices mod p, p an odd prime."""
 
     p: int
 
@@ -130,32 +99,6 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
         if self.p == 2:
             raise ValueError("prime field requires an odd prime")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def from_fraction(self, q: Fraction):
-        mv = reduce_mod_p(q, self.p)
-        if not mv.is_defined:
-            raise ValueError(f"{q} has no image mod {self.p}")
-        return mv.residue
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -183,11 +126,6 @@ class DenseMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-
-def matrix(field, rows) -> DenseMatrix:
-    conv = field.from_fraction if isinstance(field, RationalField) else field.from_int
-    return DenseMatrix(field, tuple(tuple(conv(x) for x in row) for row in rows))
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -238,14 +176,6 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
     return out, scale
 
 
-def _certified_rank(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
-    """Denominator-cleared rows of a QQ matrix and their rank mod
-    `_CERT_PRIME`: a lower bound on the rank over QQ, and equal to it when
-    it is min(rows, cols)."""
-    int_rows, _ = _clear_denominators(M)
-    return int_rows, len(independent_rows(int_rows))
-
-
 def _divide_content(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Each integer row divided by its content (the gcd of its entries), as
     new lists, and the product of the contents (0 when a row is zero)."""
@@ -271,22 +201,11 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
 
 def rank(M: DenseMatrix) -> int:
-    """Rank over the matrix's field.
-
-    Over QQ, a full rank mod `_CERT_PRIME` of the denominator-cleared rows
-    is returned at once (it certifies full rank over QQ).  Any smaller mod-p
-    rank is only a lower bound, so Bareiss then computes the exact rank on
-    those rows divided by their content: scaling a row by a nonzero rational
-    keeps the rank, and it keeps Bareiss's entries small when the rows carry
-    a common factor, as Gram levels scaled by D^n do.
-    """
-    if isinstance(M.field, PrimeField):
-        return len(_echelon_mod_p(M.entries, M.field.p))
-    int_rows, r = _certified_rank(M)
-    if r == min(M.rows, M.cols):
-        return r
-    r, _ = _bareiss(_divide_content(int_rows)[0])
-    return r
+    """Rank of a matrix over F_p.  Over QQ it raises ValueError: Gram levels
+    take their rank from `virasoro.graded_rank`, other matrices from `kernel`."""
+    if not isinstance(M.field, PrimeField):
+        raise ValueError("rank is provided over prime fields only")
+    return len(_echelon_mod_p(M.entries, M.field.p))
 
 
 def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
@@ -301,9 +220,9 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     """
     if not isinstance(M.field, RationalField):
         raise ValueError("kernel is provided over the rationals only")
-    m, r = _certified_rank(M)
+    m, _ = _clear_denominators(M)
     ncol = M.cols
-    if r == ncol:
+    if len(independent_rows(m)) == ncol:
         return []
     m, _ = _divide_content(m)
     pivots: list[int] = []  # pivots[i] is the pivot column of row i

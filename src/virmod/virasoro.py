@@ -15,17 +15,17 @@ the left monomial across the contravariant form gives
 G_n[mu, lam] = sum_q (L_{mu_1} lam)_q * G_{n-mu_1}[mu minus mu_1, q],
 so level n needs one image per (mu_1, lam) and the rows of lower
 levels.  Each parameter set keeps the rows of every level it has finished,
-so asking for levels one at a time builds each level once.  `apply_mode`
-and `PBWVector` apply whole mode words; they serve as the tests' oracle,
-and `apply_mode` memoizes its evaluated images per parameter set.
+so asking for levels one at a time builds each level once.
 
-Both fields run one integer engine.  Each parameter set fixes a scale D:
-over QQ, D = lcm(den h, 2 den c), so D*h and D*c/2 are integers; over F_p,
-D = 1 and c/2 is c * 2^-1 mod p.  Commuting L_k rightward through a
-monomial meets at most one (c, h) scalar per term, where L_k meets L_{-k};
-every other structure constant is an integer.  So each coefficient of
-D * (L_k monomial) is the integer a*D + b*(D h) + e*(D c/2), with (a, b, e)
-from `_lower`, reduced mod p over F_p.  Levels are kept as S_n = D^n G_n,
+Both fields run one engine on plain ints and a modulus; the field tag of
+a parameter set only names the field of its matrices.  Each parameter set
+fixes a scale D: over QQ, D = lcm(den h, 2 den c), so D*h and D*c/2 are
+integers; over F_p, D = 1 and c/2 is c * 2^-1 mod p.  Commuting L_k
+rightward through a monomial meets at most one (c, h) scalar per term,
+where L_k meets L_{-k}; every other structure constant is an integer.  So
+each coefficient of D * (L_k monomial) is the integer
+a*D + b*(D h) + e*(D c/2), with (a, b, e) from `_lower`, reduced mod p
+over F_p.  Levels are kept as S_n = D^n G_n,
 built without a gcd by the recursion above times D^n:
 S_n[mu, lam] = sum_q (D L_{mu_1} lam)_q * D^(mu_1 - 1) * S_{n-mu_1}[mu minus mu_1, q].
 `gram_matrix` divides by D^n; ranks are taken on S_n, since scaling a row
@@ -51,7 +51,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, determinant, independent_rows, kernel, rank
+from .exact import (
+    DenseMatrix, PrimeField, QQ, RationalField, determinant, independent_rows, kernel, rank, reduce_mod_p,
+)
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -85,6 +87,7 @@ class VermaParams:
     c: object
     h: object
     field_: RationalField | PrimeField = QQ
+    # images of positive modes, kept by the word oracle in the tests
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
     _levels: list = field(default_factory=list, repr=False, compare=False)
 
@@ -108,29 +111,13 @@ class VermaParams:
         """Raises ValueError unless p is an odd prime, and DegenerateParams
         when c or h has no image mod p."""
         f = PrimeField(p)
-        try:
-            return cls(f.from_fraction(c), f.from_fraction(h), f)
-        except ValueError as e:
-            raise DegenerateParams(str(e)) from None
-
-
-@dataclass(frozen=True)
-class PBWVector:
-    """Homogeneous combination of degree-`degree` basis monomials."""
-
-    degree: int
-    terms: tuple[tuple[Partition, object], ...]
-
-    def as_dict(self) -> dict[Partition, object]:
-        return dict(self.terms)
-
-
-def _vector(degree: int, terms: dict) -> PBWVector:
-    return PBWVector(degree, tuple(sorted(terms.items())))
-
-
-def basis_vector(part: Partition, fld=QQ) -> PBWVector:
-    return _vector(sum(part), {tuple(part): fld.one})
+        residues = []
+        for q in (c, h):
+            r = reduce_mod_p(q, p)
+            if r is None:
+                raise DegenerateParams(f"{q} has no image mod {p}")
+            residues.append(r)
+        return cls(*residues, f)
 
 
 @lru_cache(maxsize=None)
@@ -185,28 +172,6 @@ def _lower(k: int, part: Partition) -> tuple[tuple[Partition, int, int, int], ..
             t[1] += coeff
             t[2] += comb(k + 1, 3)
     return tuple((q, a, b, e) for q, (a, b, e) in out.items() if a or b or e)
-
-
-def apply_mode(k: int, state: PBWVector, params: VermaParams) -> PBWVector:
-    """Normal-ordered image of L_k on a homogeneous vector; degree drops by k."""
-    if k == 0:
-        raise ValueError("L0 acts as the scalar h + degree; use the scalar directly")
-    f, d, dh, dc2 = params.field_, params._scale, params._dh, params._dc2
-    out: dict[Partition, object] = {}
-    for part, coeff in state.terms:
-        if k > 0:
-            img = params._memo.get((k, part))
-            if img is None:
-                img = params._memo[k, part] = {
-                    q: f.from_fraction(Fraction(a * d + b * dh + e * dc2, d)) for q, a, b, e in _lower(k, part)
-                }
-        else:
-            img = {q: f.from_int(s) for q, s in _prepend(-k, part)}
-        for q, s in img.items():
-            v = f.mul(coeff, s)
-            out[q] = f.add(out.get(q, f.zero), v) if q in out else v
-    out = {q: s for q, s in out.items() if not f.is_zero(s)}
-    return _vector(state.degree - k, out)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import pytest
 
 from virmod import cli, coset, weights
 from virmod.cli import EXPECTED_D5, ReportEnvelope, run
-from virmod.exact import QQ, matrix
+from virmod.exact import QQ, DenseMatrix
 from virmod.virasoro import VermaParams, gram_matrix, kac_vanishing_check
 from test_virasoro import gram_oracle
 from test_weights import interval_values
@@ -98,7 +98,7 @@ def test_criterion_6_gram_oracle_equivalence():
     for _ in range(5):
         c = F(rng.randint(-30, 30), rng.randint(1, 10))
         h = F(rng.randint(-30, 30), rng.randint(1, 10))
-        expected = matrix(QQ, [[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]])
+        expected = DenseMatrix(QQ, ((4 * h + c / 2, 6 * h), (6 * h, 8 * h * h + 4 * h)))
         if gram_matrix(VermaParams.rational(c, h), 2) != expected:
             ok = False
     ok = ok and time.monotonic() - t0 < 5.0

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from virmod import exact
-from virmod.cli import ELL_MAX, PAPER_CHECKS, run
+from virmod.cli import ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, build_parser, run
+
+# A 31-digit prime: trial division does not finish on it.
+BIG_PRIME = 1000000000000000000000000000057
 
 # The `virmod reproduce-paper --json` report, byte for byte; refactors keep it.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_paper.json"
@@ -163,6 +166,30 @@ def test_contract_error_exits_2(capsys):
             ["verify", "prop-x", "--ell-max", str(ELL_MAX + 1)],
             f"argument --ell-max: must be <= {ELL_MAX}, got {ELL_MAX + 1}",
         ),
+        (
+            ["gram", "--c", "1/2", "--h", "1/16", "--level", str(LEVEL_MAX + 1)],
+            f"argument --level: must be <= {LEVEL_MAX}, got {LEVEL_MAX + 1}",
+        ),
+        (
+            ["probe", "--ell", "2", "--label", "2,2", "--prime", "11", "--max-level", str(LEVEL_MAX + 1)],
+            f"argument --max-level: must be <= {LEVEL_MAX}, got {LEVEL_MAX + 1}",
+        ),
+        (
+            ["classify", "--ell", "2", "--prime", str(PRIME_MAX + 1)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {PRIME_MAX + 1}",
+        ),
+        (
+            ["gram", "--c", "1/2", "--h", "1/16", "--level", "2", "--prime", str(PRIME_MAX + 1)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {PRIME_MAX + 1}",
+        ),
+        (
+            ["probe", "--ell", "2", "--label", "2,2", "--prime", str(PRIME_MAX + 1)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {PRIME_MAX + 1}",
+        ),
+        (
+            ["classify", "--ell", "2", "--prime", str(BIG_PRIME)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {BIG_PRIME}",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -180,6 +207,19 @@ def test_ell_limit_is_inclusive(capsys):
     assert capsys.readouterr().out.split("\n")[1].endswith(f"{{{top}}}")
 
 
+def test_level_and_prime_limits_are_inclusive():
+    parser = build_parser()
+    gram = parser.parse_args(
+        ["gram", "--c", "1/2", "--h", "1/16", "--level", str(LEVEL_MAX), "--prime", str(PRIME_MAX)]
+    )
+    assert (gram.level, gram.prime) == (LEVEL_MAX, PRIME_MAX)
+    probe = parser.parse_args(
+        ["probe", "--ell", "2", "--label", "2,2", "--prime", str(PRIME_MAX), "--max-level", str(LEVEL_MAX)]
+    )
+    assert (probe.max_level, probe.prime) == (LEVEL_MAX, PRIME_MAX)
+    assert parser.parse_args(["classify", "--ell", "2", "--prime", str(PRIME_MAX)]).prime == PRIME_MAX
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -187,6 +227,18 @@ def test_ell_limit_is_inclusive(capsys):
         (["bad_prime_probe_experiment.py", "--ell", "1"], "--ell must be >= 2"),
         (["bad_prime_probe_experiment.py", "--max-level", "-1"], "--max-level must be >= 0"),
         (["scan_bad_primes.py", "--ell-max", "1"], "--ell-max must be >= 2"),
+        (
+            ["bad_prime_probe_experiment.py", "--max-level", str(LEVEL_MAX + 1)],
+            f"argument --max-level: must be <= {LEVEL_MAX}, got {LEVEL_MAX + 1}",
+        ),
+        (
+            ["bad_prime_probe_experiment.py", "--prime", str(PRIME_MAX + 1)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {PRIME_MAX + 1}",
+        ),
+        (
+            ["bad_prime_probe_experiment.py", "--prime", str(BIG_PRIME)],
+            f"argument --prime: must be <= {PRIME_MAX}, got {BIG_PRIME}",
+        ),
     ],
 )
 def test_script_bad_input_is_usage_error(argv, message):

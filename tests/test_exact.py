@@ -17,7 +17,6 @@ from virmod.exact import (
     independent_rows,
     is_prime,
     kernel,
-    matrix,
     p_valuation,
     rank,
     reduce_mod_p,
@@ -88,10 +87,21 @@ def gauss_jordan_det(rows):
     return det
 
 
-def identity(field, n):
-    return DenseMatrix(
-        field, tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
-    )
+def qq(rows):
+    return DenseMatrix(QQ, tuple(map(tuple, rows)))
+
+
+def gf(p, rows):
+    return DenseMatrix(PrimeField(p), tuple(tuple(x % p for x in row) for row in rows))
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def qq_rank(rows):
+    """Rank over QQ as the number of columns less the kernel dimension."""
+    return len(rows[0]) - len(kernel(qq(rows)))
 
 
 def int_matrices(rows, cols, bound=9):
@@ -159,10 +169,10 @@ class TestValuation:
 
 class TestReduceModP:
     def test_examples(self):
-        assert reduce_mod_p(F(1, 16), 7).residue == 4
-        assert reduce_mod_p(F(1, 2), 7).residue == 4
-        assert reduce_mod_p(F(0), 5).residue == 0
-        assert not reduce_mod_p(F(3, 80), 5).is_defined
+        assert reduce_mod_p(F(1, 16), 7) == 4
+        assert reduce_mod_p(F(1, 2), 7) == 4
+        assert reduce_mod_p(F(0), 5) == 0
+        assert reduce_mod_p(F(3, 80), 5) is None
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
@@ -171,11 +181,9 @@ class TestReduceModP:
     @given(a=rationals, b=rationals, p=st.sampled_from(ODD_PRIMES))
     def test_ring_homomorphism(self, a, b, p):
         ra, rb = reduce_mod_p(a, p), reduce_mod_p(b, p)
-        if ra.is_defined and rb.is_defined:
-            rsum = reduce_mod_p(a + b, p)
-            rprod = reduce_mod_p(a * b, p)
-            assert rsum.residue == (ra.residue + rb.residue) % p
-            assert rprod.residue == (ra.residue * rb.residue) % p
+        if ra is not None and rb is not None:
+            assert reduce_mod_p(a + b, p) == (ra + rb) % p
+            assert reduce_mod_p(a * b, p) == ra * rb % p
 
 
 class TestPrimality:
@@ -193,19 +201,26 @@ class TestPrimality:
 
 
 class TestRank:
+    """rank over F_p; QQ ranks as columns less the kernel dimension."""
+
     def test_identity(self):
-        assert rank(identity(QQ, 5)) == 5
+        assert rank(gf(5, identity(5))) == 5
+        assert kernel(qq(identity(5))) == []
 
     def test_zero(self):
-        assert rank(matrix(QQ, [[0] * 4] * 3)) == 0
+        assert rank(gf(5, [[0] * 4] * 3)) == 0
+        assert qq_rank([[0] * 4] * 3) == 0
 
     def test_level2_gram_at_half_zero(self):
-        assert rank(matrix(QQ, [[F(1, 4), 0], [0, 0]])) == 1
+        assert kernel(qq([[F(1, 4), 0], [0, 0]])) == [(0, 1)]
 
     def test_mod_p(self):
-        gf = PrimeField(5)
-        assert rank(matrix(gf, [[1, 2], [2, 4]])) == 1
-        assert rank(identity(gf, 4)) == 4
+        assert rank(gf(5, [[1, 2], [2, 4]])) == 1
+        assert rank(gf(5, identity(4))) == 4
+
+    def test_rejects_rationals(self):
+        with pytest.raises(ValueError, match="prime fields only"):
+            rank(qq(identity(2)))
 
     @given(
         rows=st.integers(1, 4),
@@ -222,9 +237,7 @@ class TestRank:
                 max_size=rows,
             )
         )
-        rq = rank(matrix(QQ, ints))
-        rp = rank(matrix(PrimeField(p), ints))
-        assert rp <= rq
+        assert rank(gf(p, ints)) <= qq_rank(ints)
 
 
 ECHELON_PRIMES = [3, 5, 7, 11, 101, _CERT_PRIME]
@@ -280,8 +293,7 @@ class TestEchelonModP:
 
 
 class TestCertifiedRank:
-    """Over QQ, full rank mod _CERT_PRIME is returned at once; anything less
-    falls back to Bareiss."""
+    """The QQ rank from kernel, certified or not, is the Gauss-Jordan rank."""
 
     def test_cert_prime_is_largest_prime_below_2_30(self):
         assert is_prime(_CERT_PRIME)
@@ -292,7 +304,7 @@ class TestCertifiedRank:
     @settings(max_examples=50, deadline=None)
     def test_matches_gauss_jordan(self, rows, cols, data):
         m = data.draw(rational_matrices(rows, cols))
-        assert rank(matrix(QQ, m)) == gauss_jordan_rank(m)
+        assert qq_rank(m) == gauss_jordan_rank(m)
 
     @given(n=st.integers(2, 7), m=st.integers(2, 7), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -304,28 +316,12 @@ class TestCertifiedRank:
                 for i in range(n)]
         expected = gauss_jordan_rank(prod)
         assert expected <= k
-        assert rank(matrix(QQ, prod)) == expected
-
-    @pytest.mark.parametrize("rows,expected", LOST_MOD_CERT_PRIME)
-    def test_rank_lost_mod_cert_prime_goes_through_bareiss(self, rows, expected, monkeypatch):
-        calls = []
-        bareiss = exact._bareiss
-        monkeypatch.setattr(exact, "_bareiss", lambda m: calls.append(m) or bareiss(m))
-        assert rank(matrix(QQ, rows)) == expected == gauss_jordan_rank(rows)
-        assert len(calls) == 1
-
-    def test_full_rank_skips_bareiss(self, monkeypatch):
-        def fail(m):
-            raise AssertionError("Bareiss ran on a certified full-rank matrix")
-
-        monkeypatch.setattr(exact, "_bareiss", fail)
-        assert rank(identity(QQ, 6)) == 6
-        assert rank(matrix(QQ, [[F(1, 2), 3, 5], [7, F(-11, 13), 17]])) == 2
+        assert qq_rank(prod) == expected
 
 
 class TestCertificateFallback:
-    """rank and kernel certify the denominator-cleared rows as they are, and
-    divide by content only when the certificate fails."""
+    """kernel certifies the denominator-cleared rows as they are, and divides
+    by content only when the certificate fails."""
 
     P = _CERT_PRIME
 
@@ -335,18 +331,18 @@ class TestCertificateFallback:
     )
     def test_raw_rows_failing_the_certificate(self, rows, vecs, rank_qq):
         assert independent_rows(rows) == []
-        assert kernel(matrix(QQ, rows)) == vecs
-        assert rank(matrix(QQ, rows)) == rank_qq
+        assert kernel(qq(rows)) == vecs
+        assert qq_rank(rows) == rank_qq == gauss_jordan_rank(rows)
 
     def test_certified_rows_skip_content_division(self, monkeypatch):
         def fail(rows):
             raise AssertionError("content divided out of certified rows")
 
         monkeypatch.setattr(exact, "_divide_content", fail)
-        rows = [[6, 10, 4], [9, 3, 12], [F(1, 2), 0, 5]]
-        assert kernel(matrix(QQ, rows)) == []
-        assert rank(matrix(QQ, rows)) == 3
-        assert rank(matrix(QQ, [[2, 4, 6], [3, 3, 9]])) == 2
+        assert kernel(qq([[6, 10, 4], [9, 3, 12], [F(1, 2), 0, 5]])) == []
+        assert kernel(qq([[2, 3], [4, 3], [6, 9]])) == []
+        assert kernel(qq(identity(6))) == []
+        assert kernel(qq([[F(1, 2), 7], [3, F(-11, 13)], [5, 17]])) == []
 
 
 class TestKernel:
@@ -354,7 +350,7 @@ class TestKernel:
 
     @staticmethod
     def check(rows):
-        vecs = kernel(matrix(QQ, rows))
+        vecs = kernel(qq(rows))
         cols = len(rows[0])
         assert len(vecs) == cols - gauss_jordan_rank(rows)
         for v in vecs:
@@ -380,28 +376,33 @@ class TestKernel:
         assert len(self.check(prod)) >= m - k
 
     @pytest.mark.parametrize("rows,rank_qq", LOST_MOD_CERT_PRIME)
-    def test_rank_lost_mod_cert_prime(self, rows, rank_qq):
+    def test_rank_lost_mod_cert_prime(self, rows, rank_qq, monkeypatch):
         # as given, and transposed so that all four have full column rank
-        # over QQ, where the exact elimination must find no vector
+        # over QQ, where the exact elimination must find no vector; the
+        # certificate decides neither, so the elimination runs on both
+        calls = []
+        divide = exact._divide_content
+        monkeypatch.setattr(exact, "_divide_content", lambda m: calls.append(m) or divide(m))
         transposed = [list(col) for col in zip(*rows)]
         for m in (rows, transposed):
             vecs = self.check(m)
             if len(m[0]) == rank_qq:
                 assert vecs == []
+        assert len(calls) == 2
 
     def test_free_column_normalisation(self):
-        assert kernel(matrix(QQ, [[2, 4, 6], [1, 2, 3]])) == [(-2, 1, 0), (-3, 0, 1)]
-        assert kernel(matrix(QQ, [[0, 0]])) == [(1, 0), (0, 1)]
-        assert kernel(matrix(QQ, [[F(1, 2), F(1, 3)]])) == [(-2, 3)]
+        assert kernel(qq([[2, 4, 6], [1, 2, 3]])) == [(-2, 1, 0), (-3, 0, 1)]
+        assert kernel(qq([[0, 0]])) == [(1, 0), (0, 1)]
+        assert kernel(qq([[F(1, 2), F(1, 3)]])) == [(-2, 3)]
 
     def test_rejects_prime_field(self):
         with pytest.raises(ValueError):
-            kernel(matrix(PrimeField(5), [[1, 2]]))
+            kernel(gf(5, [[1, 2]]))
 
 
 class TestRowContent:
-    """Over QQ, rank divides each row by its content before Bareiss; determinant
-    does too, and multiplies the contents back into the result."""
+    """kernel divides each row by its content before its elimination, and
+    determinant before Bareiss, multiplying the contents back into the result."""
 
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -410,7 +411,7 @@ class TestRowContent:
                                   min_size=n, max_size=n))
         scales = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
         scaled = [[10**60 * s * x for x in row] for s, row in zip(scales, ints)]
-        assert rank(DenseMatrix(QQ, tuple(map(tuple, scaled)))) == gauss_jordan_rank(ints)
+        assert qq_rank(scaled) == gauss_jordan_rank(ints)
 
     def test_bareiss_sees_primitive_rows(self, monkeypatch):
         seen = []
@@ -418,7 +419,7 @@ class TestRowContent:
         monkeypatch.setattr(exact, "_bareiss", lambda rows: seen.append(rows) or bareiss(rows))
         big = 3**200
         rows = ((big, 2 * big, 3 * big), (7 * big, 14 * big, 21 * big), (F(1, 5), 0, F(big, 5)))
-        assert rank(DenseMatrix(QQ, rows)) == 2
+        assert determinant(DenseMatrix(QQ, rows)) == 0
         assert seen == [[[1, 2, 3], [1, 2, 3], [1, 0, big]]]
 
     @given(n=st.integers(1, 4), data=st.data())
@@ -443,10 +444,10 @@ class TestIntRows:
         a = data.draw(int_matrices(n, k))
         b = data.draw(int_matrices(k, m))
         rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-        ints = DenseMatrix(QQ, tuple(map(tuple, rows)))
-        fracs = DenseMatrix(QQ, tuple(tuple(F(x) for x in row) for row in rows))
-        assert rank(ints) == rank(fracs) == gauss_jordan_rank(rows)
+        ints = qq(rows)
+        fracs = qq([[F(x) for x in row] for row in rows])
         assert kernel(ints) == kernel(fracs)
+        assert m - len(kernel(ints)) == gauss_jordan_rank(rows)
         if n == m:
             assert determinant(ints) == determinant(fracs) == gauss_jordan_det(rows)
 
@@ -475,7 +476,7 @@ class TestDeterminant:
                     f = 10 ** data.draw(st.integers(0, 40)) * data.draw(st.integers(-10**6, 10**6))
                     row = [f * x for x in row]
                 rows.append(row)
-        assert determinant(matrix(QQ, rows)) == gauss_jordan_det(rows)
+        assert determinant(qq(rows)) == gauss_jordan_det(rows)
 
     @given(n=st.integers(2, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -486,27 +487,27 @@ class TestDeterminant:
         scales = data.draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n))
         rows = [[s * sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
                 for i, s in enumerate(scales)]
-        assert determinant(matrix(QQ, rows)) == 0 == gauss_jordan_det(rows)
+        assert determinant(qq(rows)) == 0 == gauss_jordan_det(rows)
 
     def test_zero_row_skips_bareiss(self, monkeypatch):
         def fail(m):
             raise AssertionError("Bareiss ran on a matrix with a zero row")
 
         monkeypatch.setattr(exact, "_bareiss", fail)
-        assert determinant(matrix(QQ, [[1, 2], [0, 0]])) == 0
-        assert determinant(matrix(QQ, [[F(0), F(0)], [F(1, 3), 2]])) == 0
+        assert determinant(qq([[1, 2], [0, 0]])) == 0
+        assert determinant(qq([[F(0), F(0)], [F(1, 3), 2]])) == 0
 
     def test_identity(self):
-        assert determinant(identity(QQ, 4)) == 1
+        assert determinant(qq(identity(4))) == 1
 
     def test_level2_gram_vanishing(self):
         c, h = F(1, 2), F(1, 16)
-        m = matrix(QQ, [[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]])
+        m = qq([[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]])
         assert determinant(m) == 0
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
-            determinant(matrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+            determinant(qq([[1, 2, 3], [4, 5, 6]]))
 
     @given(n=st.integers(1, 5), data=st.data())
     @settings(max_examples=60)
@@ -519,7 +520,7 @@ class TestDeterminant:
             )
         )
         rows = [[F(x) for x in row] for row in ints]
-        assert determinant(matrix(QQ, rows)) == cofactor_det(rows)
+        assert determinant(qq(rows)) == cofactor_det(rows)
 
     @given(n=st.integers(1, 4), data=st.data())
     @settings(max_examples=30)
@@ -532,7 +533,7 @@ class TestDeterminant:
                 max_size=n,
             )
         )
-        assert determinant(matrix(QQ, rows)) == cofactor_det(rows)
+        assert determinant(qq(rows)) == cofactor_det(rows)
 
 
 def test_ragged_rejected():

@@ -98,9 +98,9 @@ def classify_oracle(ell, p):
     residues = {}
     degenerate = []
     for lab in canonical_labels(ell):
-        mv = reduce_mod_p(highest_weight(ell, lab.m, lab.n), p)
-        if mv.is_defined:
-            residues.setdefault(mv.residue, []).append(lab)
+        r = reduce_mod_p(highest_weight(ell, lab.m, lab.n), p)
+        if r is not None:
+            residues.setdefault(r, []).append(lab)
         else:
             degenerate.append(lab)
     collisions = []
