@@ -318,6 +318,26 @@ class TestCertifiedRank:
         assert expected <= k
         assert qq_rank(prod) == expected
 
+    @pytest.mark.parametrize("rows,expected", LOST_MOD_CERT_PRIME)
+    def test_rank_lost_mod_cert_prime_goes_through_bareiss(self, rows, expected):
+        # the certificate falls short of the QQ rank; Bareiss on the
+        # content-divided rows, the exact elimination behind `determinant`,
+        # recovers it, and so does the kernel
+        int_rows, _ = exact._clear_denominators(qq(rows))
+        assert len(independent_rows(int_rows)) < expected
+        primitive, _ = exact._divide_content(int_rows)
+        bareiss_rank, _ = exact._bareiss(primitive)
+        assert bareiss_rank == expected == gauss_jordan_rank(rows) == qq_rank(rows)
+
+    def test_full_rank_skips_bareiss(self, monkeypatch):
+        def fail(m):
+            raise AssertionError("exact elimination ran on a certified full-rank matrix")
+
+        monkeypatch.setattr(exact, "_bareiss", fail)
+        monkeypatch.setattr(exact, "_divide_content", fail)
+        assert qq_rank(identity(6)) == 6
+        assert qq_rank([[F(1, 2), 7], [3, F(-11, 13)], [5, 17]]) == 2
+
 
 class TestCertificateFallback:
     """kernel certifies the denominator-cleared rows as they are, and divides
