@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -130,6 +131,10 @@ LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.
 PRIME_MAX = 2**40
+# The most collision pairs classify lists: every classify at ell <= 30 stays
+# under it (the most is 59,830 pairs, at ell = 30, p = 3), while
+# classify_prime(100, 7) lists 3,380,770 pairs and exhausts memory at ell = 200.
+CLASSIFY_PAIRS_MAX = 100_000
 
 
 def _int_in(low: int | None = None, high: int | None = None):
@@ -179,6 +184,10 @@ def cmd_bad_primes(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if weights.collision_count(args.ell, args.prime, CLASSIFY_PAIRS_MAX) > CLASSIFY_PAIRS_MAX:
+        raise ValueError(
+            f"classify at ell={args.ell}, p={args.prime} would list more than {CLASSIFY_PAIRS_MAX} collision pairs"
+        )
     env = ReportEnvelope("classify", {"ell": args.ell, "prime": args.prime})
     cls = weights.classify_prime(args.ell, args.prime)
     env.add("status", "pass", cls.status)
@@ -421,15 +430,32 @@ PAPER_CHECKS = (
 )
 
 
+# The engine's process-wide caches; --timings shows how the checks share them.
+ENGINE_CACHES = (
+    virasoro._prepend, virasoro._lower, virasoro.partitions, virasoro._rational_ranks, virasoro._tower,
+)
+
+
+def _cache_counts() -> list[tuple[int, int]]:
+    return [cache.cache_info()[:2] for cache in ENGINE_CACHES]
+
+
 def reproduce(env: ReportEnvelope) -> dict[str, dict]:
-    """Runs every paper check into `env`; returns each check's wall seconds,
-    keyed by its name (`check_<name>` with hyphens), in report order."""
+    """Runs every paper check into `env`; returns each check's wall seconds
+    and the hits and misses it added to each of `ENGINE_CACHES`, keyed by
+    its name (`check_<name>` with hyphens), in report order."""
     timings = {}
     for check in PAPER_CHECKS:
+        before = _cache_counts()
         t0 = time.perf_counter()
         check(env)
+        wall = time.perf_counter() - t0
+        caches = {
+            cache.__name__: {"hits": hits - h0, "misses": misses - m0}
+            for cache, (h0, m0), (hits, misses) in zip(ENGINE_CACHES, before, _cache_counts())
+        }
         name = check.__name__.removeprefix("check_").replace("_", "-")
-        timings[name] = {"wall_s": time.perf_counter() - t0}
+        timings[name] = {"wall_s": wall, "caches": caches}
     return timings
 
 
@@ -449,7 +475,15 @@ def cmd_reproduce(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr and exits 2."""
+    """Reports a usage error as one line on stderr and exits 2.
+
+    An argument like -22/5 is a value, not an option, as argparse already
+    takes -3 and -.5 to be.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -511,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("reproduce-paper", parents=[out])
-    p.add_argument("--timings", metavar="PATH", help="write each paper check's wall seconds as JSON")
+    p.add_argument(
+        "--timings", metavar="PATH", help="write each paper check's wall seconds and cache counts as JSON"
+    )
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -43,6 +43,16 @@ complement C, so rank S_n = rank S_n[C, C].  The images kept are those
 independent mod `exact._CERT_PRIME`, each with one pivot column in P; the
 null vectors of S_n[C, C], extended by zero on P, are the new radical
 vectors.
+
+Each minimal-series point has one QQ tower per process, in the bounded
+cache `_tower`: the Kac-vanishing check, the QQ graded ranks and the probe
+all extend and read the same levels.  A probe builds no tower over F_p.
+Its rank mod p at level n is the rank of that tower's S_n mod p: the probe
+runs only where `VermaParams.mod_p` succeeds, that is where p divides
+neither denominator of (c, h), hence not D, and then S_n = D^n G_n is, mod
+p, the unit D^n times the Gram matrix the F_p engine builds, since
+reduction mod p is a ring map on the entries, which lie in Z[h, c/2].  The
+F_p engine serves `gram --prime` and `graded_rank` over F_p.
 """
 from __future__ import annotations
 
@@ -236,11 +246,17 @@ class GramReport:
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
     if params._mod:
-        _build_levels(params, n_max)
-        ranks = [rank(DenseMatrix(params.field_, params._levels[n])) for n in range(n_max + 1)]
+        ranks = _ranks_mod_p(params, params.field_, n_max)
     else:
         ranks = [r for r, _ in _radical_levels(params, n_max)]
     return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
+
+
+def _ranks_mod_p(params: VermaParams, field_: PrimeField, n_max: int) -> list[int]:
+    """Ranks mod p of the levels S_0..S_{n_max} of `params`, built as needed;
+    `rank` reduces the entries, so a QQ tower is ranked as it stands."""
+    _build_levels(params, n_max)
+    return [rank(DenseMatrix(field_, params._levels[n])) for n in range(n_max + 1)]
 
 
 def _radical_levels(params: VermaParams, n_max: int):
@@ -275,10 +291,18 @@ def _radical_levels(params: VermaParams, n_max: int):
         yield len(free) - len(null), basis
 
 
+@lru_cache(maxsize=16)
+def _tower(c: Fraction, h: Fraction) -> VermaParams:
+    """The one QQ parameter set at (c, h), whose levels every check shares.
+    A paper run holds nine (the Kac-vanishing labels at ell = 2, 3); the
+    bound keeps a long run from holding every tower it ever built."""
+    return VermaParams.rational(c, h)
+
+
 @lru_cache(maxsize=32)
 def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[int, ...]:
     """QQ Gram ranks at levels 0..n_max; probes at one (c, h) share them."""
-    return tuple(r for _, _, r in graded_rank(VermaParams.rational(c, h), n_max).levels)
+    return tuple(r for _, _, r in graded_rank(_tower(c, h), n_max).levels)
 
 
 @dataclass(frozen=True)
@@ -300,14 +324,16 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
 
     Equal ranks at every level are evidence that reduction mod p preserves
     the irreducible quotient at this truncation; the first level where the
-    mod-p rank is smaller is reported as a rank drop.
+    mod-p rank is smaller is reported as a rank drop.  Both ranks come from
+    the QQ tower at (c, h), as the module docstring explains.
     """
     c = central_charge(ell)
     h = highest_weight(ell, label.m, label.n)
     if p == 2:
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
-    over_p = graded_rank(VermaParams.mod_p(c, h, p), n_max).levels
-    levels = tuple((n, rq, rp) for (n, _, rp), rq in zip(over_p, _rational_ranks(c, h, n_max)))
+    field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
+    over_p = _ranks_mod_p(_tower(c, h), field_, n_max)
+    levels = tuple((n, rq, rp) for n, (rq, rp) in enumerate(zip(_rational_ranks(c, h, n_max), over_p)))
     drop = next((n for n, rq, rp in levels if rp != rq), None)
     return ProbeVerdict(
         label, p, n_max, levels, "consistent" if drop is None else "rank-drop", drop
@@ -332,7 +358,7 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     if not label.is_canonical:
         raise ValueError("label must be canonical")
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
-    params = VermaParams.rational(central_charge(ell), highest_weight(ell, label.m, label.n))
+    params = _tower(central_charge(ell), highest_weight(ell, label.m, label.n))
     _build_levels(params, n_max)
     dets = []
     ok = True

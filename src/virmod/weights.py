@@ -28,13 +28,26 @@ numerators: for the odd primes dividing D (each at most l+2), and in
 power of p in D, N/D has an image mod p exactly when p^e divides N, and its
 class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights collide
 exactly when their numerators do.
+
+For an odd p dividing D the verdict looks only at the weights defined mod
+p, and these are read off the label.  Proof: l+1 and l+2 are coprime and p
+is odd, so p divides exactly one of them, q say, and p^e is the exact power
+of p in q.  Write N = (x-1)(x+1) with x = m(l+2) - n(l+1).  A common divisor
+of x-1 and x+1 divides 2, so p divides at most one of the two factors, and
+p^e | N exactly when x = +-1 (mod p^e).  As x = m + (m-n)(l+1) =
+n + (m-n)(l+2), x = m (mod p^e) when q = l+1 and x = n (mod p^e) when
+q = l+2.  So the defined weights are those with m = +-1 (mod p^e) in the
+first case and n = +-1 (mod p^e) in the second: for a prime q = l+1 the
+l+1 labels with m = 1 or m = l, for a prime q = l+2 the l labels with
+n = 1.  Their classes share the unit factor (D/p^e)^-1, so two of them
+collide exactly when their values N/p^e agree mod p.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 from .exact import is_prime
@@ -99,17 +112,6 @@ class IntervalSet:
     intervals: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_intervals(cls, ivs) -> "IntervalSet":
-        ivs = sorted((a, b) for a, b in ivs if a <= b)
-        merged: list[list[int]] = []
-        for a, b in ivs:
-            if merged and a <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return cls(tuple((a, b) for a, b in merged))
-
-    @classmethod
     def from_marks(cls, marks: bytes) -> "IntervalSet":
         """The set {v : marks[v] == 1} of a sequence of 0/1 bytes, read off
         run by run."""
@@ -163,13 +165,18 @@ def b_set_bruteforce(ell: int) -> list[int]:
 
 
 def b_set_intervals(ell: int) -> IntervalSet:
-    """Closed form of the collision set: [1, l^2+l-2] plus l short blocks."""
+    """Closed form of the collision set: [1, l^2+l-2] plus l short blocks.
+
+    Block a = 0..l-1 is [l^2+l+a(l+2), l^2+2l-1+a(l+1)], of l-a values, and
+    starts a+2 above the end of the interval before it, so the intervals
+    come sorted, disjoint and non-adjacent as built.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     ivs = [(1, ell * ell + ell - 2)]
     for a in range(ell):
         ivs.append((ell * ell + ell + a * (ell + 2), ell * ell + 2 * ell - 1 + a * (ell + 1)))
-    return IntervalSet.from_intervals(ivs)
+    return IntervalSet(tuple(ivs))
 
 
 def d_matrix(ell: int) -> list[list[int]]:
@@ -192,21 +199,26 @@ def g_set(ell: int, corrected: bool = False) -> IntervalSet:
     corrected=False uses the published range [1, 2l^2+l-3]; corrected=True
     uses [1, 2l^2+2l-3], the range under which the complement equals the
     union of the blocks G_l(a) exactly.  The complement is read off the gaps
-    between the l+1 intervals of `b_set_intervals`, in O(l).
+    between the l+1 intervals of `b_set_intervals`, in O(l): those intervals
+    are sorted and non-adjacent, so the nonempty gaps, cut at the top of the
+    range, are too.
     """
     top = 2 * ell * ell + (2 * ell if corrected else ell) - 3
     b = b_set_intervals(ell).intervals
     starts = [1] + [hi + 1 for _, hi in b]
     ends = [lo - 1 for lo, _ in b] + [top]
-    return IntervalSet.from_intervals((a, min(e, top)) for a, e in zip(starts, ends))
+    gaps = ((a, min(e, top)) for a, e in zip(starts, ends))
+    return IntervalSet(tuple((a, e) for a, e in gaps if a <= e))
 
 
 def g_blocks(ell: int) -> IntervalSet:
-    """The union of the blocks G_l(a) = [l^2+l-1+a(l+1), l^2+l-1+a(l+2)]."""
+    """The union of the blocks G_l(a) = [l^2+l-1+a(l+1), l^2+l-1+a(l+2)].
+
+    Block a+1 starts l+1-a >= 2 above the end of block a, so the blocks come
+    sorted, disjoint and non-adjacent as built.
+    """
     base = ell * ell + ell - 1
-    return IntervalSet.from_intervals(
-        (base + a * (ell + 1), base + a * (ell + 2)) for a in range(ell)
-    )
+    return IntervalSet(tuple((base + a * (ell + 1), base + a * (ell + 2)) for a in range(ell)))
 
 
 @dataclass(frozen=True)
@@ -230,11 +242,17 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-def _weight_table(ell: int) -> tuple[int, list[int]]:
-    """D, then the numerator N for each label of `canonical_labels(ell)`."""
+def _weight_rows(ell: int):
+    """The numerators N of `canonical_labels(ell)` in order, one list per m."""
     a, b = ell + 2, ell + 1
     # x = m(l+2) - n(l+1) for n = 1..m, stepping down from m(l+2) - (l+1) to m
-    return 4 * a * b, [x * x - 1 for m in range(1, ell + 1) for x in range(m * a - b, m - 1, -b)]
+    for m in range(1, ell + 1):
+        yield [x * x - 1 for x in range(m * a - b, m - 1, -b)]
+
+
+def _weight_table(ell: int) -> tuple[int, list[int]]:
+    """D, then the numerator N for each label of `canonical_labels(ell)`."""
+    return 4 * (ell + 1) * (ell + 2), list(chain.from_iterable(_weight_rows(ell)))
 
 
 def _residues(table, p: int) -> list[int | None]:
@@ -256,12 +274,23 @@ def _residues(table, p: int) -> list[int | None]:
     return [N // pe * inv % p if N % pe == 0 else None for N in nums]
 
 
-def _is_bad(table, p: int) -> bool:
-    """The verdict alone: fewer distinct classes than defined weights."""
+def _is_bad_dividing_d(ell: int, p: int) -> bool:
+    """The verdict for a prime p dividing D, from the weights defined mod p
+    alone (the rule of the module docstring); p = 2 is bad by convention."""
     if p == 2:
         return True
-    defined = [r for r in _residues(table, p) if r is not None]
-    return len(set(defined)) < len(defined)
+    a, b = ell + 2, ell + 1
+    q = b if b % p == 0 else a
+    pe = p
+    while q % (pe * p) == 0:
+        pe *= p
+    ends = (1, pe - 1)
+    if q == b:  # x = m (mod p^e)
+        xs = [m * a - n * b for m in range(1, ell + 1) if m % pe in ends for n in range(1, m + 1)]
+    else:  # x = n (mod p^e)
+        xs = [m * a - n * b for n in range(1, ell + 1) if n % pe in ends for m in range(n, ell + 1)]
+    classes = [(x * x - 1) // pe % p for x in xs]
+    return len(set(classes)) < len(classes)
 
 
 def _marked_below_top(marks: bytearray, p: int) -> bool:
@@ -273,16 +302,43 @@ def _marked_below_top(marks: bytearray, p: int) -> bool:
 def is_bad_prime(ell: int, p: int) -> bool:
     """The verdict of `classify_prime` alone, without building its labels.
 
-    p = 2 and the odd p dividing D take it from the residue table; every
-    other p from the collision marks, by the rule of the module docstring.
+    p = 2 and the odd p dividing D take it from the weights defined mod p;
+    every other p from the collision marks.  Both rules are in the module
+    docstring.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if 4 * (ell + 1) * (ell + 2) % p == 0:
-        return _is_bad(_weight_table(ell), p)
+        return _is_bad_dividing_d(ell, p)
     return _marked_below_top(b_set_marks(ell), p)
+
+
+def collision_count(ell: int, p: int, limit: int) -> int:
+    """How many pairs `classify_prime(ell, p)` lists, counted from the sizes
+    of its classes without building a pair or a label: the k-th member of a
+    class adds k-1.  The count goes row by row of the residue table and
+    stops after the first row that takes it above `limit`, so at a small p
+    it reads only the first rows."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    if p == 2:
+        return 0
+    den = 4 * (ell + 1) * (ell + 2)
+    sizes: dict[int, int] = {}
+    pairs = 0
+    for row in _weight_rows(ell):
+        for r in _residues((den, row), p):
+            if r is not None:
+                k = sizes.get(r, 0)
+                pairs += k
+                sizes[r] = k + 1
+        if pairs > limit:
+            break
+    return pairs
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:
@@ -314,16 +370,15 @@ def bad_primes(ell: int) -> list[int]:
     """All bad primes; complete because every prime above 2l^2+l-3 is good.
 
     Only the verdict is computed per prime.  p = 2 and the odd primes
-    dividing D (at most l+2) take it from one residue table; every other
-    prime reads its collision mark, which for p <= 2l^2+l-3 < 2(l^2+l-1) is
-    the whole rule of the module docstring.
+    dividing D (at most l+2) take it from the weights defined mod p; every
+    other prime reads its collision mark, which for p <= 2l^2+l-3 <
+    2(l^2+l-1) is the whole rule of the module docstring.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     bound = 2 * ell * ell + ell - 3
-    table, marks = _weight_table(ell), b_set_marks(ell)
-    den = table[0]
-    return [p for p in primes_upto(bound) if (marks[p] if den % p else _is_bad(table, p))]
+    den, marks = 4 * (ell + 1) * (ell + 2), b_set_marks(ell)
+    return [p for p in primes_upto(bound) if (marks[p] if den % p else _is_bad_dividing_d(ell, p))]
 
 
 @dataclass(frozen=True)

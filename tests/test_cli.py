@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from virmod import exact
-from virmod.cli import ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, build_parser, run
+from virmod import exact, virasoro
+from virmod.cli import CLASSIFY_PAIRS_MAX, ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, build_parser, run
 
 # A 31-digit prime: trial division does not finish on it.
 BIG_PRIME = 1000000000000000000000000000057
@@ -190,6 +191,12 @@ def test_contract_error_exits_2(capsys):
             ["classify", "--ell", "2", "--prime", str(BIG_PRIME)],
             f"argument --prime: must be <= {PRIME_MAX}, got {BIG_PRIME}",
         ),
+        (
+            ["classify", "--ell", "100", "--prime", "7"],
+            f"classify at ell=100, p=7 would list more than {CLASSIFY_PAIRS_MAX} collision pairs",
+        ),
+        (["classify", "--ell", "1", "--prime", "7"], "ell must be >= 2"),
+        (["classify", "--ell", "5", "--prime", "9"], "9 is not prime"),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
@@ -199,6 +206,43 @@ def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_classify_refuses_a_huge_listing_quickly(capsys):
+    t0 = time.monotonic()
+    assert run(["classify", "--ell", str(ELL_MAX), "--prime", "7"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: classify at ell={ELL_MAX}, p=7 would list more than {CLASSIFY_PAIRS_MAX} collision pairs\n"
+    )
+
+
+def test_classify_lists_the_largest_case_at_ell_30(capsys):
+    assert run(["classify", "--ell", "30", "--prime", "3"]) == 0
+    out = capsys.readouterr().out
+    collisions = next(line for line in out.splitlines() if line.strip().startswith("collisions"))
+    assert collisions.count("~") == 59830 <= CLASSIFY_PAIRS_MAX
+
+
+@pytest.mark.parametrize(
+    "option, value, other, shown",
+    [
+        ("--c", "-22/5", ["--h", "0"], "'c': '-22/5'"),
+        ("--h", "-1/16", ["--c", "1/2"], "'h': '-1/16'"),
+        ("--h", "-3", ["--c", "-7/10"], "'h': '-3/1'"),
+    ],
+)
+def test_negative_fraction_option_values(option, value, other, shown, capsys):
+    """-N/M is a value, as -3 is: --c -22/5 and --c=-22/5 print the same."""
+    outputs = []
+    for argv in ([option, value], [f"{option}={value}"]):
+        assert run(["gram", *argv, *other, "--level", "2"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out
+    assert shown in outputs[0].out
 
 
 def test_ell_limit_is_inclusive(capsys):
@@ -292,4 +336,24 @@ def test_reproduce_paper_timings(tmp_path, capsys):
         "level2-gram", "kac-vanishing", "probes", "gko", "table1",
     ]
     assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
-    assert all(list(v) == ["wall_s"] and v["wall_s"] >= 0 for v in doc.values())
+    caches = ["_prepend", "_lower", "partitions", "_rational_ranks", "_tower"]
+    for v in doc.values():
+        assert list(v) == ["wall_s", "caches"] and v["wall_s"] >= 0
+        assert list(v["caches"]) == caches
+        assert all(list(c) == ["hits", "misses"] and min(c.values()) >= 0 for c in v["caches"].values())
+
+
+def test_reproduce_paper_timings_show_the_shared_towers(tmp_path, capsys):
+    """From cold tower caches, kac-vanishing builds the nine QQ towers and
+    the probes find their three there."""
+    virasoro._tower.cache_clear()
+    virasoro._rational_ranks.cache_clear()
+    timings = tmp_path / "timings.json"
+    assert run(["reproduce-paper", "--timings", str(timings)]) == 0
+    doc = json.loads(timings.read_text(encoding="utf-8"))
+    assert doc["kac-vanishing"]["caches"]["_tower"] == {"hits": 0, "misses": 9}
+    assert doc["probes"]["caches"]["_tower"]["misses"] == 0
+    assert doc["probes"]["caches"]["_rational_ranks"] == {"hits": 9, "misses": 3}
+    untouched = {"hits": 0, "misses": 0}
+    for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "gko", "table1"):
+        assert doc[name]["caches"]["_tower"] == doc[name]["caches"]["_lower"] == untouched, name

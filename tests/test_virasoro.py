@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import comb
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from virmod import cli, exact
+from virmod import cli, exact, virasoro
 from virmod.exact import QQ, PrimeField, determinant, reduce_mod_p
 from virmod.virasoro import (
     DegenerateParams,
@@ -577,6 +578,49 @@ class TestProbe:
         _rational_ranks.cache_clear()
         cli.check_probes(cli.ReportEnvelope("t", {}))
         assert _rational_ranks.cache_info().misses == len(canonical_labels(2))
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_ranks_mod_p_equal_the_fp_tower(self, ell):
+        """The probe ranks the QQ tower mod p; the F_p engine is its oracle."""
+        drops = 0
+        for lab in canonical_labels(ell):
+            c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
+            for p in (7, 11, 13, 17, 19, 23, 37, 101):
+                try:
+                    over_p = graded_rank(VermaParams.mod_p(c, h, p), 8).levels
+                except DegenerateParams:
+                    with pytest.raises(DegenerateParams):
+                        irreducibility_probe(ell, lab, p, 8)
+                    continue
+                v = irreducibility_probe(ell, lab, p, 8)
+                assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
+                assert [rq for _, rq, _ in v.levels] == list(_rational_ranks(c, h, 8))
+                drops += v.drop_level is not None
+        assert drops > 0
+
+    def test_reproduce_builds_each_tower_once(self, monkeypatch):
+        """The paper run builds each Gram level of each (c, h) once, over QQ
+        only: the nine minimal-series towers to level 8, shared by the
+        Kac-vanishing check and the probes."""
+        virasoro._tower.cache_clear()
+        _rational_ranks.cache_clear()
+        built = Counter()
+        real = virasoro._build_levels
+
+        def counting(params, n):
+            before = len(params._levels)
+            real(params, n)
+            for level in range(before, len(params._levels)):
+                built[params.c, params.h, repr(params.field_), level] += 1
+
+        monkeypatch.setattr(virasoro, "_build_levels", counting)
+        cli.reproduce(cli.ReportEnvelope("t", {}))
+        assert max(built.values()) == 1
+        assert {field_ for _, _, field_, _ in built} == {"QQ"}
+        towers = {(c, h) for c, h, _, level in built if level == cli.PROBE_LEVEL}
+        assert towers == {
+            (central_charge(ell), highest_weight(ell, lab.m, lab.n)) for ell in (2, 3) for lab in canonical_labels(ell)
+        }
 
     def test_bad_prime_runs_to_completion(self):
         # experiment: no expected verdict, only that ranks are well defined

@@ -13,7 +13,7 @@ from virmod.weights import (
     IntervalSet,
     MinimalLabel,
     PrimeClassification,
-    _is_bad,
+    _is_bad_dividing_d,
     _residues,
     _weight_table,
     b_set_bruteforce,
@@ -24,6 +24,7 @@ from virmod.weights import (
     canonicalize,
     central_charge,
     classify_prime,
+    collision_count,
     d_matrix,
     d_minus,
     d_plus,
@@ -47,9 +48,35 @@ def interval_values(s):
     return [v for a, b in s.intervals for v in range(a, b + 1)]
 
 
+def intervals_normalized(ivs):
+    """The IntervalSet of the union of closed intervals given in any order,
+    sorted, with overlapping and adjacent intervals merged; empty ones are
+    dropped."""
+    merged = []
+    for a, b in sorted((a, b) for a, b in ivs if a <= b):
+        if merged and a <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return IntervalSet(tuple((a, b) for a, b in merged))
+
+
 def intervals_from_values(values):
     """The IntervalSet of a collection of integers."""
-    return IntervalSet.from_intervals((v, v) for v in values)
+    return intervals_normalized((v, v) for v in values)
+
+
+def is_bad_oracle(table, p):
+    """The verdict from the whole residue table: fewer distinct classes
+    than defined weights; p = 2 is bad by convention."""
+    if p == 2:
+        return True
+    defined = [r for r in _residues(table, p) if r is not None]
+    return len(set(defined)) < len(defined)
+
+
+def primes_dividing_d(ell):
+    return [p for p in primes_upto(ell + 2) if 4 * (ell + 1) * (ell + 2) % p == 0]
 
 
 def realized_differences(ell):
@@ -430,13 +457,13 @@ class TestMarksRule:
     def test_verdict_matches_residue_table(self, ell):
         table = _weight_table(ell)
         for p in primes_upto(2 * ell * ell + 3 * ell):
-            assert is_bad_prime(ell, p) == _is_bad(table, p), p
+            assert is_bad_prime(ell, p) == is_bad_oracle(table, p), p
 
     @pytest.mark.parametrize("ell", range(2, 61))
     def test_bad_primes_match_residue_table(self, ell):
         table = _weight_table(ell)
         bound = 2 * ell * ell + ell - 3
-        assert bad_primes(ell) == [p for p in primes_upto(bound) if _is_bad(table, p)]
+        assert bad_primes(ell) == [p for p in primes_upto(bound) if is_bad_oracle(table, p)]
 
     @pytest.mark.parametrize("ell", [3, 5, 30, 112])
     def test_prop_h_fails_on_a_mark_above_the_bound(self, ell, monkeypatch):
@@ -465,6 +492,72 @@ class TestMarksRule:
                     assert not is_bad_prime(ell, q)
 
 
+class TestDefinedLabels:
+    """The verdict for the odd p dividing D from the weights defined mod p
+    (the rule in the `weights` docstring) against the whole residue table."""
+
+    @pytest.mark.parametrize("ell", range(2, 81))
+    def test_verdict_matches_residue_table(self, ell):
+        table = _weight_table(ell)
+        for p in primes_dividing_d(ell):
+            assert _is_bad_dividing_d(ell, p) == is_bad_oracle(table, p), p
+
+    @pytest.mark.parametrize("ell", range(2, 81))
+    def test_defined_labels_are_read_off_the_label(self, ell):
+        table = _weight_table(ell)
+        for p in primes_dividing_d(ell)[1:]:
+            q = ell + 1 if (ell + 1) % p == 0 else ell + 2
+            pe = p
+            while q % (pe * p) == 0:
+                pe *= p
+            defined = [lab for lab, r in zip(canonical_labels(ell), _residues(table, p)) if r is not None]
+            key = (lambda lab: lab.m) if q == ell + 1 else (lambda lab: lab.n)
+            assert defined == [lab for lab in canonical_labels(ell) if key(lab) % pe in (1, pe - 1)], p
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_neighbour_primes_rank_l_plus_1_and_l_labels(self, ell):
+        for q, count in ((ell + 1, ell + 1), (ell + 2, ell)):
+            if is_prime(q):
+                defined = [r for r in _residues(_weight_table(ell), q) if r is not None]
+                assert len(defined) == count
+
+    def test_bad_primes_build_no_residue_table(self, monkeypatch):
+        expected = {ell: bad_primes(ell) for ell in range(2, 61)}
+
+        def tripwire(*args):
+            raise AssertionError("the residue table ran")
+
+        monkeypatch.setattr(weights, "_weight_table", tripwire)
+        monkeypatch.setattr(weights, "_residues", tripwire)
+        for ell in range(2, 61):
+            assert bad_primes(ell) == expected[ell]
+            for p in primes_dividing_d(ell):
+                is_bad_prime(ell, p)
+
+
+class TestCollisionCount:
+    """The pair count `classify` checks before listing the pairs."""
+
+    @pytest.mark.parametrize("ell", range(2, 13))
+    def test_equals_the_listed_pairs(self, ell):
+        for p in primes_upto(2 * ell * ell + 3 * ell):
+            assert collision_count(ell, p, 10**9) == len(classify_prime(ell, p).collisions), p
+
+    def test_largest_case_under_the_cli_limit(self):
+        assert collision_count(30, 3, 10**9) == len(classify_prime(30, 3).collisions) == 59830
+        for ell in range(2, 31):
+            for p in primes_upto(2 * ell * ell + 3 * ell):
+                assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) <= 59830, (ell, p)
+
+    def test_stops_above_the_limit(self):
+        assert 1000 < collision_count(100, 7, 1000) < collision_count(100, 7, 10**9) == 3380770
+
+    @pytest.mark.parametrize("ell, p, message", [(5, 9, "9 is not prime"), (1, 7, "ell must be >= 2")])
+    def test_rejects(self, ell, p, message):
+        with pytest.raises(ValueError, match=message):
+            collision_count(ell, p, 10)
+
+
 class TestEll1000:
     """bad_primes and verify_prop_h at ell = 1000 under a wall-clock budget;
     they took about 0.5 s and 0.1 s on a busy 2-CPU host."""
@@ -486,7 +579,7 @@ class TestEll1000:
         assert all(p in b for p in bad if p > low)
         table = _weight_table(ell)
         for p in random.Random(ell).sample(primes_upto(2 * ell * ell + 3 * ell), 10):
-            assert (p in listed) == _is_bad(table, p), p
+            assert (p in listed) == is_bad_oracle(table, p), p
 
     def test_verify_prop_h(self):
         t0 = time.monotonic()
@@ -525,9 +618,20 @@ class TestPropH:
         assert classify_prime(3, 19).status == "good"
 
 
+class TestClosedForms:
+    """The interval closed forms are built already sorted, disjoint and
+    non-adjacent: each equals its own normalization."""
+
+    @pytest.mark.parametrize("ell", range(2, 301))
+    def test_built_normalized(self, ell):
+        for s in (b_set_intervals(ell), g_set(ell), g_set(ell, corrected=True), g_blocks(ell)):
+            assert s == intervals_normalized(s.intervals)
+            assert all(a <= b for a, b in s.intervals)
+
+
 class TestIntervalSet:
     def test_normalization_merges_adjacent(self):
-        s = IntervalSet.from_intervals([(5, 7), (1, 2), (3, 4), (10, 10)])
+        s = intervals_normalized([(5, 7), (1, 2), (3, 4), (10, 10)])
         assert s.intervals == ((1, 7), (10, 10))
 
     def test_from_values(self):
