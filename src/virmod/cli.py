@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, coset, virasoro, weights
+from . import __version__, coset, exact, virasoro, weights
 from .exact import is_prime, rank
 from .virasoro import DegenerateParams, VermaParams, gram_matrix
 
@@ -131,9 +131,11 @@ LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.
 PRIME_MAX = 2**40
-# The most collision pairs classify lists: every classify at ell <= 30 stays
-# under it (the most is 59,830 pairs, at ell = 30, p = 3), while
-# classify_prime(100, 7) lists 3,380,770 pairs and exhausts memory at ell = 200.
+# The most collision pairs and degenerate labels classify lists: every
+# classify at ell <= 30 stays under it (the most is 59,830 pairs, at ell = 30,
+# p = 3, and 434 degenerate labels), while classify_prime(100, 7) lists
+# 3,380,770 pairs and exhausts memory at ell = 200, and (1998, 1999) lists
+# 1,995,002 degenerate labels in 23.7 MB.
 CLASSIFY_PAIRS_MAX = 100_000
 
 
@@ -184,9 +186,11 @@ def cmd_bad_primes(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if weights.collision_count(args.ell, args.prime, CLASSIFY_PAIRS_MAX) > CLASSIFY_PAIRS_MAX:
+    pairs = weights.collision_count(args.ell, args.prime, CLASSIFY_PAIRS_MAX)
+    if pairs + weights.degenerate_count(args.ell, args.prime) > CLASSIFY_PAIRS_MAX:
+        listed = "collision pairs" if pairs > CLASSIFY_PAIRS_MAX else "collision pairs and degenerate labels"
         raise ValueError(
-            f"classify at ell={args.ell}, p={args.prime} would list more than {CLASSIFY_PAIRS_MAX} collision pairs"
+            f"classify at ell={args.ell}, p={args.prime} would list more than {CLASSIFY_PAIRS_MAX} {listed}"
         )
     env = ReportEnvelope("classify", {"ell": args.ell, "prime": args.prime})
     cls = weights.classify_prime(args.ell, args.prime)
@@ -441,12 +445,13 @@ def _cache_counts() -> list[tuple[int, int]]:
 
 
 def reproduce(env: ReportEnvelope) -> dict[str, dict]:
-    """Runs every paper check into `env`; returns each check's wall seconds
-    and the hits and misses it added to each of `ENGINE_CACHES`, keyed by
-    its name (`check_<name>` with hyphens), in report order."""
+    """Runs every paper check into `env`; returns each check's wall seconds,
+    the hits and misses it added to each of `ENGINE_CACHES` and the
+    eliminations it ran by path (`exact.ELIMINATIONS`), keyed by its name
+    (`check_<name>` with hyphens), in report order."""
     timings = {}
     for check in PAPER_CHECKS:
-        before = _cache_counts()
+        before, runs = _cache_counts(), dict(exact.ELIMINATIONS)
         t0 = time.perf_counter()
         check(env)
         wall = time.perf_counter() - t0
@@ -454,8 +459,9 @@ def reproduce(env: ReportEnvelope) -> dict[str, dict]:
             cache.__name__: {"hits": hits - h0, "misses": misses - m0}
             for cache, (h0, m0), (hits, misses) in zip(ENGINE_CACHES, before, _cache_counts())
         }
+        eliminations = {path: n - runs[path] for path, n in exact.ELIMINATIONS.items()}
         name = check.__name__.removeprefix("check_").replace("_", "-")
-        timings[name] = {"wall_s": wall, "caches": caches}
+        timings[name] = {"wall_s": wall, "caches": caches, "eliminations": eliminations}
     return timings
 
 
@@ -546,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper", parents=[out])
     p.add_argument(
-        "--timings", metavar="PATH", help="write each paper check's wall seconds and cache counts as JSON"
+        "--timings", metavar="PATH",
+        help="write each paper check's wall seconds, cache counts and eliminations as JSON",
     )
     p.set_defaults(func=cmd_reproduce)
 

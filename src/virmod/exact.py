@@ -16,19 +16,33 @@ map, so a minor nonzero mod p is nonzero over Z, and full column rank mod p
 proves the null space zero over QQ.  Only when it falls short are the rows
 divided by their content and a basis found by integer Gauss-Jordan
 elimination.  Every elimination mod p packs each row into one int, a
-fixed-width slot per column, so that a row update is one big-int
-multiply-add with no reduction of the updated row.  No randomness, no
-floats.
+fixed-width slot per column (1, 2, 4 or 8 bytes unless p is large, filled
+by one `struct` call), so that a row update is one big-int multiply-add
+with no reduction of the updated row.  No randomness, no floats.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from struct import Struct
 
-# Largest prime below 2^30: its residues fit in one CPython digit.
-_CERT_PRIME = 1073741789
+# Largest prime below 2^26: a certificate up to 4095 columns, hence every
+# Gram level to cli.LEVEL_MAX (627 columns), packs into 8-byte slots.  A
+# smaller prime gives up nothing exact: a rank it misses only sends the rows
+# to the Gauss-Jordan fallback.
+_CERT_PRIME = 67108859
+
+# struct codes of the slot widths, in bytes, that are plain unsigned ints
+_INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# Eliminations run so far, by path: a certificate or image selection mod
+# `_CERT_PRIME`, an F_p rank, the Gauss-Jordan fallback of `kernel`, and
+# Bareiss (`determinant`).  `virmod reproduce-paper --timings` reports each
+# check's share.
+ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "gauss-jordan": 0, "bareiss": 0}
 
 
 def is_prime(n: int) -> bool:
@@ -134,6 +148,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     Returns (rank, det) where det is the signed last pivot; det is only
     meaningful for square input (0 when rank-deficient).
     """
+    ELIMINATIONS["bareiss"] += 1
     m = [row[:] for row in rows]
     nrow = len(m)
     ncol = len(m[0]) if m else 0
@@ -197,6 +212,7 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     too.  Rows that depend on them mod the prime need not depend on them
     over QQ.
     """
+    ELIMINATIONS["mod-cert-prime"] += 1
     return _echelon_mod_p(rows, _CERT_PRIME)
 
 
@@ -205,6 +221,7 @@ def rank(M: DenseMatrix) -> int:
     take their rank from `virasoro.graded_rank`, other matrices from `kernel`."""
     if not isinstance(M.field, PrimeField):
         raise ValueError("rank is provided over prime fields only")
+    ELIMINATIONS["fp-rank"] += 1
     return len(_echelon_mod_p(M.entries, M.field.p))
 
 
@@ -224,6 +241,7 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     ncol = M.cols
     if len(independent_rows(m)) == ncol:
         return []
+    ELIMINATIONS["gauss-jordan"] += 1
     m, _ = _divide_content(m)
     pivots: list[int] = []  # pivots[i] is the pivot column of row i
     for col in range(ncol):
@@ -278,6 +296,14 @@ def determinant(M: DenseMatrix) -> Fraction:
     return Fraction(det * content, scale)
 
 
+@lru_cache(maxsize=1024)
+def _slots(n: int, nb: int) -> Struct:
+    """The big-endian struct of n slots of nb bytes: one unsigned int code
+    (`B`, `H`, `I`, `Q`) for nb in 1, 2, 4, 8, else one nb-byte chunk each."""
+    code = _INT_CODES.get(nb)
+    return Struct(f">{n}{code}" if code else ">" + f"{nb}s" * n)
+
+
 def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
     """Row echelon form mod p of the integer rows `m`, which stay unchanged;
     the rank is the length of the result.
@@ -287,20 +313,32 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
     Each column's pivot is the first remaining row nonzero there mod p.
 
     Each row is packed into one int, column j in slot ncol-1-j (the first
-    column on top), a slot being 8·nb bits with 8·nb > bitlen((k+1)·p²),
-    k = min(rows, cols).  Slots start as residues below p.  A pivot row is
+    column on top).  Slots start as residues below p.  A pivot row is
     unpacked, reduced, scaled by -1/pivot and repacked into residues; adding
-    f times it to a row (f < p) adds at most (p-1)² to each slot, once per
-    pivot, so no slot reaches (k+1)·p² and no carry crosses into the next.
+    f times it to a row (f < p) adds at most (p-1)^2 to each slot, once per
+    pivot, so with k = min(rows, cols) no slot reaches (k+1)(p-1)^2 + p, and
+    a slot of nb bytes holding that bound never carries into the next.
     Updated rows lose the finished column and those above it, so they
     shrink as the elimination proceeds.
+
+    The slot is the smallest of 1, 2, 4 and 8 bytes that holds the bound,
+    so each row is packed, and each pivot tail unpacked and repacked, by one
+    struct call on its residues.  For p below 2^26 the bound fits 8 bytes up
+    to k = 4095; a larger bound takes nb-byte chunks, each converted to and
+    from an int on its own.
     """
     nrow = len(m)
     ncol = len(m[0]) if m else 0
-    nb = ((min(nrow, ncol) + 1) * p * p).bit_length() // 8 + 1
+    bound = (min(nrow, ncol) + 1) * (p - 1) ** 2 + p
+    nb = next((b for b in _INT_CODES if bound >> 8 * b == 0), (bound.bit_length() + 7) // 8)
+    wide = nb not in _INT_CODES
     width = 8 * nb
     slot = (1 << width) - 1
-    rows = [int.from_bytes(b"".join([(x % p).to_bytes(nb, "big") for x in row]), "big") for row in m]
+    pack = _slots(ncol, nb).pack
+    if wide:
+        rows = [int.from_bytes(pack(*[(x % p).to_bytes(nb, "big") for x in row]), "big") for row in m]
+    else:
+        rows = [int.from_bytes(pack(*[x % p for x in row]), "big") for row in m]
     order = list(range(nrow))
     pivots: list[tuple[int, int]] = []
     for col in range(ncol):
@@ -317,12 +355,13 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
         top = rows[r]
         scale = -pow((top >> sh & slot) % p, -1, p)
         below = (1 << sh) - 1
-        tail = (top & below).to_bytes(sh // 8, "big")
-        neg = int.from_bytes(
-            b"".join([(scale * int.from_bytes(tail[j:j + nb], "big") % p).to_bytes(nb, "big")
-                      for j in range(0, len(tail), nb)]),
-            "big",
-        )
+        tail = _slots(ncol - 1 - col, nb)
+        vals = tail.unpack((top & below).to_bytes(sh // 8, "big"))
+        if wide:
+            packed = tail.pack(*[(scale * int.from_bytes(x, "big") % p).to_bytes(nb, "big") for x in vals])
+        else:
+            packed = tail.pack(*[scale * x % p for x in vals])
+        neg = int.from_bytes(packed, "big")
         for i in range(r + 1, nrow):
             row = rows[i]
             f = (row >> sh & slot) % p

@@ -274,23 +274,45 @@ def _residues(table, p: int) -> list[int | None]:
     return [N // pe * inv % p if N % pe == 0 else None for N in nums]
 
 
+def _power_in_d(ell: int, p: int) -> tuple[int, int]:
+    """For an odd prime p dividing D: q, the one of l+1 and l+2 that p
+    divides, and p^e, the exact power of p in q and in D."""
+    q = ell + 1 if (ell + 1) % p == 0 else ell + 2
+    pe = p
+    while q % (pe * p) == 0:
+        pe *= p
+    return q, pe
+
+
+def _defined_classes(ell: int, p: int):
+    """For an odd prime p dividing D, lazily: N/p^e mod p for each canonical
+    weight defined mod p, read off its label by the rule of the module
+    docstring.  Two of these weights collide exactly when their values do."""
+    a, b = ell + 2, ell + 1
+    q, pe = _power_in_d(ell, p)
+    ends = (1, pe - 1)
+    if q == b:  # x = m (mod p^e); x = m(l+2) - n(l+1) for n = 1..m
+        return ((x * x - 1) // pe % p for m in range(1, ell + 1) if m % pe in ends
+                for x in range(m * a - b, m - 1, -b))
+    # x = n (mod p^e); x = n + (m-n)(l+2) for m = n..l
+    return ((x * x - 1) // pe % p for n in range(1, ell + 1) if n % pe in ends
+            for x in range(n, ell * a - n * b + 1, a))
+
+
 def _is_bad_dividing_d(ell: int, p: int) -> bool:
     """The verdict for a prime p dividing D, from the weights defined mod p
     alone (the rule of the module docstring); p = 2 is bad by convention."""
     if p == 2:
         return True
-    a, b = ell + 2, ell + 1
-    q = b if b % p == 0 else a
-    pe = p
-    while q % (pe * p) == 0:
-        pe *= p
-    ends = (1, pe - 1)
-    if q == b:  # x = m (mod p^e)
-        xs = [m * a - n * b for m in range(1, ell + 1) if m % pe in ends for n in range(1, m + 1)]
-    else:  # x = n (mod p^e)
-        xs = [m * a - n * b for n in range(1, ell + 1) if n % pe in ends for m in range(n, ell + 1)]
-    classes = [(x * x - 1) // pe % p for x in xs]
+    classes = list(_defined_classes(ell, p))
     return len(set(classes)) < len(classes)
+
+
+def _check_prime_args(ell: int, p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
 
 
 def _marked_below_top(marks: bytearray, p: int) -> bool:
@@ -306,10 +328,7 @@ def is_bad_prime(ell: int, p: int) -> bool:
     every other p from the collision marks.  Both rules are in the module
     docstring.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime_args(ell, p)
     if 4 * (ell + 1) * (ell + 2) % p == 0:
         return _is_bad_dividing_d(ell, p)
     return _marked_below_top(b_set_marks(ell), p)
@@ -318,27 +337,42 @@ def is_bad_prime(ell: int, p: int) -> bool:
 def collision_count(ell: int, p: int, limit: int) -> int:
     """How many pairs `classify_prime(ell, p)` lists, counted from the sizes
     of its classes without building a pair or a label: the k-th member of a
-    class adds k-1.  The count goes row by row of the residue table and
-    stops after the first row that takes it above `limit`, so at a small p
-    it reads only the first rows."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    class adds k-1.  The count stops at the first weight that takes it
+    above `limit`, so at a small p it reads only the first weights.  For an
+    odd p dividing D it reads only the weights defined mod p."""
+    _check_prime_args(ell, p)
     if p == 2:
         return 0
-    den = 4 * (ell + 1) * (ell + 2)
+    if 4 * (ell + 1) * (ell + 2) % p:
+        classes = (N % p for row in _weight_rows(ell) for N in row)
+    else:
+        classes = _defined_classes(ell, p)
     sizes: dict[int, int] = {}
     pairs = 0
-    for row in _weight_rows(ell):
-        for r in _residues((den, row), p):
-            if r is not None:
-                k = sizes.get(r, 0)
-                pairs += k
-                sizes[r] = k + 1
+    for r in classes:
+        k = sizes.get(r, 0)
+        pairs += k
+        sizes[r] = k + 1
         if pairs > limit:
             break
     return pairs
+
+
+def degenerate_count(ell: int, p: int) -> int:
+    """How many labels `classify_prime(ell, p)` lists as degenerate, counted
+    in O(ell) without building one: none for p = 2 or p not dividing D, and
+    otherwise every canonical label whose m (p | l+1) or n (p | l+2) is not
+    +-1 mod p^e, by the rule of the module docstring."""
+    _check_prime_args(ell, p)
+    if p == 2 or 4 * (ell + 1) * (ell + 2) % p:
+        return 0
+    q, pe = _power_in_d(ell, p)
+    ends = (1, pe - 1)
+    if q == ell + 1:  # n = 1..m for each defined m
+        defined = sum(m for m in range(1, ell + 1) if m % pe in ends)
+    else:  # m = n..l for each defined n
+        defined = sum(ell + 1 - n for n in range(1, ell + 1) if n % pe in ends)
+    return ell * (ell + 1) // 2 - defined
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from virmod import exact, virasoro
-from virmod.cli import CLASSIFY_PAIRS_MAX, ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, build_parser, run
+from virmod.cli import (
+    CLASSIFY_PAIRS_MAX, ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, PROBE_LEVEL, build_parser, run,
+)
 
 # A 31-digit prime: trial division does not finish on it.
 BIG_PRIME = 1000000000000000000000000000057
@@ -79,6 +81,16 @@ def test_gram(capsys):
 
 def test_gram_mod_p(capsys):
     assert run(["gram", "--c", "1/2", "--h", "1/16", "--level", "2", "--prime", "11"]) == 0
+
+
+def test_gram_rank_mod_largest_prime_equals_qq_rank(capsys):
+    """At the largest prime below 2^40, the largest --prime taken, slots are
+    wide chunks; at a generic (c, h) the rank mod p is the full QQ rank."""
+    ranks = []
+    for prime in ([], ["--prime", "1099511627689"]):
+        assert run(["gram", "--c", "3/7", "--h", "5/11", "--level", "8", *prime]) == 0
+        ranks += [l.split() for l in capsys.readouterr().out.splitlines() if l.split()[:1] == ["rank"]]
+    assert ranks == [["rank", "info", "22"]] * 2
 
 
 def test_gram_qq_rank_skips_bareiss(capsys, monkeypatch):
@@ -219,6 +231,20 @@ def test_classify_refuses_a_huge_listing_quickly(capsys):
     )
 
 
+def test_classify_refuses_a_huge_degenerate_listing_quickly(capsys):
+    """At (1998, 1999) no pair collides, but 1,995,002 labels have no image
+    mod p; they are counted, not built."""
+    t0 = time.monotonic()
+    assert run(["classify", "--ell", "1998", "--prime", "1999"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: classify at ell=1998, p=1999 would list more than {CLASSIFY_PAIRS_MAX} "
+        "collision pairs and degenerate labels\n"
+    )
+
+
 def test_classify_lists_the_largest_case_at_ell_30(capsys):
     assert run(["classify", "--ell", "30", "--prime", "3"]) == 0
     out = capsys.readouterr().out
@@ -338,9 +364,31 @@ def test_reproduce_paper_timings(tmp_path, capsys):
     assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
     caches = ["_prepend", "_lower", "partitions", "_rational_ranks", "_tower"]
     for v in doc.values():
-        assert list(v) == ["wall_s", "caches"] and v["wall_s"] >= 0
+        assert list(v) == ["wall_s", "caches", "eliminations"] and v["wall_s"] >= 0
         assert list(v["caches"]) == caches
         assert all(list(c) == ["hits", "misses"] and min(c.values()) >= 0 for c in v["caches"].values())
+        assert list(v["eliminations"]) == ["mod-cert-prime", "fp-rank", "gauss-jordan", "bareiss"]
+        assert min(v["eliminations"].values()) >= 0
+
+
+def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
+    """kac-vanishing runs Bareiss and no F_p rank, the probes the reverse,
+    and from cold caches the probes' QQ ranks certify mod the fixed prime and
+    fall back to Gauss-Jordan where it falls short.  Checks that run no
+    elimination show none."""
+    virasoro._tower.cache_clear()
+    virasoro._rational_ranks.cache_clear()
+    timings = tmp_path / "timings.json"
+    assert run(["reproduce-paper", "--timings", str(timings)]) == 0
+    doc = {name: v["eliminations"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
+    assert doc["kac-vanishing"]["bareiss"] > 0
+    assert doc["kac-vanishing"]["fp-rank"] == 0
+    assert doc["probes"]["fp-rank"] == 12 * (PROBE_LEVEL + 1)
+    assert doc["probes"]["bareiss"] == 0
+    assert doc["probes"]["mod-cert-prime"] > doc["probes"]["gauss-jordan"] > 0
+    none = {"mod-cert-prime": 0, "fp-rank": 0, "gauss-jordan": 0, "bareiss": 0}
+    for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "level2-gram", "gko", "table1"):
+        assert doc[name] == none, name
 
 
 def test_reproduce_paper_timings_show_the_shared_towers(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virmod import exact
+from virmod.cli import LEVEL_MAX
 from virmod.exact import (
     _CERT_PRIME,
     QQ,
@@ -21,6 +22,7 @@ from virmod.exact import (
     rank,
     reduce_mod_p,
 )
+from virmod.virasoro import partitions
 from virmod.weights import primes_upto
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 101]
@@ -240,7 +242,11 @@ class TestRank:
         assert rank(gf(p, ints)) <= qq_rank(ints)
 
 
-ECHELON_PRIMES = [3, 5, 7, 11, 101, _CERT_PRIME]
+# Slots of every width: 1 byte (p = 3), 2 and 4 (5 to 101), 8 (`_CERT_PRIME`),
+# 8 or wide by the matrix size (the largest prime below 2^30), and wide chunks
+# only (the least prime above 2^32, and the largest below 2^40, the largest
+# --prime the CLI takes).
+ECHELON_PRIMES = [3, 5, 7, 11, 101, _CERT_PRIME, 1073741789, 4294967311, 1099511627689]
 
 
 def echelon_entries(p):
@@ -295,10 +301,13 @@ class TestEchelonModP:
 class TestCertifiedRank:
     """The QQ rank from kernel, certified or not, is the Gauss-Jordan rank."""
 
-    def test_cert_prime_is_largest_prime_below_2_30(self):
+    def test_cert_prime_is_largest_prime_below_2_26(self):
         assert is_prime(_CERT_PRIME)
-        assert _CERT_PRIME < 2**30
-        assert not any(is_prime(n) for n in range(_CERT_PRIME + 1, 2**30))
+        assert _CERT_PRIME < 2**26
+        assert not any(is_prime(n) for n in range(_CERT_PRIME + 1, 2**26))
+        # a certificate on a Gram level up to the CLI's cap packs into 8-byte slots
+        k = len(partitions(LEVEL_MAX))
+        assert (k + 1) * (_CERT_PRIME - 1) ** 2 + _CERT_PRIME < 2**64
 
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
     @settings(max_examples=50, deadline=None)

@@ -28,6 +28,7 @@ from virmod.weights import (
     d_matrix,
     d_minus,
     d_plus,
+    degenerate_count,
     g_blocks,
     g_set,
     highest_weight,
@@ -549,6 +550,11 @@ class TestCollisionCount:
             for p in primes_upto(2 * ell * ell + 3 * ell):
                 assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) <= 59830, (ell, p)
 
+    @pytest.mark.parametrize("ell", range(13, 41))
+    def test_primes_dividing_d_count_the_listed_pairs(self, ell):
+        for p in primes_dividing_d(ell):
+            assert collision_count(ell, p, 10**9) == len(classify_prime(ell, p).collisions), p
+
     def test_stops_above_the_limit(self):
         assert 1000 < collision_count(100, 7, 1000) < collision_count(100, 7, 10**9) == 3380770
 
@@ -556,6 +562,37 @@ class TestCollisionCount:
     def test_rejects(self, ell, p, message):
         with pytest.raises(ValueError, match=message):
             collision_count(ell, p, 10)
+
+
+class TestDegenerateCount:
+    """The degenerate-label count `classify` checks before listing them."""
+
+    @pytest.mark.parametrize("ell", range(2, 13))
+    def test_equals_the_listed_labels(self, ell):
+        for p in primes_upto(2 * ell * ell + 3 * ell):
+            assert degenerate_count(ell, p) == len(classify_prime(ell, p).degenerate), p
+
+    @pytest.mark.parametrize("ell", range(13, 61))
+    def test_primes_dividing_d_count_the_listed_labels(self, ell):
+        for p in primes_dividing_d(ell):
+            assert degenerate_count(ell, p) == len(classify_prime(ell, p).degenerate), p
+
+    def test_most_under_the_cli_limit_at_ell_30(self):
+        worst = max(
+            collision_count(ell, p, 10**9) + degenerate_count(ell, p)
+            for ell in range(2, 31) for p in primes_upto(2 * ell * ell + 3 * ell)
+        )
+        assert worst == 59830 <= cli.CLASSIFY_PAIRS_MAX
+        assert max(degenerate_count(ell, p) for ell in range(2, 31) for p in primes_dividing_d(ell)) == 434
+
+    def test_neighbour_prime_at_the_ell_cap(self):
+        assert degenerate_count(1998, 1999) == 1998 * 1999 // 2 - 1999 == 1995002
+        assert collision_count(1998, 1999, cli.CLASSIFY_PAIRS_MAX) == 0
+
+    @pytest.mark.parametrize("ell, p, message", [(5, 9, "9 is not prime"), (1, 7, "ell must be >= 2")])
+    def test_rejects(self, ell, p, message):
+        with pytest.raises(ValueError, match=message):
+            degenerate_count(ell, p)
 
 
 class TestEll1000:
