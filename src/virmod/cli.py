@@ -14,7 +14,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, coset, exact, virasoro, weights
@@ -56,12 +55,14 @@ def _label(lab: weights.MinimalLabel) -> str:
     return f"({lab.m},{lab.n})"
 
 
-@dataclass
 class ReportEnvelope:
-    command: str
-    parameters: dict
-    results: list[dict] = field(default_factory=list)
-    notes: list[dict] = field(default_factory=list)
+    """A command's report: its name, parameters, check results and notes."""
+
+    def __init__(self, command: str, parameters: dict):
+        self.command = command
+        self.parameters = parameters
+        self.results: list[dict] = []
+        self.notes: list[dict] = []
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         self.results.append({"name": name, "status": status, "detail": detail})
@@ -446,12 +447,13 @@ def _cache_counts() -> list[tuple[int, int]]:
 
 def reproduce(env: ReportEnvelope) -> dict[str, dict]:
     """Runs every paper check into `env`; returns each check's wall seconds,
-    the hits and misses it added to each of `ENGINE_CACHES` and the
-    eliminations it ran by path (`exact.ELIMINATIONS`), keyed by its name
+    the hits and misses it added to each of `ENGINE_CACHES`, the
+    eliminations it ran by path (`exact.ELIMINATIONS`) and the Gram levels
+    it built with their entries (`virasoro.GRAM_BUILDS`), keyed by its name
     (`check_<name>` with hyphens), in report order."""
     timings = {}
     for check in PAPER_CHECKS:
-        before, runs = _cache_counts(), dict(exact.ELIMINATIONS)
+        before, runs, built = _cache_counts(), dict(exact.ELIMINATIONS), dict(virasoro.GRAM_BUILDS)
         t0 = time.perf_counter()
         check(env)
         wall = time.perf_counter() - t0
@@ -460,8 +462,9 @@ def reproduce(env: ReportEnvelope) -> dict[str, dict]:
             for cache, (h0, m0), (hits, misses) in zip(ENGINE_CACHES, before, _cache_counts())
         }
         eliminations = {path: n - runs[path] for path, n in exact.ELIMINATIONS.items()}
+        gram = {key: n - built[key] for key, n in virasoro.GRAM_BUILDS.items()}
         name = check.__name__.removeprefix("check_").replace("_", "-")
-        timings[name] = {"wall_s": wall, "caches": caches, "eliminations": eliminations}
+        timings[name] = {"wall_s": wall, "caches": caches, "eliminations": eliminations, "gram": gram}
     return timings
 
 
@@ -553,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-paper", parents=[out])
     p.add_argument(
         "--timings", metavar="PATH",
-        help="write each paper check's wall seconds, cache counts and eliminations as JSON",
+        help="write each paper check's wall seconds, cache counts, eliminations and Gram builds as JSON",
     )
     p.set_defaults(func=cmd_reproduce)
 

@@ -8,22 +8,21 @@ multiplicity-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .weights import MinimalLabel
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(namedtuple("AffineWeight", "level n")):
     """Level-l dominant integral weight (l-n) w0 + n w1."""
 
-    level: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.n <= self.level):
+    def __new__(cls, level: int, n: int):
+        if not (0 <= n <= level):
             raise ValueError("index out of range for the level")
+        return super().__new__(cls, level, n)
 
 
 def sugawara_weight(k: int, n: int) -> Fraction:
@@ -32,12 +31,11 @@ def sugawara_weight(k: int, n: int) -> Fraction:
     return Fraction(n * (n + 2), 4 * (k + 2))
 
 
-@dataclass(frozen=True)
-class CosetSummand:
-    j: int
-    label: MinimalLabel
-    branch: str  # "first" | "second"
-    depth: Fraction
+class CosetSummand(namedtuple("CosetSummand", "j label branch depth")):
+    """One summand: index j, its `MinimalLabel`, branch "first" or "second",
+    and its depth, a Fraction."""
+
+    __slots__ = ()
 
 
 def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
@@ -73,14 +71,10 @@ def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
     return out
 
 
-@dataclass(frozen=True)
-class GkoReport:
-    ell: int
-    index_partition_ok: bool
-    labels_canonical_ok: bool
-    depths_ok: bool
-    multiplicity_free_ok: bool
-    total_count: int
+class GkoReport(
+    namedtuple("GkoReport", "ell index_partition_ok labels_canonical_ok depths_ok multiplicity_free_ok total_count")
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -116,11 +110,8 @@ def gko_verify(ell: int) -> GkoReport:
     return GkoReport(ell, part_ok, labels_ok, depths_ok, mult_ok, total)
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    ell: int
-    p_max_known: int
-    bound: int
+class Table1Row(namedtuple("Table1Row", "ell p_max_known bound")):
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -22,8 +22,8 @@ with no reduction of the updated row.  No randomness, no floats.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -102,17 +102,17 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """The field tag of matrices mod p, p an odd prime."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.p == 2:
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p == 2:
             raise ValueError("prime field requires an odd prime")
+        return super().__new__(cls, p)
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -121,17 +121,17 @@ class PrimeField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Rectangular matrix over QQ (Fraction or int entries) or GF(p) (int entries)."""
+class DenseMatrix(namedtuple("DenseMatrix", "field entries")):
+    """Rectangular matrix over QQ (Fraction or int entries) or GF(p) (int
+    entries): `field` is `QQ` or a `PrimeField`, `entries` a tuple of rows."""
 
-    field: RationalField | PrimeField
-    entries: tuple[tuple, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
+    def __new__(cls, field: RationalField | PrimeField, entries: tuple[tuple, ...]):
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged rows")
+        return super().__new__(cls, field, entries)
 
     @property
     def rows(self) -> int:

@@ -53,17 +53,21 @@ neither denominator of (c, h), hence not D, and then S_n = D^n G_n is, mod
 p, the unit D^n times the Gram matrix the F_p engine builds, since
 reduction mod p is a ring map on the entries, which lie in Z[h, c/2].  The
 F_p engine serves `gram --prime` and `graded_rank` over F_p.
+
+The Kac-vanishing check asks only whether each det S_n is zero, and
+computes no determinant: `kernel` settles the levels up to the first
+singular one, and from there a radical vector carried up by L_{-1} is a
+witness, checked by one exact product with S_n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
-from .exact import (
-    DenseMatrix, PrimeField, QQ, RationalField, determinant, independent_rows, kernel, rank, reduce_mod_p,
-)
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, independent_rows, kernel, rank, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -90,24 +94,21 @@ class DegenerateParams(ValueError):
     """Central charge or highest weight has no image mod p."""
 
 
-@dataclass
 class VermaParams:
     """Central charge and highest weight in a concrete field."""
 
-    c: object
-    h: object
-    field_: RationalField | PrimeField = QQ
-    # images of positive modes, kept by the word oracle in the tests
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _levels: list = field(default_factory=list, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, c, h, field_: RationalField | PrimeField = QQ):
+        self.c, self.h, self.field_ = c, h, field_
+        # images of positive modes, kept by the word oracle in the tests
+        self._memo: dict = {}
+        # S_0, S_1, ... as built so far
+        self._levels: list = []
         # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
-        if isinstance(self.field_, PrimeField):
-            p = self._mod = self.field_.p
-            self._scale, self._dh, self._dc2 = 1, self.h % p, self.c * pow(2, -1, p) % p
+        if isinstance(field_, PrimeField):
+            p = self._mod = field_.p
+            self._scale, self._dh, self._dc2 = 1, h % p, c * pow(2, -1, p) % p
         else:
-            c, h = Fraction(self.c), Fraction(self.h)
+            c, h = Fraction(c), Fraction(h)
             d = lcm(h.denominator, 2 * c.denominator)
             self._mod = 0
             self._scale, self._dh, self._dc2 = d, int(d * h), int(d * c / 2)
@@ -190,6 +191,11 @@ def _positions(n: int) -> dict[Partition, int]:
     return {part: i for i, part in enumerate(partitions(n))}
 
 
+# Gram levels m >= 1 built so far, and their total entries, over either
+# field.  `virmod reproduce-paper --timings` reports each check's share.
+GRAM_BUILDS = {"levels": 0, "entries": 0}
+
+
 def _build_levels(params: VermaParams, n: int) -> None:
     """Append S_m = D^m G_m for the levels `params` lacks, through level n."""
     levels = params._levels
@@ -217,6 +223,8 @@ def _build_levels(params: VermaParams, n: int) -> None:
                     total += s * lower[idx]
                 rows[i][j] = rows[j][i] = total % p if p else total
         levels.append(tuple(map(tuple, rows)))
+        GRAM_BUILDS["levels"] += 1
+        GRAM_BUILDS["entries"] += len(basis) ** 2
 
 
 def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
@@ -238,9 +246,10 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
     return DenseMatrix(params.field_, rows)
 
 
-@dataclass(frozen=True)
-class GramReport:
-    levels: tuple[tuple[int, int, int], ...]  # (degree, verma dim p(N), rank)
+class GramReport(namedtuple("GramReport", "levels")):
+    """`levels` holds one (degree, verma dim p(N), rank) per level."""
+
+    __slots__ = ()
 
 
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
@@ -259,6 +268,17 @@ def _ranks_mod_p(params: VermaParams, field_: PrimeField, n_max: int) -> list[in
     return [rank(DenseMatrix(field_, params._levels[n])) for n in range(n_max + 1)]
 
 
+def _lowered(a: int, v: list[int], n: int) -> list[int]:
+    """L_{-a} v, for v dense over `partitions(n - a)`, dense over `partitions(n)`."""
+    pos = _positions(n)
+    image = [0] * len(pos)
+    for part, x in zip(partitions(n - a), v):
+        if x:
+            for q, s in _prepend(a, part):
+                image[pos[q]] += s * x
+    return image
+
+
 def _radical_levels(params: VermaParams, n_max: int):
     """Yield (rank S_n, K_n) for n = 0..n_max over QQ, K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, built as the module
@@ -266,16 +286,8 @@ def _radical_levels(params: VermaParams, n_max: int):
     _build_levels(params, n_max)
     bases: list[list[list[int]]] = []
     for n in range(n_max + 1):
-        size, pos = len(partitions(n)), _positions(n)
-        images = []
-        for a in range(1, min(n, 2) + 1):
-            for v in bases[n - a]:
-                image = [0] * size
-                for part, x in zip(partitions(n - a), v):
-                    if x:
-                        for q, s in _prepend(a, part):
-                            image[pos[q]] += s * x
-                images.append(image)
+        size = len(partitions(n))
+        images = [_lowered(a, v, n) for a in range(1, min(n, 2) + 1) for v in bases[n - a]]
         kept = independent_rows(images)
         basis = [images[i] for i, _ in kept]
         pivots = {col for _, col in kept}
@@ -305,14 +317,11 @@ def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[int, ...]:
     return tuple(r for _, _, r in graded_rank(_tower(c, h), n_max).levels)
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
-    label: MinimalLabel
-    p: int
-    n_max: int
-    levels: tuple[tuple[int, int, int], ...]  # (degree, rank over QQ, rank mod p)
-    verdict: str  # "consistent" | "rank-drop"
-    drop_level: int | None
+class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):
+    """`levels` holds one (degree, rank over QQ, rank mod p) per level;
+    `verdict` is "consistent" or "rank-drop", at `drop_level` (else None)."""
+
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:
@@ -340,33 +349,42 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     )
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    label: MinimalLabel
-    d_min: int
-    n_max: int
-    determinants: tuple[tuple[int, Fraction], ...]
-    passed: bool
+class VanishingReport(namedtuple("VanishingReport", "label d_min n_max levels passed")):
+    """`levels` holds one (degree, singular) per level 1..n_max, singular
+    when the Gram determinant there is 0."""
+
+    __slots__ = ()
 
 
 def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> VanishingReport:
     """Cross-check the Gram engine against the classical vanishing locus.
 
     At (c_l, h_{m,n}) the level-N Gram determinant over QQ must vanish for
-    N >= d_min = min(m*n, (l+1-m)(l+2-n)) and be nonzero below.
+    N >= d_min = min(m*n, (l+1-m)(l+2-n)) and be nonzero below.  Whether
+    det S_n is zero is decided without computing it.  Up to the first
+    singular level, `kernel` settles each level: an empty kernel proves
+    det != 0, and otherwise its first vector w is a witness.  From then on
+    w <- L_{-1} w, and S_n w = 0, checked exactly, proves det = 0, since
+    L_{-1}^k w != 0 in a Verma module.  A level where S_n w != 0, which
+    only a fault of the engine gives, is settled by `kernel` as well, so
+    every flag is (det S_n == 0) exactly.
     """
     if not label.is_canonical:
         raise ValueError("label must be canonical")
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
     params = _tower(central_charge(ell), highest_weight(ell, label.m, label.n))
     _build_levels(params, n_max)
-    dets = []
-    ok = True
+    levels = []
+    w = None
     for n in range(1, n_max + 1):
-        # det G_n = det S_n / D^(n p(n)), as S_n = D^n G_n is p(n) x p(n)
-        scaled = DenseMatrix(QQ, params._levels[n])
-        d = determinant(scaled) / params._scale ** (n * scaled.rows)
-        dets.append((n, d))
-        if (d == 0) != (n >= d_min):
-            ok = False
-    return VanishingReport(label, d_min, n_max, tuple(dets), ok)
+        level = params._levels[n]
+        if w is not None:
+            w = _lowered(1, w, n)
+            singular = not any(sum(map(mul, row, w)) for row in level)
+        if w is None or not singular:
+            null = kernel(DenseMatrix(QQ, level))
+            singular = bool(null)
+            w = list(null[0]) if null else None
+        levels.append((n, singular))
+    ok = all(singular == (n >= d_min) for n, singular in levels)
+    return VanishingReport(label, d_min, n_max, tuple(levels), ok)

@@ -45,7 +45,7 @@ collide exactly when their values N/p^e agree mod p.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt
@@ -53,19 +53,18 @@ from math import isqrt
 from .exact import is_prime
 
 
-@dataclass(frozen=True, order=True)
-class MinimalLabel:
-    """A weight label (m, n) at level parameter ell, canonical when n <= m."""
+class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
+    """A weight label (m, n) at level parameter ell, canonical when n <= m.
+    Labels sort by (ell, m, n)."""
 
-    ell: int
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell < 2:
+    def __new__(cls, ell: int, m: int, n: int):
+        if ell < 2:
             raise ValueError("ell must be >= 2")
-        if not (1 <= self.m <= self.ell and 1 <= self.n <= self.ell + 1):
-            raise ValueError(f"label ({self.m},{self.n}) out of range for ell={self.ell}")
+        if not (1 <= m <= ell and 1 <= n <= ell + 1):
+            raise ValueError(f"label ({m},{n}) out of range for ell={ell}")
+        return super().__new__(cls, ell, m, n)
 
     @property
     def is_canonical(self) -> bool:
@@ -105,11 +104,11 @@ def d_minus(ell: int, m: int, n: int, mp: int, np_: int) -> int:
     return (m - mp) * (ell + 2) - (n - np_) * (ell + 1)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """Sorted, disjoint, non-adjacent closed integer intervals."""
+class IntervalSet(namedtuple("IntervalSet", "intervals")):
+    """Sorted, disjoint, non-adjacent closed integer intervals: `intervals`
+    is a tuple of (low, high) pairs."""
 
-    intervals: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_marks(cls, marks: bytes) -> "IntervalSet":
@@ -221,14 +220,13 @@ def g_blocks(ell: int) -> IntervalSet:
     return IntervalSet(tuple((base + a * (ell + 1), base + a * (ell + 2)) for a in range(ell)))
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
-    ell: int
-    p: int
-    status: str  # "good" | "bad"
-    collisions: tuple[tuple[MinimalLabel, MinimalLabel], ...]
-    degenerate: tuple[MinimalLabel, ...]
-    central_charge_defined: bool
+class PrimeClassification(
+    namedtuple("PrimeClassification", "ell p status collisions degenerate central_charge_defined")
+):
+    """The verdict of `classify_prime`: status "good" or "bad", the colliding
+    pairs of labels, the labels with no image mod p, and whether c has one."""
+
+    __slots__ = ()
 
 
 def primes_upto(n: int) -> list[int]:
@@ -375,29 +373,44 @@ def degenerate_count(ell: int, p: int) -> int:
     return ell * (ell + 1) // 2 - defined
 
 
+def _label_at(ell: int, i: int) -> MinimalLabel:
+    """The i-th label of `canonical_labels(ell)`: the rows m' = 1..m-1, of
+    m' labels each, come before (m, n), so i = m(m-1)/2 + n - 1."""
+    m = (isqrt(8 * i + 1) + 1) // 2
+    return MinimalLabel(ell, m, i - m * (m - 1) // 2 + 1)
+
+
 def classify_prime(ell: int, p: int) -> PrimeClassification:
     """Good iff the canonical weights stay pairwise distinct mod p.
 
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
     and excluded from the collision comparison.  Collisions are the sorted
-    pairs of labels in one class of `_residues`.
+    pairs of labels in one class of `_residues`.  The classes are grouped
+    by label index, and labels are built only for the degenerate weights
+    and the classes of two or more.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cc_defined = central_charge(ell).denominator % p != 0
     if p == 2:
         return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
-    classes: dict[int, list[MinimalLabel]] = {}
+    first: dict[int, int] = {}  # class -> index of its first weight
+    shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
     degenerate = []
-    for lab, r in zip(canonical_labels(ell), _residues(_weight_table(ell), p)):
+    for i, r in enumerate(_residues(_weight_table(ell), p)):
         if r is None:
-            degenerate.append(lab)
-        else:
-            classes.setdefault(r, []).append(lab)
-    collisions = [(a, b) for labs in classes.values() for i, a in enumerate(labs) for b in labs[i + 1 :]]
+            degenerate.append(_label_at(ell, i))
+            continue
+        j = first.setdefault(r, i)
+        if j != i:
+            shared.setdefault(j, [j]).append(i)
+    labels = {i: _label_at(ell, i) for idx in shared.values() for i in idx}
+    # index order is label order, so the sorted index pairs give the sorted label pairs
+    pairs = sorted((a, b) for idx in shared.values() for k, a in enumerate(idx) for b in idx[k + 1 :])
+    collisions = tuple((labels[a], labels[b]) for a, b in pairs)
     status = "bad" if collisions else "good"
-    return PrimeClassification(ell, p, status, tuple(sorted(collisions)), tuple(degenerate), cc_defined)
+    return PrimeClassification(ell, p, status, collisions, tuple(degenerate), cc_defined)
 
 
 def bad_primes(ell: int) -> list[int]:
@@ -415,12 +428,8 @@ def bad_primes(ell: int) -> list[int]:
     return [p for p in primes_upto(bound) if (marks[p] if den % p else _is_bad_dividing_d(ell, p))]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    name: str
-    ell: int
-    passed: bool
-    detail: str = ""
+class VerifyReport(namedtuple("VerifyReport", "name ell passed detail", defaults=("",))):
+    __slots__ = ()
 
 
 def verify_prop_h(ell: int) -> VerifyReport:

@@ -309,6 +309,7 @@ def test_level_and_prime_limits_are_inclusive():
             ["bad_prime_probe_experiment.py", "--prime", str(BIG_PRIME)],
             f"argument --prime: must be <= {PRIME_MAX}, got {BIG_PRIME}",
         ),
+        (["bench.py", "--out", "bench.json"], "the following arguments are required: --key"),
     ],
 )
 def test_script_bad_input_is_usage_error(argv, message):
@@ -364,16 +365,18 @@ def test_reproduce_paper_timings(tmp_path, capsys):
     assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
     caches = ["_prepend", "_lower", "partitions", "_rational_ranks", "_tower"]
     for v in doc.values():
-        assert list(v) == ["wall_s", "caches", "eliminations"] and v["wall_s"] >= 0
+        assert list(v) == ["wall_s", "caches", "eliminations", "gram"] and v["wall_s"] >= 0
         assert list(v["caches"]) == caches
         assert all(list(c) == ["hits", "misses"] and min(c.values()) >= 0 for c in v["caches"].values())
         assert list(v["eliminations"]) == ["mod-cert-prime", "fp-rank", "gauss-jordan", "bareiss"]
         assert min(v["eliminations"].values()) >= 0
+        assert list(v["gram"]) == ["levels", "entries"] and min(v["gram"].values()) >= 0
 
 
 def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
-    """kac-vanishing runs Bareiss and no F_p rank, the probes the reverse,
-    and from cold caches the probes' QQ ranks certify mod the fixed prime and
+    """No check runs Bareiss.  kac-vanishing certifies its regular levels
+    mod the fixed prime and runs no F_p rank, the probes the reverse, and
+    from cold caches the probes' QQ ranks certify mod the fixed prime and
     fall back to Gauss-Jordan where it falls short.  Checks that run no
     elimination show none."""
     virasoro._tower.cache_clear()
@@ -381,7 +384,8 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["eliminations"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
-    assert doc["kac-vanishing"]["bareiss"] > 0
+    assert all(v["bareiss"] == 0 for v in doc.values())
+    assert doc["kac-vanishing"]["mod-cert-prime"] > 0
     assert doc["kac-vanishing"]["fp-rank"] == 0
     assert doc["probes"]["fp-rank"] == 12 * (PROBE_LEVEL + 1)
     assert doc["probes"]["bareiss"] == 0
@@ -405,3 +409,34 @@ def test_reproduce_paper_timings_show_the_shared_towers(tmp_path, capsys):
     untouched = {"hits": 0, "misses": 0}
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "gko", "table1"):
         assert doc[name]["caches"]["_tower"] == doc[name]["caches"]["_lower"] == untouched, name
+
+
+def test_reproduce_paper_timings_count_gram_builds(tmp_path, capsys):
+    """From cold tower caches, kac-vanishing builds levels 1..8 of the nine
+    QQ towers, level2-gram levels 1 and 2 of its five samples, and every
+    other check none, the probes included."""
+    virasoro._tower.cache_clear()
+    virasoro._rational_ranks.cache_clear()
+    timings = tmp_path / "timings.json"
+    assert run(["reproduce-paper", "--timings", str(timings)]) == 0
+    doc = {name: v["gram"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
+    sizes = [len(virasoro.partitions(n)) for n in range(1, 9)]
+    assert doc["kac-vanishing"] == {"levels": 9 * 8, "entries": 9 * sum(s * s for s in sizes)}
+    assert doc["level2-gram"] == {"levels": 10, "entries": 5 * (1 + 4)}
+    for name in ("bad-primes", "collision-set", "difference-table", "g-identity", "neighbour-primes",
+                 "probes", "gko", "table1"):
+        assert doc[name] == {"levels": 0, "entries": 0}, name
+
+
+def test_import_loads_no_introspection_modules():
+    """`import virmod.cli`, in an interpreter without `site`, loads none of
+    the modules that `dataclasses` and `typing` pull in: every user pays
+    that import before any check runs."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing"]
+    code = f"import sys, virmod.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -630,6 +630,32 @@ class TestProbe:
             assert rp <= rq
 
 
+@pytest.fixture
+def fresh_towers():
+    """Cold QQ tower caches, cleared again after the test, which may alter a
+    cached level."""
+    virasoro._tower.cache_clear()
+    _rational_ranks.cache_clear()
+    yield
+    virasoro._tower.cache_clear()
+    _rational_ranks.cache_clear()
+
+
+def cached_level(ell, label, n):
+    """The cached QQ tower at the label's minimal-series point, built to
+    level 8, and its level n as lists."""
+    params = virasoro._tower(central_charge(ell), highest_weight(ell, label.m, label.n))
+    _build_levels(params, 8)
+    return params, [list(row) for row in params._levels[n]]
+
+
+def d_min(ell, label):
+    return min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
+
+
+LABELS_2_3 = [(ell, lab) for ell in (2, 3) for lab in canonical_labels(ell)]
+
+
 class TestKacVanishing:
     def test_vacuum_label(self):
         rep = kac_vanishing_check(2, MinimalLabel(2, 1, 1), 4)
@@ -639,9 +665,68 @@ class TestKacVanishing:
     def test_h_one_sixteenth(self):
         rep = kac_vanishing_check(2, MinimalLabel(2, 2, 2), 4)
         assert rep.d_min == 2
-        assert rep.determinants[0][1] == F(1, 8)
-        assert rep.determinants[1][1] == 0
+        params = VermaParams.rational(central_charge(2), highest_weight(2, 2, 2))
+        assert determinant(gram_matrix(params, 1)) == F(1, 8)
+        assert determinant(gram_matrix(params, 2)) == 0
+        assert rep.levels == ((1, False), (2, True), (3, True), (4, True))
         assert rep.passed
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_flags_are_zero_determinants(self, ell):
+        for lab, params in minimal_points(ell):
+            rep = kac_vanishing_check(ell, lab, 8)
+            assert rep.levels == tuple((n, determinant(gram_matrix(params, n)) == 0) for n in range(1, 9))
+            assert rep.passed
+
+    def test_runs_no_bareiss(self, fresh_towers):
+        before = dict(exact.ELIMINATIONS)
+        for ell, lab in LABELS_2_3:
+            kac_vanishing_check(ell, lab, 8)
+        assert exact.ELIMINATIONS["bareiss"] == before["bareiss"]
+        assert exact.ELIMINATIONS["mod-cert-prime"] > before["mod-cert-prime"]
+
+    @pytest.mark.parametrize("ell,lab", [(ell, lab) for ell, lab in LABELS_2_3 if d_min(ell, lab) > 1])
+    def test_zeroed_row_below_d_min_fails(self, fresh_towers, ell, lab):
+        for n in range(1, d_min(ell, lab)):
+            params, rows = cached_level(ell, lab, n)
+            rows[-1] = [0] * len(rows)
+            params._levels[n] = tuple(map(tuple, rows))
+            rep = kac_vanishing_check(ell, lab, 8)
+            assert (n, True) in rep.levels
+            assert not rep.passed
+            virasoro._tower.cache_clear()
+
+    @pytest.mark.parametrize("ell,lab", LABELS_2_3)
+    def test_perturbed_entry_at_d_min_fails(self, fresh_towers, ell, lab):
+        """One diagonal entry of S_{d_min} moved where the radical vector is
+        nonzero: the radical has dimension one there, so the cofactor of
+        that entry is nonzero and the level becomes regular."""
+        n = d_min(ell, lab)
+        params, rows = cached_level(ell, lab, n)
+        (w,) = exact.kernel(exact.DenseMatrix(QQ, params._levels[n]))
+        i = next(i for i, x in enumerate(w) if x)
+        rows[i][i] += 1
+        params._levels[n] = tuple(map(tuple, rows))
+        assert determinant(exact.DenseMatrix(QQ, params._levels[n])) != 0
+        rep = kac_vanishing_check(ell, lab, 8)
+        assert (n, False) in rep.levels
+        assert not rep.passed
+
+    @pytest.mark.parametrize("ell,lab", LABELS_2_3)
+    @pytest.mark.parametrize("shift", [0, 1, 3])
+    def test_perturbed_entry_at_or_above_d_min_keeps_exact_flags(self, fresh_towers, ell, lab, shift):
+        """A moved entry at or above d_min leaves every flag equal to
+        (det S_n == 0), whether or not the witness still proves it."""
+        n = d_min(ell, lab) + shift
+        params, rows = cached_level(ell, lab, n)
+        rows[0][-1] += 1
+        params._levels[n] = tuple(map(tuple, rows))
+        rep = kac_vanishing_check(ell, lab, 8)
+        expected = tuple(
+            (k, determinant(exact.DenseMatrix(QQ, params._levels[k])) == 0) for k in range(1, 9)
+        )
+        assert rep.levels == expected
+        assert rep.passed == all(flag == (k >= rep.d_min) for k, flag in expected)
 
     def test_ell3_label21(self):
         rep = kac_vanishing_check(3, MinimalLabel(3, 2, 1), 4)

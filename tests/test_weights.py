@@ -14,6 +14,7 @@ from virmod.weights import (
     MinimalLabel,
     PrimeClassification,
     _is_bad_dividing_d,
+    _label_at,
     _residues,
     _weight_table,
     b_set_bruteforce,
@@ -402,6 +403,26 @@ class TestClassifier:
             label="p",
         )
         assert classify_prime(ell, p) == classify_oracle(ell, p)
+
+
+    @pytest.mark.parametrize("ell", [2, 3, 10, 61])
+    def test_label_at_is_canonical_order(self, ell):
+        labels = canonical_labels(ell)
+        assert [_label_at(ell, i) for i in range(len(labels))] == labels
+
+    @pytest.mark.parametrize("ell,p", [(200, 1000000007), (60, 61), (60, 31), (40, 7)])
+    def test_builds_labels_only_for_collisions_and_degenerates(self, ell, p, monkeypatch):
+        real = weights.MinimalLabel
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(weights, "MinimalLabel", counting)
+        cls = classify_prime(ell, p)
+        involved = {lab for pair in cls.collisions for lab in pair} | set(cls.degenerate)
+        assert len(built) == len(involved)
 
 
 class TestResidues:
