@@ -4,12 +4,15 @@ Decomposes V(lambda_{l-1;n}) (x) V(omega_eps) into summands
 V(lambda_{l;j}) (x) L_{c_l, h}, and checks the combinatorial shape:
 the j-indices partition a parity class, labels are canonical,
 grade offsets (depths) are non-negative integers, and summands are
-multiplicity-free.
+multiplicity-free.  `gko_verify` reads the integer rows of `_summand_rows`,
+which `gko_summands` wraps in `CosetSummand` records.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import le, mod
 
 from .weights import MinimalLabel
 
@@ -38,6 +41,16 @@ class CosetSummand(namedtuple("CosetSummand", "j label branch depth")):
     __slots__ = ()
 
 
+def _summand_rows(ell: int, n: int, eps: int):
+    """The summands of `gko_summands` as rows (j, m, k, branch, num), lazily:
+    (m, k) is the label as built and num the depth times 12(l+1)(l+2)."""
+    a, b = ell + 2, ell + 1
+    base = 3 * n * (n + 2) * a + eps * (eps + 2) * a * b
+    for j in range((n + eps) % 2, ell + 1, 2):
+        m, k, branch = (n + 1, j + 1, "first") if j <= n else (ell - n, ell + 1 - j, "second")
+        yield j, m, k, branch, 3 * j * (j + 2) * b + 3 * ((m * a - k * b) ** 2 - 1) - base
+
+
 def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
     """Summands of V(lambda_{l-1;n}) (x) V(omega_eps).
 
@@ -53,22 +66,9 @@ def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
     """
     if ell < 2 or not (0 <= n <= ell - 1) or eps not in (0, 1):
         raise ValueError("index out of range")
-    a, b = ell + 2, ell + 1
-    den = 12 * a * b
-    base = 3 * n * (n + 2) * a + eps * (eps + 2) * a * b
-    out = []
-    for j in range(0, ell + 1):
-        if (j - n - eps) % 2:
-            continue
-        if j <= n:
-            m, k, branch = n + 1, j + 1, "first"
-        else:
-            m, k, branch = ell - n, ell + 1 - j, "second"
-        label = MinimalLabel(ell, m, k)
-        num = (m * a - k * b) ** 2 - 1
-        depth = Fraction(3 * j * (j + 2) * b + 3 * num - base, den)
-        out.append(CosetSummand(j, label, branch, depth))
-    return out
+    den = 12 * (ell + 1) * (ell + 2)
+    rows = _summand_rows(ell, n, eps)
+    return [CosetSummand(j, MinimalLabel(ell, m, k), branch, Fraction(num, den)) for j, m, k, branch, num in rows]
 
 
 class GkoReport(
@@ -78,35 +78,25 @@ class GkoReport(
 
     @property
     def passed(self) -> bool:
-        return (
-            self.index_partition_ok
-            and self.labels_canonical_ok
-            and self.depths_ok
-            and self.multiplicity_free_ok
-            and self.total_count == self.ell * (self.ell + 1)
-        )
+        return all(self[1:5]) and self.total_count == self.ell * (self.ell + 1)  # the four *_ok flags
 
 
 def gko_verify(ell: int) -> GkoReport:
-    """Structural checks of the decomposition over every (n, eps) cell."""
+    """Structural checks of the decomposition over every (n, eps) cell, on
+    the integer rows: 1 <= k <= m <= l is a canonical label (m, k)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    den = 12 * (ell + 1) * (ell + 2)
     part_ok = labels_ok = depths_ok = mult_ok = True
     total = 0
     for n in range(ell):
         for eps in (0, 1):
-            summands = gko_summands(ell, n, eps)
-            total += len(summands)
-            expected_js = {j for j in range(ell + 1) if (j - n - eps) % 2 == 0}
-            js = [s.j for s in summands]
-            if sorted(js) != sorted(expected_js) or len(set(js)) != len(js):
-                part_ok = False
-            if any(not s.label.is_canonical for s in summands):
-                labels_ok = False
-            if any(s.depth.denominator != 1 or s.depth.numerator < 0 for s in summands):
-                depths_ok = False
-            if len({(s.j, s.label) for s in summands}) != len(summands):
-                mult_ok = False
+            js, ms, ks, _, nums = zip(*_summand_rows(ell, n, eps))
+            total += len(js)
+            part_ok = part_ok and sorted(js) == list(range((n + eps) % 2, ell + 1, 2))
+            labels_ok = labels_ok and min(ks) >= 1 and max(ms) <= ell and all(map(le, ks, ms))
+            depths_ok = depths_ok and min(nums) >= 0 and not any(map(mod, nums, repeat(den)))
+            mult_ok = mult_ok and len(set(zip(js, ms, ks))) == len(js)
     return GkoReport(ell, part_ok, labels_ok, depths_ok, mult_ok, total)
 
 

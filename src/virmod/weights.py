@@ -3,7 +3,8 @@
 For the discrete-series central charge c_l = 1 - 6/((l+1)(l+2)) the highest
 weight h_{m,n} is N/D with N = (m(l+2) - n(l+1))^2 - 1 and D = 4(l+1)(l+2);
 a difference of two numerators factors as `d_plus` * `d_minus`.  This module
-computes the collision set B_l by brute force (a bytearray of marks,
+computes the collision set B_l by brute force (a bytearray of marks, over
+only the positive values by the negation symmetry proved at `b_set_marks`,
 compared with the closed form run by run) and as closed intervals, the
 good-candidate set G_l as the complement of those intervals, and checks the
 bound 2l^2 + l - 3 beyond which every prime is good.
@@ -49,6 +50,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt
+from operator import le
 
 from .exact import is_prime
 
@@ -137,22 +139,23 @@ def b_set_marks(ell: int) -> bytearray:
     byte v is 1 exactly when v is a collision value.
 
     The value depends on the index tuple only through the sums s = m+m' and
-    t = n+n', so enumerating sums covers every tuple.  For fixed s the values
-    over t form two arithmetic progressions of step l+1, one on each side of
-    zero; each is marked whole, so every value is still enumerated.  The
-    zero value occurs exactly at symmetry-paired tuples and is discarded.
+    t = n+n', s in [2, 2l] and t in [2, 2l+2], so enumerating sums covers
+    every tuple.  The map (s, t) -> (2l+2-s, 2l+4-t) keeps both ranges and
+    sends v = s(l+2) - t(l+1) to -v, as (2l+2)(l+2) = (2l+4)(l+1), so the
+    absolute values are the positive values: for each s, x - t(l+1) with
+    x = s(l+2) and t = floor(x/(l+1))..2, marked whole.  The zero value
+    occurs exactly at symmetry-paired tuples and is discarded.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    a, b, t_max = ell + 2, ell + 1, 2 * ell + 2
-    # the largest value, 2l(l+2) - 2(l+1) = (2l+2)(l+1) - 2(l+2), is at both ends
+    a, b = ell + 2, ell + 1
+    # the largest value, 2l(l+2) - 2(l+1), is at s = 2l, t = 2
     marks = bytearray(2 * ell * a - 2 * b + 1)
-    ones = b"\x01" * t_max
+    ones = b"\x01" * (2 * ell)
     for x in range(2 * a, 2 * ell * a + 1, a):  # x = s(l+2), s = 2..2l
-        # x - t*b >= 0 exactly for t <= k, and 2 <= k < t_max as 2b < x < t_max*b
+        # x - t*b >= 0 exactly for t <= k, and 2 <= k <= 2l+1 as 2b < x < (2l+2)b
         k = x // b
         marks[x - k * b : x - 2 * b + 1 : b] = ones[: k - 1]  # t = k..2
-        marks[(k + 1) * b - x : t_max * b - x + 1 : b] = ones[: t_max - k]  # t = k+1..t_max
     marks[0] = 0
     return marks
 
@@ -172,10 +175,9 @@ def b_set_intervals(ell: int) -> IntervalSet:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    ivs = [(1, ell * ell + ell - 2)]
-    for a in range(ell):
-        ivs.append((ell * ell + ell + a * (ell + 2), ell * ell + 2 * ell - 1 + a * (ell + 1)))
-    return IntervalSet(tuple(ivs))
+    low, a, b = ell * ell + ell, ell + 2, ell + 1
+    blocks = zip(range(low, low + ell * a, a), range(low + ell - 1, low + ell - 1 + ell * b, b))
+    return IntervalSet(((1, low - 2), *blocks))
 
 
 def d_matrix(ell: int) -> list[list[int]]:
@@ -203,11 +205,13 @@ def g_set(ell: int, corrected: bool = False) -> IntervalSet:
     range, are too.
     """
     top = 2 * ell * ell + (2 * ell if corrected else ell) - 3
-    b = b_set_intervals(ell).intervals
-    starts = [1] + [hi + 1 for _, hi in b]
-    ends = [lo - 1 for lo, _ in b] + [top]
-    gaps = ((a, min(e, top)) for a, e in zip(starts, ends))
-    return IntervalSet(tuple((a, e) for a, e in gaps if a <= e))
+    lows, highs = zip(*b_set_intervals(ell).intervals)
+    starts = [1, *map((1).__add__, highs)]
+    ends = [*map((-1).__add__, lows), top]
+    k = bisect_right(starts, top)  # the gaps that start in range; only the last can end above it
+    del starts[k:], ends[k:]
+    ends[-1] = min(ends[-1], top)
+    return IntervalSet(tuple(compress(zip(starts, ends), map(le, starts, ends))))
 
 
 def g_blocks(ell: int) -> IntervalSet:
@@ -216,8 +220,8 @@ def g_blocks(ell: int) -> IntervalSet:
     Block a+1 starts l+1-a >= 2 above the end of block a, so the blocks come
     sorted, disjoint and non-adjacent as built.
     """
-    base = ell * ell + ell - 1
-    return IntervalSet(tuple((base + a * (ell + 1), base + a * (ell + 2)) for a in range(ell)))
+    base, a, b = ell * ell + ell - 1, ell + 2, ell + 1
+    return IntervalSet(tuple(zip(range(base, base + ell * b, b), range(base, base + ell * a, a))))
 
 
 class PrimeClassification(
@@ -319,6 +323,13 @@ def _marked_below_top(marks: bytearray, p: int) -> bool:
     return p < len(marks) - 1 and marks[p] == 1
 
 
+def _classes_off_d(ell: int, p: int):
+    """For an odd prime p not dividing D, lazily: N mod p for each canonical
+    weight, and no weight read where the marks rule finds p good."""
+    if _marked_below_top(b_set_marks(ell), p):
+        yield from (N % p for row in _weight_rows(ell) for N in row)
+
+
 def is_bad_prime(ell: int, p: int) -> bool:
     """The verdict of `classify_prime` alone, without building its labels.
 
@@ -336,15 +347,12 @@ def collision_count(ell: int, p: int, limit: int) -> int:
     """How many pairs `classify_prime(ell, p)` lists, counted from the sizes
     of its classes without building a pair or a label: the k-th member of a
     class adds k-1.  The count stops at the first weight that takes it
-    above `limit`, so at a small p it reads only the first weights.  For an
-    odd p dividing D it reads only the weights defined mod p."""
+    above `limit`, so at a small p it reads only the first weights; at an
+    odd p dividing D only those defined mod p, and at a good p off D none."""
     _check_prime_args(ell, p)
     if p == 2:
         return 0
-    if 4 * (ell + 1) * (ell + 2) % p:
-        classes = (N % p for row in _weight_rows(ell) for N in row)
-    else:
-        classes = _defined_classes(ell, p)
+    classes = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _defined_classes(ell, p)
     sizes: dict[int, int] = {}
     pairs = 0
     for r in classes:
@@ -386,19 +394,20 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
     and excluded from the collision comparison.  Collisions are the sorted
-    pairs of labels in one class of `_residues`.  The classes are grouped
-    by label index, and labels are built only for the degenerate weights
-    and the classes of two or more.
+    pairs of labels in one class of `_residues`, or of `_classes_off_d` for
+    p not dividing D.  The classes are grouped by label index, and labels
+    are built only for the degenerate weights and the classes of two or more.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cc_defined = central_charge(ell).denominator % p != 0
     if p == 2:
         return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
+    residues = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _residues(_weight_table(ell), p)
     first: dict[int, int] = {}  # class -> index of its first weight
     shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
     degenerate = []
-    for i, r in enumerate(_residues(_weight_table(ell), p)):
+    for i, r in enumerate(residues):
         if r is None:
             degenerate.append(_label_at(ell, i))
             continue

@@ -107,7 +107,10 @@ def b_set_tuple_oracle(ell):
 
 
 def b_set_sum_loop_oracle(ell):
-    """Value-by-value double loop over the sums s = m+m' and t = n+n'."""
+    """Value-by-value double loop over the sums s = m+m' and t = n+n', both
+    signs of s(l+2) - t(l+1) taken.  `b_set_marks` marks only the positive
+    values, as (s, t) -> (2l+2-s, 2l+4-t) pairs each value with its
+    negative; this loop does not rely on that pairing."""
     vals = set()
     for s in range(2, 2 * ell + 1):
         for t in range(2, 2 * ell + 3):
@@ -243,7 +246,7 @@ class TestBSet:
     def test_matches_tuple_oracle(self, ell):
         assert b_set_bruteforce(ell) == b_set_tuple_oracle(ell)
 
-    @pytest.mark.parametrize("ell", range(2, 101))
+    @pytest.mark.parametrize("ell", [*range(2, 101), 150, 300])
     def test_matches_sum_loop_oracle(self, ell):
         assert b_set_bruteforce(ell) == b_set_sum_loop_oracle(ell)
 
@@ -560,10 +563,28 @@ class TestDefinedLabels:
 class TestCollisionCount:
     """The pair count `classify` checks before listing the pairs."""
 
-    @pytest.mark.parametrize("ell", range(2, 13))
+    @pytest.mark.parametrize("ell", range(2, 31))
     def test_equals_the_listed_pairs(self, ell):
         for p in primes_upto(2 * ell * ell + 3 * ell):
-            assert collision_count(ell, p, 10**9) == len(classify_prime(ell, p).collisions), p
+            count = collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX)
+            assert count <= cli.CLASSIFY_PAIRS_MAX
+            assert count == len(classify_prime(ell, p).collisions), p
+
+    @pytest.mark.parametrize("ell", [*range(2, 41), 1000, 2000])
+    def test_good_primes_off_d_read_no_weights(self, ell, monkeypatch):
+        """A good odd p not dividing D takes its verdict from the marks alone."""
+        den = 4 * (ell + 1) * (ell + 2)
+        window = primes_upto(2 * ell * ell + 3 * ell) if ell <= 40 else []
+        good = [p for p in window if den % p and not is_bad_prime(ell, p)] + [1000000007]
+
+        def tripwire(ell):
+            raise AssertionError("_weight_rows ran")
+
+        monkeypatch.setattr(weights, "_weight_rows", tripwire)
+        for p in good:
+            cls = classify_prime(ell, p)
+            assert (cls.status, cls.collisions, cls.degenerate) == ("good", (), ()), p
+            assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) == 0
 
     def test_largest_case_under_the_cli_limit(self):
         assert collision_count(30, 3, 10**9) == len(classify_prime(30, 3).collisions) == 59830
