@@ -1,74 +1,37 @@
 """Coset-decomposition bookkeeping for sl2-hat tensor products.
 
 Decomposes V(lambda_{l-1;n}) (x) V(omega_eps) into summands
-V(lambda_{l;j}) (x) L_{c_l, h}, and checks the combinatorial shape:
-the j-indices partition a parity class, labels are canonical,
-grade offsets (depths) are non-negative integers, and summands are
-multiplicity-free.  `gko_verify` reads the integer rows of `_summand_rows`,
-which `gko_summands` wraps in `CosetSummand` records.
+V(lambda_{l;j}) (x) L_{c_l, h}, one integer row per summand from
+`_summand_rows`, and checks the combinatorial shape on those rows: the
+j-indices partition a parity class, labels are canonical, grade offsets
+(depths) are non-negative integers, and summands are multiplicity-free.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import repeat
 from operator import le, mod
 
-from .weights import MinimalLabel
-
-
-class AffineWeight(namedtuple("AffineWeight", "level n")):
-    """Level-l dominant integral weight (l-n) w0 + n w1."""
-
-    __slots__ = ()
-
-    def __new__(cls, level: int, n: int):
-        if not (0 <= n <= level):
-            raise ValueError("index out of range for the level")
-        return super().__new__(cls, level, n)
-
-
-def sugawara_weight(k: int, n: int) -> Fraction:
-    """Conformal weight n(n+2)/(4(k+2)) of the level-k module with index n."""
-    AffineWeight(k, n)
-    return Fraction(n * (n + 2), 4 * (k + 2))
-
-
-class CosetSummand(namedtuple("CosetSummand", "j label branch depth")):
-    """One summand: index j, its `MinimalLabel`, branch "first" or "second",
-    and its depth, a Fraction."""
-
-    __slots__ = ()
-
 
 def _summand_rows(ell: int, n: int, eps: int):
-    """The summands of `gko_summands` as rows (j, m, k, branch, num), lazily:
-    (m, k) is the label as built and num the depth times 12(l+1)(l+2)."""
+    """The summands of V(lambda_{l-1;n}) (x) V(omega_eps) as rows
+    (j, m, k, num), lazily, for 0 <= n <= l-1 and eps in (0, 1).
+
+    First branch: j in [0, n], j = n+eps (mod 2), label (m, k) = (n+1, j+1).
+    Second branch: j in [n+1, l], same parity, label (l-n, l+1-j).
+    The labels are built as given, so `gko_verify` checks that they are
+    canonical.  The depth is the L0 offset of the summand's top vector
+    inside the product, h_j^(l) + h_(m,k) - h_n^(l-1) - h_eps^(1), where the
+    level-k module with index n has Sugawara weight n(n+2)/(4(k+2)) and
+    h_(m,k) = N/(4(l+1)(l+2)), N = (m(l+2) - k(l+1))^2 - 1.  num is the
+    depth times the common denominator 12(l+1)(l+2):
+    3j(j+2)(l+1) + 3N - 3n(n+2)(l+2) - eps(eps+2)(l+1)(l+2).
+    """
     a, b = ell + 2, ell + 1
     base = 3 * n * (n + 2) * a + eps * (eps + 2) * a * b
     for j in range((n + eps) % 2, ell + 1, 2):
-        m, k, branch = (n + 1, j + 1, "first") if j <= n else (ell - n, ell + 1 - j, "second")
-        yield j, m, k, branch, 3 * j * (j + 2) * b + 3 * ((m * a - k * b) ** 2 - 1) - base
-
-
-def gko_summands(ell: int, n: int, eps: int) -> list[CosetSummand]:
-    """Summands of V(lambda_{l-1;n}) (x) V(omega_eps).
-
-    First branch: j in [0, n], j = n+eps (mod 2), label (n+1, j+1).
-    Second branch: j in [n+1, l], same parity, label (l-n, l+1-j).
-    The labels are built as given, so `gko_verify` checks that they are
-    canonical.  Depth is the L0 offset of the summand's top vector inside
-    the product, h_j^(l) + h_{label} - h_n^(l-1) - h_eps^(1) in the
-    Sugawara weights of `sugawara_weight`.  It is computed as one integer
-    over the common denominator 12(l+1)(l+2):
-    3j(j+2)(l+1) + 3N - 3n(n+2)(l+2) - eps(eps+2)(l+1)(l+2), N the weight
-    numerator of the label.
-    """
-    if ell < 2 or not (0 <= n <= ell - 1) or eps not in (0, 1):
-        raise ValueError("index out of range")
-    den = 12 * (ell + 1) * (ell + 2)
-    rows = _summand_rows(ell, n, eps)
-    return [CosetSummand(j, MinimalLabel(ell, m, k), branch, Fraction(num, den)) for j, m, k, branch, num in rows]
+        m, k = (n + 1, j + 1) if j <= n else (ell - n, ell + 1 - j)
+        yield j, m, k, 3 * j * (j + 2) * b + 3 * ((m * a - k * b) ** 2 - 1) - base
 
 
 class GkoReport(
@@ -91,7 +54,7 @@ def gko_verify(ell: int) -> GkoReport:
     total = 0
     for n in range(ell):
         for eps in (0, 1):
-            js, ms, ks, _, nums = zip(*_summand_rows(ell, n, eps))
+            js, ms, ks, nums = zip(*_summand_rows(ell, n, eps))
             total += len(js)
             part_ok = part_ok and sorted(js) == list(range((n + eps) % 2, ell + 1, 2))
             labels_ok = labels_ok and min(ks) >= 1 and max(ms) <= ell and all(map(le, ks, ms))

@@ -258,17 +258,15 @@ def _weight_table(ell: int) -> tuple[int, list[int]]:
 
 
 def _residues(table, p: int) -> list[int | None]:
-    """A class mod p for each canonical weight; None where it has no image.
+    """For a prime p dividing D, a class mod p for each canonical weight;
+    None where it has no image.
 
-    Equal classes mean equal weights mod p.  For p not dividing D the class
-    is N mod p, since D is invertible.  Otherwise let p^e be the exact power
-    of p in D: N/D has an image exactly when p^e divides N (the reduced
+    Equal classes mean equal weights mod p.  Let p^e be the exact power of p
+    in D: N/D has an image exactly when p^e divides N (the reduced
     denominator then keeps no factor p), and the class is (N/p^e)(D/p^e)^-1
     mod p, one inverse for the whole table.
     """
     den, nums = table
-    if den % p:
-        return [N % p for N in nums]
     pe = p
     while den % (pe * p) == 0:
         pe *= p

@@ -293,22 +293,6 @@ def test_level_and_prime_limits_are_inclusive():
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["bad_prime_probe_experiment.py", "--prime", "9"], "--prime: 9 is not prime"),
-        (["bad_prime_probe_experiment.py", "--ell", "1"], "--ell must be >= 2"),
-        (["bad_prime_probe_experiment.py", "--max-level", "-1"], "--max-level must be >= 0"),
-        (["scan_bad_primes.py", "--ell-max", "1"], "--ell-max must be >= 2"),
-        (
-            ["bad_prime_probe_experiment.py", "--max-level", str(LEVEL_MAX + 1)],
-            f"argument --max-level: must be <= {LEVEL_MAX}, got {LEVEL_MAX + 1}",
-        ),
-        (
-            ["bad_prime_probe_experiment.py", "--prime", str(PRIME_MAX + 1)],
-            f"argument --prime: must be <= {PRIME_MAX}, got {PRIME_MAX + 1}",
-        ),
-        (
-            ["bad_prime_probe_experiment.py", "--prime", str(BIG_PRIME)],
-            f"argument --prime: must be <= {PRIME_MAX}, got {BIG_PRIME}",
-        ),
         (["bench.py", "--out", "bench.json"], "the following arguments are required: --key"),
     ],
 )

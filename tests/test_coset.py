@@ -3,88 +3,79 @@ from fractions import Fraction as F
 import pytest
 
 from virmod import cli, coset
-from virmod.coset import (
-    AffineWeight,
-    CosetSummand,
-    GkoReport,
-    Table1Row,
-    gko_summands,
-    gko_verify,
-    sugawara_weight,
-    table1_check,
-)
+from virmod.coset import GkoReport, Table1Row, _summand_rows, gko_verify, table1_check
 from virmod.weights import MinimalLabel, highest_weight
 
 
+def sugawara(k, n):
+    """Conformal weight n(n+2)/(4(k+2)) of the level-k sl2-hat module with index n."""
+    return F(n * (n + 2), 4 * (k + 2))
+
+
 class TestSugawara:
+    """The oracle's Sugawara weights at known values."""
+
     @pytest.mark.parametrize("k", range(1, 10))
     def test_vacuum(self, k):
-        assert sugawara_weight(k, 0) == 0
+        assert sugawara(k, 0) == 0
 
     def test_examples(self):
-        assert sugawara_weight(1, 1) == F(1, 4)
-        assert sugawara_weight(2, 1) == F(3, 16)
+        assert sugawara(1, 1) == F(1, 4)
+        assert sugawara(2, 1) == F(3, 16)
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            sugawara_weight(2, 3)
-        with pytest.raises(ValueError):
-            AffineWeight(3, -1)
+
+def summands_oracle(ell, n, eps):
+    """The summands of V(lambda_{l-1;n}) (x) V(omega_eps) from the branch
+    rules, as (j, m, k, branch, depth) with a Fraction depth
+    h_j^(l) + h_(m,k) - h_n^(l-1) - h_eps^(1); independent of `_summand_rows`."""
+    base = sugawara(ell - 1, n) + sugawara(1, eps)
+    out = []
+    for j in range(ell + 1):
+        if (j - n - eps) % 2:
+            continue
+        m, k, branch = (n + 1, j + 1, "first") if j <= n else (ell - n, ell + 1 - j, "second")
+        out.append((j, m, k, branch, sugawara(ell, j) + highest_weight(ell, m, k) - base))
+    return out
 
 
 class TestSummands:
     def test_ell2_n1_eps0(self):
-        (s,) = gko_summands(2, 1, 0)
-        assert s == CosetSummand(1, MinimalLabel(2, 2, 2), "first", F(0))
+        assert list(_summand_rows(2, 1, 0)) == [(1, 2, 2, 0)]
 
     def test_ell2_n0_eps0(self):
-        a, b = gko_summands(2, 0, 0)
-        assert a == CosetSummand(0, MinimalLabel(2, 1, 1), "first", F(0))
-        assert b == CosetSummand(2, MinimalLabel(2, 2, 1), "second", F(1))
+        # depth 1 is num 12 * 3 * 4
+        assert list(_summand_rows(2, 0, 0)) == [(0, 1, 1, 0), (2, 2, 1, 144)]
 
     def test_ell2_n0_eps1(self):
-        (s,) = gko_summands(2, 0, 1)
-        assert s == CosetSummand(1, MinimalLabel(2, 2, 2), "second", F(0))
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            gko_summands(2, 2, 0)
-        with pytest.raises(ValueError):
-            gko_summands(2, 0, 2)
-
-
-def depth_oracle(ell, n, eps, s):
-    """The depth as a sum of Fractions: h_j^(l) + h_{label} - h_n^(l-1) - h_eps^(1)."""
-    base = sugawara_weight(ell - 1, n) + sugawara_weight(1, eps)
-    return sugawara_weight(ell, s.j) + highest_weight(ell, s.label.m, s.label.n) - base
+        assert list(_summand_rows(2, 0, 1)) == [(1, 2, 2, 0)]
 
 
 def gko_verify_oracle(ell):
-    """The structural checks on the `CosetSummand` records of `gko_summands`:
-    a `MinimalLabel` and a Fraction depth per summand."""
+    """The structural checks on the records of `summands_oracle`: a
+    `MinimalLabel` and a Fraction depth per summand."""
     part_ok = labels_ok = depths_ok = mult_ok = True
     total = 0
     for n in range(ell):
         for eps in (0, 1):
-            summands = gko_summands(ell, n, eps)
+            summands = [(j, MinimalLabel(ell, m, k), depth) for j, m, k, _, depth in summands_oracle(ell, n, eps)]
             total += len(summands)
             expected_js = {j for j in range(ell + 1) if (j - n - eps) % 2 == 0}
-            js = [s.j for s in summands]
+            js = [j for j, _, _ in summands]
             if sorted(js) != sorted(expected_js) or len(set(js)) != len(js):
                 part_ok = False
-            if any(not s.label.is_canonical for s in summands):
+            if any(not label.is_canonical for _, label, _ in summands):
                 labels_ok = False
-            if any(s.depth.denominator != 1 or s.depth.numerator < 0 for s in summands):
+            if any(depth.denominator != 1 or depth.numerator < 0 for _, _, depth in summands):
                 depths_ok = False
-            if len({(s.j, s.label) for s in summands}) != len(summands):
+            if len({(j, label) for j, label, _ in summands}) != len(summands):
                 mult_ok = False
     return GkoReport(ell, part_ok, labels_ok, depths_ok, mult_ok, total)
 
 
 def mutate_one_row(monkeypatch, ell, cell, mutation):
     """Patches `coset._summand_rows` so that at `ell` the second row of the
-    (n, eps) cell `cell`, a list [j, m, k, branch, num], passes through
-    `mutation` with the first row; every other row is unchanged."""
+    (n, eps) cell `cell`, a list [j, m, k, num], passes through `mutation`
+    with the first row; every other row is unchanged."""
     real = coset._summand_rows
 
     def rows(at_ell, n, eps):
@@ -97,7 +88,7 @@ def mutate_one_row(monkeypatch, ell, cell, mutation):
 
 
 def depth_off_by_one(first, row):
-    row[4] += 1
+    row[3] += 1
 
 
 def label_k_above_m(first, row):
@@ -111,10 +102,11 @@ def j_repeated(first, row):
 class TestVerify:
     @pytest.mark.parametrize("ell", range(2, 41))
     def test_depths_match_sugawara_sum(self, ell):
+        den = 12 * (ell + 1) * (ell + 2)
         for n in range(ell):
             for eps in (0, 1):
-                for s in gko_summands(ell, n, eps):
-                    assert s.depth == depth_oracle(ell, n, eps, s)
+                rows = [(j, m, k, F(num, den)) for j, m, k, num in _summand_rows(ell, n, eps)]
+                assert rows == [(j, m, k, depth) for j, m, k, _, depth in summands_oracle(ell, n, eps)]
 
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_all_checks_pass(self, ell):
@@ -147,24 +139,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("ell", range(2, 51))
     def test_index_partition_and_depths(self, ell):
+        den = 12 * (ell + 1) * (ell + 2)
         for n in range(ell):
             for eps in (0, 1):
-                summands = gko_summands(ell, n, eps)
-                js = sorted(s.j for s in summands)
-                assert js == [j for j in range(ell + 1) if (j - n - eps) % 2 == 0]
-                for s in summands:
-                    assert s.label.is_canonical
-                    assert s.depth.denominator == 1 and s.depth >= 0
+                rows = list(_summand_rows(ell, n, eps))
+                assert sorted(j for j, _, _, _ in rows) == [j for j in range(ell + 1) if (j - n - eps) % 2 == 0]
+                for _, m, k, num in rows:
+                    assert MinimalLabel(ell, m, k).is_canonical
+                    assert num % den == 0 and num >= 0
 
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_branch_labels_structurally_canonical(self, ell):
         for n in range(ell):
             for eps in (0, 1):
-                for s in gko_summands(ell, n, eps):
-                    if s.branch == "first":
-                        assert (s.label.m, s.label.n) == (n + 1, s.j + 1)
+                oracle = summands_oracle(ell, n, eps)
+                for (j, m, k, _), (oj, _, _, branch, _) in zip(_summand_rows(ell, n, eps), oracle, strict=True):
+                    assert j == oj
+                    if branch == "first":
+                        assert (m, k) == (n + 1, j + 1)
                     else:
-                        assert (s.label.m, s.label.n) == (ell - n, ell + 1 - s.j)
+                        assert (m, k) == (ell - n, ell + 1 - j)
 
 
 class TestTable1:

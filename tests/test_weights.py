@@ -13,6 +13,7 @@ from virmod.weights import (
     IntervalSet,
     MinimalLabel,
     PrimeClassification,
+    _classes_off_d,
     _is_bad_dividing_d,
     _label_at,
     _residues,
@@ -70,10 +71,14 @@ def intervals_from_values(values):
 
 def is_bad_oracle(table, p):
     """The verdict from the whole residue table: fewer distinct classes
-    than defined weights; p = 2 is bad by convention."""
+    than defined weights; p = 2 is bad by convention.  A p not dividing D
+    takes the classes N mod p, the rule of `residues_oracle`; a p dividing D
+    those of `_residues`."""
     if p == 2:
         return True
-    defined = [r for r in _residues(table, p) if r is not None]
+    den, nums = table
+    classes = [N % p for N in nums] if den % p else _residues(table, p)
+    defined = [r for r in classes if r is not None]
     return len(set(defined)) < len(defined)
 
 
@@ -145,9 +150,9 @@ def classify_oracle(ell, p):
 
 
 def residues_oracle(ell, primes):
-    """For each p in `primes`, the classes `_residues` gave from a gcd per
-    label: N mod p for p not dividing D, else n * d^-1 mod p of the reduced
-    fraction n/d = N/D, None where p divides d."""
+    """For each p in `primes`, the class of each canonical weight from a gcd
+    per label: N mod p for p not dividing D, else n * d^-1 mod p of the
+    reduced fraction n/d = N/D, None where p divides d."""
     den = 4 * (ell + 1) * (ell + 2)
     nums = [weight_numerator(ell, lab.m, lab.n) for lab in canonical_labels(ell)]
     reduced = [(N // gcd(N, den), den // gcd(N, den)) for N in nums]
@@ -429,7 +434,8 @@ class TestClassifier:
 
 
 class TestResidues:
-    """The p^e rule of `_residues` against the gcd of every label."""
+    """The p^e rule of `_residues`, and the classes `_classes_off_d` streams
+    for p not dividing D, against the gcd of every label."""
 
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_primes_dividing_d(self, ell):
@@ -440,9 +446,16 @@ class TestResidues:
 
     @pytest.mark.parametrize("ell", range(2, 31))
     def test_every_prime_to_the_window(self, ell):
+        """p dividing D takes its classes from `_residues`; an odd p not
+        dividing D streams them from `_classes_off_d` if they collide, and
+        none otherwise."""
         table = _weight_table(ell)
         for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)).items():
-            assert _residues(table, p) == expected
+            if table[0] % p == 0:
+                assert _residues(table, p) == expected, p
+            else:
+                collide = len(set(expected)) < len(expected)
+                assert list(_classes_off_d(ell, p)) == (expected if collide else []), p
 
 
 class TestBadPrimes:
