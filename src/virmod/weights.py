@@ -9,23 +9,33 @@ compared with the closed form run by run) and as closed intervals, the
 good-candidate set G_l as the complement of those intervals, and checks the
 bound 2l^2 + l - 3 beyond which every prime is good.
 
-Prime verdicts come from the marks.  Let p be an odd prime not dividing D.
-Then p is bad exactly when p < 2(l^2+l-1), the top value of B_l, and p lies
-in B_l.  Proof: as D is invertible mod p, two distinct canonical weights
-collide exactly when p divides N_a - N_b = d_minus * d_plus, that is, when
-p divides |d_plus| or |d_minus| of the pair.  The d_minus of (a, b) is the
-d_plus of (a, b') with b' = (l+1-m', l+2-n') the conjugate label, so every
-realized |d+-| is a value of B_l.  Enumeration over the distinct canonical
-pairs (tests/test_weights.py, ell = 2..30) shows the realized values are all
-of B_l except its top value, and at ell = 2 also except 2; no odd p divides
-2 (p = 2 is bad by convention), so p is bad exactly when a multiple of p
-other than the top lies in B_l.  B_l holds [1, l^2+l-2], so every odd
-p <= l^2+l-2 not dividing D is bad, and is marked.  A larger p has
-2p >= 2(l^2+l-1), so p itself is the only candidate.
+Prime verdicts come from a membership test for B_l.  Let p be an odd prime
+not dividing D.  Then p is bad exactly when p < 2(l^2+l-1), the top value
+of B_l, and p lies in B_l.  Proof: as D is invertible mod p, two distinct
+canonical weights collide exactly when p divides N_a - N_b = d_minus *
+d_plus, that is, when p divides |d_plus| or |d_minus| of the pair.  The
+d_minus of (a, b) is the d_plus of (a, b') with b' = (l+1-m', l+2-n') the
+conjugate label, so every realized |d+-| is a value of B_l.  Enumeration
+over the distinct canonical pairs (tests/test_weights.py, ell = 2..30)
+shows the realized values are all of B_l except its top value, and at
+ell = 2 also except 2; no odd p divides 2 (p = 2 is bad by convention), so
+p is bad exactly when a multiple of p other than the top lies in B_l.  B_l
+holds [1, l^2+l-2], so every odd p <= l^2+l-2 not dividing D is bad.  A
+larger p has 2p >= 2(l^2+l-1), so p itself is the only candidate.
+
+Membership takes O(1), with no table.  As l+2 = (l+1)+1, a value
+v = s(l+2) - t(l+1) has s = v (mod l+1).  So with k, r = divmod(v, l+1),
+the only s in [2, 2l] are s = r and s = r+l+1, and each fixes
+t = (s(l+2) - v)/(l+1): t = r-k and t = r+l+2-k.  A positive v lies in B_l
+exactly when one of the two has t in [2, 2l+2] and s in range, that is,
+when r-k >= 2, or when r <= l-1 and k <= r+l (`in_b_set_below_top`).
+`b_set_marks` marks the whole set at once for the bulk callers.
 
 Where the rule does not apply the classifier works on the integer
 numerators: for the odd primes dividing D (each at most l+2), and in
-`classify_prime`, which lists the colliding labels.  With p^e the exact
+`classify_prime`, which lists the colliding labels (above l^2+l-2 they pair
+off as the labels whose x = m(l+2) - n(l+1) sum to p, proved at
+`_pairs_summing_to`).  With p^e the exact
 power of p in D, N/D has an image mod p exactly when p^e divides N, and its
 class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights collide
 exactly when their numerators do.
@@ -234,14 +244,47 @@ class PrimeClassification(
 
 
 def primes_upto(n: int) -> list[int]:
+    """The primes up to n, ascending: a sieve of the odd numbers alone, byte
+    i standing for 2i+1."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
+    half = (n + 1) // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
-    return list(compress(range(n + 1), sieve))
+            q = 2 * i + 1
+            start = q * q // 2  # q^2 = 2 * start + 1; step q in bytes is 2q in values
+            sieve[start::q] = bytes((half - 1 - start) // q + 1)
+    return [2, *compress(range(1, n + 1, 2), sieve)]
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p <= hi, ascending.
+
+    Only the window is sieved, by the primes up to isqrt(hi) from
+    `primes_upto`: each crosses off its multiples from the first one in the
+    window that is at least its square, so the base primes in the window
+    stay.  The cost grows with hi - lo and sqrt(hi), not with hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for q in primes_upto(isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)
+        if start <= hi:
+            sieve[start - lo :: q] = bytes((hi - start) // q + 1)
+    return list(compress(range(lo, hi + 1), sieve))
+
+
+def in_b_set_below_top(ell: int, v: int) -> bool:
+    """Whether v lies in B_l below its top value 2(l^2+l-1), in O(1): the
+    verdict of an odd prime not dividing D.  The rule, and why it needs only
+    two candidates (s, t), are in the module docstring."""
+    k, r = divmod(v, ell + 1)
+    # s = r gives t = r - k; s = r + l + 1 gives t = r + l + 2 - k
+    return 0 < v < 2 * (ell * ell + ell - 1) and (r - k >= 2 or r < ell and k <= r + ell)
 
 
 def _weight_rows(ell: int):
@@ -301,11 +344,16 @@ def _defined_classes(ell: int, p: int):
 
 def _is_bad_dividing_d(ell: int, p: int) -> bool:
     """The verdict for a prime p dividing D, from the weights defined mod p
-    alone (the rule of the module docstring); p = 2 is bad by convention."""
+    alone (the rule of the module docstring), read up to the first repeated
+    class; p = 2 is bad by convention."""
     if p == 2:
         return True
-    classes = list(_defined_classes(ell, p))
-    return len(set(classes)) < len(classes)
+    seen = set()
+    for r in _defined_classes(ell, p):  # a repeat comes within p+1 weights
+        if r in seen:
+            return True
+        seen.add(r)
+    return False
 
 
 def _check_prime_args(ell: int, p: int) -> None:
@@ -315,30 +363,54 @@ def _check_prime_args(ell: int, p: int) -> None:
         raise ValueError("ell must be >= 2")
 
 
-def _marked_below_top(marks: bytearray, p: int) -> bool:
-    """The verdict for an odd prime p not dividing D, from `b_set_marks`:
-    p lies below the top value of B_l, the last mark, and is marked."""
-    return p < len(marks) - 1 and marks[p] == 1
-
-
 def _classes_off_d(ell: int, p: int):
     """For an odd prime p not dividing D, lazily: N mod p for each canonical
-    weight, and no weight read where the marks rule finds p good."""
-    if _marked_below_top(b_set_marks(ell), p):
-        yield from (N % p for row in _weight_rows(ell) for N in row)
+    weight.  Its callers reach it only for p <= l^2+l-2, each of them bad."""
+    return (N % p for row in _weight_rows(ell) for N in row)
+
+
+def _pairs_summing_to(ell: int, p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """For a prime p > l^2+l-2, the colliding pairs of `classify_prime` as
+    sorted pairs of labels (m, n), in O(l) plus the pairs found.
+
+    Write x = m(l+2) - n(l+1) = m + k(l+1) with k = m-n.  A canonical label
+    has 1 <= m <= l and 0 <= k < m, so x lies in [1, l^2+l-1] and fixes its
+    label: m = x mod (l+1) and k = x div (l+1).  Such p exceeds l+2, so it
+    does not divide D, and two weights collide exactly when p divides
+    N_a - N_b = (x_a - x_b)(x_a + x_b).  Here 0 < |x_a - x_b| <= l^2+l-2 < p
+    and 0 < x_a + x_b <= 2l^2+2l-3 < 2p, so they collide exactly when
+    x_a + x_b = p.  The partner of a label is then the one x = p - x_a, if
+    that is a canonical label's, and every class has one or two members.
+    With c, r = divmod(p - m, l+1), p - x_a = (c-k)(l+1) + r: a label when
+    r >= 1 and 0 <= c-k < r, namely (r, r-c+k).  So row m pairs for k in
+    [max(0, c-r+1), min(m-1, c)]; each pair is met from both of its labels
+    and kept from the smaller.  A good p, by `in_b_set_below_top`, reads no
+    row.
+    """
+    if not in_b_set_below_top(ell, p):
+        return []
+    pairs = []
+    for m in range(1, ell + 1):
+        c, r = divmod(p - m, ell + 1)
+        for k in range(max(0, c - r + 1), min(m - 1, c) + 1):  # empty when r = 0
+            a, b = (m, m - k), (r, r - c + k)
+            if a < b:
+                pairs.append((a, b))
+    pairs.sort()
+    return pairs
 
 
 def is_bad_prime(ell: int, p: int) -> bool:
     """The verdict of `classify_prime` alone, without building its labels.
 
     p = 2 and the odd p dividing D take it from the weights defined mod p;
-    every other p from the collision marks.  Both rules are in the module
+    every other p from `in_b_set_below_top`.  Both rules are in the module
     docstring.
     """
     _check_prime_args(ell, p)
     if 4 * (ell + 1) * (ell + 2) % p == 0:
         return _is_bad_dividing_d(ell, p)
-    return _marked_below_top(b_set_marks(ell), p)
+    return in_b_set_below_top(ell, p)
 
 
 def collision_count(ell: int, p: int, limit: int) -> int:
@@ -346,10 +418,13 @@ def collision_count(ell: int, p: int, limit: int) -> int:
     of its classes without building a pair or a label: the k-th member of a
     class adds k-1.  The count stops at the first weight that takes it
     above `limit`, so at a small p it reads only the first weights; at an
-    odd p dividing D only those defined mod p, and at a good p off D none."""
+    odd p dividing D only those defined mod p, and at a good p off D none.
+    A p > l^2+l-2 counts the pairs of `_pairs_summing_to`."""
     _check_prime_args(ell, p)
     if p == 2:
         return 0
+    if p > ell * ell + ell - 2:
+        return len(_pairs_summing_to(ell, p))
     classes = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _defined_classes(ell, p)
     sizes: dict[int, int] = {}
     pairs = 0
@@ -391,16 +466,23 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
 
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
-    and excluded from the collision comparison.  Collisions are the sorted
-    pairs of labels in one class of `_residues`, or of `_classes_off_d` for
-    p not dividing D.  The classes are grouped by label index, and labels
-    are built only for the degenerate weights and the classes of two or more.
+    and excluded from the collision comparison.  A p > l^2+l-2 divides no
+    denominator and takes its pairs from `_pairs_summing_to`.  Otherwise
+    collisions are the sorted pairs of labels in one class of `_residues`,
+    or of `_classes_off_d` for p not dividing D.  The classes are grouped by
+    label index, and labels are built only for the degenerate weights and
+    the classes of two or more.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cc_defined = central_charge(ell).denominator % p != 0
     if p == 2:
         return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
+    if p > ell * ell + ell - 2:
+        pairs = _pairs_summing_to(ell, p)
+        collisions = tuple((MinimalLabel(ell, *a), MinimalLabel(ell, *b)) for a, b in pairs)
+        status = "bad" if collisions else "good"
+        return PrimeClassification(ell, p, status, collisions, (), cc_defined)
     residues = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _residues(_weight_table(ell), p)
     first: dict[int, int] = {}  # class -> index of its first weight
     shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
@@ -442,17 +524,15 @@ class VerifyReport(namedtuple("VerifyReport", "name ell passed detail", defaults
 def verify_prop_h(ell: int) -> VerifyReport:
     """Spot-check: every prime in (2l^2+l-3, 2l^2+3l] classifies good.
 
-    Every prime of the window exceeds l+2, so none divides D, and each takes
-    its verdict from the collision marks by the rule of the module docstring:
-    the check is that no prime in (2l^2+l-3, 2(l^2+l-1)) is a collision value.
+    Only the window is sieved, by `primes_between`.  Every prime of the window
+    exceeds l+2, so none divides D, and each takes its verdict from
+    `in_b_set_below_top` by the rule of the module docstring: the check is
+    that no prime in (2l^2+l-3, 2(l^2+l-1)) is a collision value.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    bound = 2 * ell * ell + ell - 3
-    primes = primes_upto(2 * ell * ell + 3 * ell)
-    window = primes[bisect_right(primes, bound) :]
-    marks = b_set_marks(ell)
-    offenders = [p for p in window if _marked_below_top(marks, p)]
+    window = primes_between(2 * ell * ell + ell - 2, 2 * ell * ell + 3 * ell)
+    offenders = [p for p in window if in_b_set_below_top(ell, p)]
     return VerifyReport(
         "prop-h",
         ell,

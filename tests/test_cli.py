@@ -245,6 +245,16 @@ def test_classify_refuses_a_huge_degenerate_listing_quickly(capsys):
     )
 
 
+def test_verify_prop_h_to_the_ell_cap_quickly(capsys):
+    """prop-h sieves only its window and decides each prime in O(1), so the
+    whole range to ELL_MAX stays far below a quadratic table per ell."""
+    t0 = time.monotonic()
+    assert run(["verify", "prop-h", "--ell-max", str(ELL_MAX)]) == 0
+    assert time.monotonic() - t0 < 15.0
+    out = capsys.readouterr().out
+    assert out.count(" pass ") == ELL_MAX - 1
+
+
 def test_classify_lists_the_largest_case_at_ell_30(capsys):
     assert run(["classify", "--ell", "30", "--prime", "3"]) == 0
     out = capsys.readouterr().out

@@ -31,6 +31,9 @@ SWEEP = [
     ["classify", "--ell", "200", "--prime", "7"],
     ["classify", "--ell", "1998", "--prime", "1999"],
     ["classify", "--ell", "5", "--prime", "9"],
+    ["classify", "--ell", "2000", "--prime", "1000000007"],
+    ["classify", "--ell", "30", "--prime", "1733"],
+    ["classify", "--ell", "2000", "--prime", "7995991"],
     ["bset", "--ell", "4"],
     ["bset", "--ell", "4", "--bruteforce"],
     ["bset", "--ell", "4", "--bruteforce", "--intervals"],
@@ -39,6 +42,9 @@ SWEEP = [
     ["dmatrix", "--ell", "5"],
     ["dmatrix", "--ell", "1"],
     ["verify", "prop-h", "--ell", "7"],
+    ["verify", "prop-h", "--ell", "113"],
+    ["verify", "prop-h", "--ell-max", "60"],
+    ["verify", "prop-h", "--ell", "2000"],
     ["verify", "prop-x", "--ell-max", "6"],
     ["verify", "g-identity", "--ell", "4"],
     ["verify", "gko"],

@@ -1,7 +1,8 @@
 import random
 import time
 from fractions import Fraction as F
-from math import gcd
+from functools import partial
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,9 @@ from virmod.weights import (
     g_blocks,
     g_set,
     highest_weight,
+    in_b_set_below_top,
     is_bad_prime,
+    primes_between,
     primes_upto,
     verify_prop_h,
     verify_prop_x,
@@ -447,15 +450,13 @@ class TestResidues:
     @pytest.mark.parametrize("ell", range(2, 31))
     def test_every_prime_to_the_window(self, ell):
         """p dividing D takes its classes from `_residues`; an odd p not
-        dividing D streams them from `_classes_off_d` if they collide, and
-        none otherwise."""
+        dividing D streams them from `_classes_off_d`."""
         table = _weight_table(ell)
         for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)).items():
             if table[0] % p == 0:
                 assert _residues(table, p) == expected, p
             else:
-                collide = len(set(expected)) < len(expected)
-                assert list(_classes_off_d(ell, p)) == (expected if collide else []), p
+                assert list(_classes_off_d(ell, p)) == expected, p
 
 
 class TestBadPrimes:
@@ -507,14 +508,12 @@ class TestMarksRule:
     def test_prop_h_fails_on_a_mark_above_the_bound(self, ell, monkeypatch):
         top = 2 * (ell * ell + ell - 1)
         p = next(q for q in primes_upto(top) if q > 2 * ell * ell + ell - 3)
-        real = weights.b_set_marks
+        real = weights.in_b_set_below_top
 
-        def marked(k):
-            marks = real(k)
-            marks[p] = 1
-            return marks
+        def marked(k, v):
+            return v == p or real(k, v)
 
-        monkeypatch.setattr(weights, "b_set_marks", marked)
+        monkeypatch.setattr(weights, "in_b_set_below_top", marked)
         report = verify_prop_h(ell)
         assert not report.passed
         assert report.detail == f"bad above bound: [{p}]"
@@ -528,6 +527,122 @@ class TestMarksRule:
             for q in (ell + 1, ell + 2):
                 if is_prime(q):
                     assert not is_bad_prime(ell, q)
+
+
+class TestMembership:
+    """`in_b_set_below_top`, the O(1) rule of the `weights` docstring,
+    against the brute-force marks."""
+
+    @pytest.mark.parametrize("ell", [*range(2, 301), 500, 1000, 2000])
+    def test_equals_the_marks(self, ell):
+        marks = b_set_marks(ell)
+        top = 2 * (ell * ell + ell - 1)
+        assert len(marks) == top + 1 and marks[0] == 0
+        # v = 0..len(marks)+4: the marks below the top, then six values at or above it
+        expected = marks[:top] + bytes(6)
+        assert bytes(map(partial(in_b_set_below_top, ell), range(len(marks) + 5))) == expected
+
+
+def trial_division_primes(n):
+    return [q for q in range(2, n + 1) if all(q % f for f in range(2, isqrt(q) + 1))]
+
+
+class TestPrimeSieves:
+    def test_primes_upto_matches_trial_division(self):
+        primes = trial_division_primes(5000)
+        for n in range(-2, 5001):
+            assert primes_upto(n) == [q for q in primes if q <= n], n
+
+    @pytest.mark.parametrize("lo", [-3, 0, 1, 2, 3, 4, 9, 10, 11, 48, 49, 50, 997, 1000])
+    def test_primes_between_matches_primes_upto(self, lo):
+        for hi in [*range(lo - 3, lo + 60), 1000, 1009, 2310, 5000]:
+            assert primes_between(lo, hi) == [q for q in primes_upto(hi) if q >= lo], (lo, hi)
+
+
+def sieve_tripwires(monkeypatch, ell):
+    """Make `b_set_marks` raise, and `primes_upto` raise above isqrt of the
+    prop-h window top 2l^2+3l: a point verdict needs neither table."""
+    real = weights.primes_upto
+    limit = isqrt(2 * ell * ell + 3 * ell)
+
+    def marks_tripwire(k):
+        raise AssertionError("b_set_marks ran")
+
+    def primes_tripwire(n):
+        if n > limit:
+            raise AssertionError(f"primes_upto({n}) ran")
+        return real(n)
+
+    monkeypatch.setattr(weights, "b_set_marks", marks_tripwire)
+    monkeypatch.setattr(weights, "primes_upto", primes_tripwire)
+
+
+class TestPointVerdictsBuildNoTable:
+    """Point verdicts for primes off D, and the prop-h window, take O(1) per
+    prime: no collision marks, and no sieve beyond isqrt of the window."""
+
+    def test_prop_h_sieves_only_its_window(self, monkeypatch):
+        expected = {}
+        for ell in range(2, 201):
+            window = [p for p in primes_upto(2 * ell * ell + 3 * ell) if p > 2 * ell * ell + ell - 3]
+            expected[ell] = f"checked primes {window}"
+        for ell in range(2, 201):
+            with monkeypatch.context() as m:
+                sieve_tripwires(m, ell)
+                report = verify_prop_h(ell)
+            assert (report.passed, report.detail) == (True, expected[ell]), ell
+
+    @pytest.mark.parametrize("ell", [2, 3, 12, 30, 113, 1000, 2000])
+    def test_good_primes_off_d(self, ell, monkeypatch):
+        goods = [1000000007, *primes_between(2 * ell * ell + ell - 2, 2 * ell * ell + 3 * ell)]
+        sieve_tripwires(monkeypatch, ell)
+        for p in goods:
+            assert not is_bad_prime(ell, p)
+            assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) == 0
+            assert classify_prime(ell, p).status == "good"
+
+    @pytest.mark.parametrize("ell,p,pairs", [(30, 1733, 4), (2000, 7995991, 4), (2000, 4002001, 1999)])
+    def test_bad_primes_above_the_square(self, ell, p, pairs, monkeypatch):
+        def tripwire(ell):
+            raise AssertionError("_weight_rows ran")
+
+        sieve_tripwires(monkeypatch, ell)
+        monkeypatch.setattr(weights, "_weight_rows", tripwire)
+        assert is_bad_prime(ell, p)
+        assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) == pairs
+        assert len(classify_prime(ell, p).collisions) == pairs
+
+
+def x_of(lab):
+    return lab.m * (lab.ell + 2) - lab.n * (lab.ell + 1)
+
+
+class TestPairsSummingToP:
+    """Above l^2+l-2 the colliding pairs are the labels whose x = m(l+2) -
+    n(l+1) sum to p (`weights._pairs_summing_to`), against the classes
+    N mod p of every label."""
+
+    @pytest.mark.parametrize("ell", range(2, 41))
+    def test_matches_the_residue_classes(self, ell):
+        low, top = ell * ell + ell - 2, 2 * (ell * ell + ell - 1)
+        labels = canonical_labels(ell)
+        for p, classes in residues_oracle(ell, primes_between(low + 1, top + 60)).items():
+            members = {}
+            for lab, r in zip(labels, classes):
+                members.setdefault(r, []).append(lab)
+            expected = sorted((a, b) for c in members.values() for i, a in enumerate(c) for b in c[i + 1 :])
+            cls = classify_prime(ell, p)
+            assert list(cls.collisions) == expected, p
+            assert collision_count(ell, p, 10**9) == len(expected), p
+            assert cls.degenerate == ()
+
+    @pytest.mark.parametrize("ell,p", [(30, 1733), (2000, 7995991), (2000, 4002001), (1999, 3998003)])
+    def test_each_class_is_a_pair_of_sum_p(self, ell, p):
+        collisions = classify_prime(ell, p).collisions
+        involved = [lab for pair in collisions for lab in pair]
+        assert collisions and len(set(involved)) == len(involved)
+        assert all(a < b and x_of(a) + x_of(b) == p for a, b in collisions)
+        assert list(collisions) == sorted(collisions)
 
 
 class TestDefinedLabels:
@@ -558,6 +673,23 @@ class TestDefinedLabels:
             if is_prime(q):
                 defined = [r for r in _residues(_weight_table(ell), q) if r is not None]
                 assert len(defined) == count
+
+    def test_verdict_stops_at_the_first_repeat(self, monkeypatch):
+        """A repeated class shows within p+1 weights, by pigeonhole."""
+        real = weights._defined_classes
+        read = []
+
+        def counting(ell, p):
+            for r in real(ell, p):
+                read.append(r)
+                yield r
+
+        monkeypatch.setattr(weights, "_defined_classes", counting)
+        for ell in range(2, 101):
+            for p in primes_dividing_d(ell)[1:]:
+                read.clear()
+                bad = _is_bad_dividing_d(ell, p)
+                assert (len(read) <= p + 1) if bad else (len(read) == len(list(real(ell, p)))), (ell, p)
 
     def test_bad_primes_build_no_residue_table(self, monkeypatch):
         expected = {ell: bad_primes(ell) for ell in range(2, 61)}
