@@ -123,9 +123,9 @@ def _parse_fraction(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction: {s!r}") from None
 
 
-# The largest ell any subcommand takes: bad-primes at 2000 runs in 0.8-1.3 s
-# and 72 MB peak RSS on a 2-CPU host, while the tables of a far larger ell
-# exhaust memory.
+# The largest ell any subcommand takes: bad-primes at 2000 runs in 0.24-0.35 s
+# and 67 MB peak RSS (fresh interpreter, 2-CPU host), while the tables of a
+# far larger ell exhaust memory.
 ELL_MAX = 2000
 # The largest Gram level: gram --level 20 takes about 3 s and 145 MB, while
 # level 24 takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.

@@ -61,25 +61,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def p_valuation(q: Fraction, p: int) -> int:
-    """v such that q = p^v * (a/b) with p dividing neither a nor b.
-
-    q must be nonzero (the valuation of 0 is +infinity; callers branch first).
-    """
-    if q == 0:
-        raise ValueError("p-adic valuation of 0 is undefined")
-    v = 0
-    n = abs(q.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def reduce_mod_p(q: Fraction, p: int) -> int | None:
     """Reduce a rational mod an odd prime p.
 

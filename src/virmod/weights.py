@@ -31,17 +31,18 @@ exactly when one of the two has t in [2, 2l+2] and s in range, that is,
 when r-k >= 2, or when r <= l-1 and k <= r+l (`in_b_set_below_top`).
 `b_set_marks` marks the whole set at once for the bulk callers.
 
-Where the rule does not apply the classifier works on the integer
-numerators: for the odd primes dividing D (each at most l+2), and in
-`classify_prime`, which lists the colliding labels (above l^2+l-2 they pair
-off as the labels whose x = m(l+2) - n(l+1) sum to p, proved at
-`_pairs_summing_to`).  With p^e the exact
-power of p in D, N/D has an image mod p exactly when p^e divides N, and its
-class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights collide
-exactly when their numerators do.
+Where the rule does not apply the classifier reads one stream of weight
+classes, `_classes`: for the odd primes dividing D (each at most l+2), and
+in `collision_count` and `classify_prime`, which count and list the
+colliding labels (above l^2+l-2 they pair off as the labels whose
+x = m(l+2) - n(l+1) sum to p, proved at `_pairs_summing_to`).  With p^e the
+exact power of p in D, N/D has an image mod p exactly when p^e divides N,
+and its class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights
+collide exactly when their numerators do.
 
-For an odd p dividing D the verdict looks only at the weights defined mod
-p, and these are read off the label.  Proof: l+1 and l+2 are coprime and p
+For an odd p dividing D the stream holds only the weights defined mod p,
+and these are read off the label (`_defined_rule`, which also gives the
+degenerate labels and their count).  Proof: l+1 and l+2 are coprime and p
 is odd, so p divides exactly one of them, q say, and p^e is the exact power
 of p in q.  Write N = (x-1)(x+1) with x = m(l+2) - n(l+1).  A common divisor
 of x-1 and x+1 divides 2, so p divides at most one of the two factors, and
@@ -58,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress, count
 from math import isqrt
 from operator import le
 
@@ -287,73 +288,45 @@ def in_b_set_below_top(ell: int, v: int) -> bool:
     return 0 < v < 2 * (ell * ell + ell - 1) and (r - k >= 2 or r < ell and k <= r + ell)
 
 
-def _weight_rows(ell: int):
-    """The numerators N of `canonical_labels(ell)` in order, one list per m."""
-    a, b = ell + 2, ell + 1
-    # x = m(l+2) - n(l+1) for n = 1..m, stepping down from m(l+2) - (l+1) to m
-    for m in range(1, ell + 1):
-        yield [x * x - 1 for x in range(m * a - b, m - 1, -b)]
-
-
-def _weight_table(ell: int) -> tuple[int, list[int]]:
-    """D, then the numerator N for each label of `canonical_labels(ell)`."""
-    return 4 * (ell + 1) * (ell + 2), list(chain.from_iterable(_weight_rows(ell)))
-
-
-def _residues(table, p: int) -> list[int | None]:
-    """For a prime p dividing D, a class mod p for each canonical weight;
-    None where it has no image.
-
-    Equal classes mean equal weights mod p.  Let p^e be the exact power of p
-    in D: N/D has an image exactly when p^e divides N (the reduced
-    denominator then keeps no factor p), and the class is (N/p^e)(D/p^e)^-1
-    mod p, one inverse for the whole table.
-    """
-    den, nums = table
-    pe = p
-    while den % (pe * p) == 0:
-        pe *= p
-    inv = pow(den // pe, -1, p)
-    return [N // pe * inv % p if N % pe == 0 else None for N in nums]
-
-
-def _power_in_d(ell: int, p: int) -> tuple[int, int]:
-    """For an odd prime p dividing D: q, the one of l+1 and l+2 that p
-    divides, and p^e, the exact power of p in q and in D."""
-    q = ell + 1 if (ell + 1) % p == 0 else ell + 2
-    pe = p
+def _defined_rule(ell: int, p: int) -> tuple[bool, int, list[int]]:
+    """For an odd prime p dividing D, the rule of the module docstring:
+    whether it reads m (p | l+1) or n (p | l+2), p^e, the exact power of p
+    in D, and the values in 1..l of that coordinate that keep a weight
+    defined mod p, those = +-1 mod p^e, ascending (p^e >= 3, so the two
+    strides are disjoint)."""
+    by_m = (ell + 1) % p == 0
+    q, pe = (ell + 1 if by_m else ell + 2), p
     while q % (pe * p) == 0:
         pe *= p
-    return q, pe
+    return by_m, pe, sorted([*range(1, ell + 1, pe), *range(pe - 1, ell + 1, pe)])
 
 
-def _defined_classes(ell: int, p: int):
-    """For an odd prime p dividing D, lazily: N/p^e mod p for each canonical
-    weight defined mod p, read off its label by the rule of the module
-    docstring.  Two of these weights collide exactly when their values do."""
+def _classes(ell: int, p: int):
+    """For an odd prime p, lazily: (i, class) for each canonical weight with
+    an image mod p, i its index in `canonical_labels(ell)`.  Two of these
+    weights collide exactly when their classes agree.
+
+    Off D every weight has an image, and its class is N mod p.  On D only
+    the labels kept by `_defined_rule` have one, and their class is N/p^e mod
+    p, the image times the unit D/p^e that they all share.  With p | l+2 the
+    labels come n-major, so the indices do not ascend.
+    """
     a, b = ell + 2, ell + 1
-    q, pe = _power_in_d(ell, p)
-    ends = (1, pe - 1)
-    if q == b:  # x = m (mod p^e); x = m(l+2) - n(l+1) for n = 1..m
-        return ((x * x - 1) // pe % p for m in range(1, ell + 1) if m % pe in ends
-                for x in range(m * a - b, m - 1, -b))
-    # x = n (mod p^e); x = n + (m-n)(l+2) for m = n..l
-    return ((x * x - 1) // pe % p for n in range(1, ell + 1) if n % pe in ends
-            for x in range(n, ell * a - n * b + 1, a))
+    if 4 * a * b % p:  # x = m(l+2) - n(l+1) for n = 1..m, stepping down from m(l+2) - (l+1) to m
+        return enumerate((x * x - 1) % p for m in range(1, ell + 1) for x in range(m * a - b, m - 1, -b))
+    by_m, pe, kept = _defined_rule(ell, p)
+    # (m, n) has index m(m-1)/2 + n-1
+    if by_m:  # n = 1..m for each kept m, x stepping down as above
+        return ((i, (x * x - 1) // pe % p) for m in kept
+                for i, x in zip(range(m * (m - 1) // 2, m * (m + 1) // 2), range(m * a - b, m - 1, -b)))
+    # m = n..l for each kept n, x = n + (m-n)(l+2) stepping up
+    return ((m * (m - 1) // 2 + n - 1, (x * x - 1) // pe % p) for n in kept for m, x in zip(range(n, b), count(n, a)))
 
 
 def _is_bad_dividing_d(ell: int, p: int) -> bool:
-    """The verdict for a prime p dividing D, from the weights defined mod p
-    alone (the rule of the module docstring), read up to the first repeated
-    class; p = 2 is bad by convention."""
-    if p == 2:
-        return True
-    seen = set()
-    for r in _defined_classes(ell, p):  # a repeat comes within p+1 weights
-        if r in seen:
-            return True
-        seen.add(r)
-    return False
+    """The verdict for a prime p dividing D: p = 2 is bad by convention, and
+    an odd p is bad when `collision_count` finds one pair."""
+    return p == 2 or collision_count(ell, p, 0) > 0
 
 
 def _check_prime_args(ell: int, p: int) -> None:
@@ -361,12 +334,6 @@ def _check_prime_args(ell: int, p: int) -> None:
         raise ValueError(f"{p} is not prime")
     if ell < 2:
         raise ValueError("ell must be >= 2")
-
-
-def _classes_off_d(ell: int, p: int):
-    """For an odd prime p not dividing D, lazily: N mod p for each canonical
-    weight.  Its callers reach it only for p <= l^2+l-2, each of them bad."""
-    return (N % p for row in _weight_rows(ell) for N in row)
 
 
 def _pairs_summing_to(ell: int, p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -415,20 +382,20 @@ def is_bad_prime(ell: int, p: int) -> bool:
 
 def collision_count(ell: int, p: int, limit: int) -> int:
     """How many pairs `classify_prime(ell, p)` lists, counted from the sizes
-    of its classes without building a pair or a label: the k-th member of a
-    class adds k-1.  The count stops at the first weight that takes it
-    above `limit`, so at a small p it reads only the first weights; at an
-    odd p dividing D only those defined mod p, and at a good p off D none.
-    A p > l^2+l-2 counts the pairs of `_pairs_summing_to`."""
+    of the classes of `_classes` without building a pair or a label: the
+    k-th member of a class adds k-1.  The count stops at the first weight
+    that takes it above `limit`, so at a small p it reads only the first
+    weights, and with limit 0 it stops at the first repeated class.  A
+    p > l^2+l-2 counts the pairs of `_pairs_summing_to`, and a good one reads
+    no weight."""
     _check_prime_args(ell, p)
     if p == 2:
         return 0
     if p > ell * ell + ell - 2:
         return len(_pairs_summing_to(ell, p))
-    classes = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _defined_classes(ell, p)
     sizes: dict[int, int] = {}
     pairs = 0
-    for r in classes:
+    for _, r in _classes(ell, p):
         k = sizes.get(r, 0)
         pairs += k
         sizes[r] = k + 1
@@ -440,18 +407,26 @@ def collision_count(ell: int, p: int, limit: int) -> int:
 def degenerate_count(ell: int, p: int) -> int:
     """How many labels `classify_prime(ell, p)` lists as degenerate, counted
     in O(ell) without building one: none for p = 2 or p not dividing D, and
-    otherwise every canonical label whose m (p | l+1) or n (p | l+2) is not
-    +-1 mod p^e, by the rule of the module docstring."""
+    otherwise every canonical label that `_defined_rule` drops."""
     _check_prime_args(ell, p)
     if p == 2 or 4 * (ell + 1) * (ell + 2) % p:
         return 0
-    q, pe = _power_in_d(ell, p)
-    ends = (1, pe - 1)
-    if q == ell + 1:  # n = 1..m for each defined m
-        defined = sum(m for m in range(1, ell + 1) if m % pe in ends)
-    else:  # m = n..l for each defined n
-        defined = sum(ell + 1 - n for n in range(1, ell + 1) if n % pe in ends)
+    by_m, _, kept = _defined_rule(ell, p)
+    # n = 1..m for each kept m, or m = n..l for each kept n
+    defined = sum(kept) if by_m else len(kept) * (ell + 1) - sum(kept)
     return ell * (ell + 1) // 2 - defined
+
+
+def _degenerate_labels(ell: int, p: int) -> tuple[MinimalLabel, ...]:
+    """For an odd prime p, the labels `classify_prime` lists as degenerate,
+    in label order: on D those that `_defined_rule` drops, off D none."""
+    if 4 * (ell + 1) * (ell + 2) % p:
+        return ()
+    by_m, _, kept = _defined_rule(ell, p)
+    kept = set(kept)
+    if by_m:
+        return tuple(MinimalLabel(ell, m, n) for m in range(1, ell + 1) if m not in kept for n in range(1, m + 1))
+    return tuple(MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1) if n not in kept)
 
 
 def _label_at(ell: int, i: int) -> MinimalLabel:
@@ -466,12 +441,11 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
 
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
-    and excluded from the collision comparison.  A p > l^2+l-2 divides no
-    denominator and takes its pairs from `_pairs_summing_to`.  Otherwise
-    collisions are the sorted pairs of labels in one class of `_residues`,
-    or of `_classes_off_d` for p not dividing D.  The classes are grouped by
-    label index, and labels are built only for the degenerate weights and
-    the classes of two or more.
+    (`_degenerate_labels`) and excluded from the collision comparison.  A
+    p > l^2+l-2 divides no denominator and takes its pairs from
+    `_pairs_summing_to`.  Otherwise collisions are the sorted pairs of
+    labels in one class of `_classes`, grouped by label index; labels are
+    built only for the classes of two or more.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -483,23 +457,19 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
         collisions = tuple((MinimalLabel(ell, *a), MinimalLabel(ell, *b)) for a, b in pairs)
         status = "bad" if collisions else "good"
         return PrimeClassification(ell, p, status, collisions, (), cc_defined)
-    residues = _classes_off_d(ell, p) if 4 * (ell + 1) * (ell + 2) % p else _residues(_weight_table(ell), p)
     first: dict[int, int] = {}  # class -> index of its first weight
     shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
-    degenerate = []
-    for i, r in enumerate(residues):
-        if r is None:
-            degenerate.append(_label_at(ell, i))
-            continue
+    for i, r in _classes(ell, p):
         j = first.setdefault(r, i)
         if j != i:
             shared.setdefault(j, [j]).append(i)
     labels = {i: _label_at(ell, i) for idx in shared.values() for i in idx}
-    # index order is label order, so the sorted index pairs give the sorted label pairs
-    pairs = sorted((a, b) for idx in shared.values() for k, a in enumerate(idx) for b in idx[k + 1 :])
+    # index order is label order, so the sorted index pairs give the sorted label pairs; a class
+    # is sorted first, as the stream's indices need not ascend on p | l+2
+    pairs = sorted((a, b) for idx in map(sorted, shared.values()) for k, a in enumerate(idx) for b in idx[k + 1 :])
     collisions = tuple((labels[a], labels[b]) for a, b in pairs)
     status = "bad" if collisions else "good"
-    return PrimeClassification(ell, p, status, collisions, tuple(degenerate), cc_defined)
+    return PrimeClassification(ell, p, status, collisions, _degenerate_labels(ell, p), cc_defined)
 
 
 def bad_primes(ell: int) -> list[int]:

@@ -34,6 +34,9 @@ SWEEP = [
     ["classify", "--ell", "2000", "--prime", "1000000007"],
     ["classify", "--ell", "30", "--prime", "1733"],
     ["classify", "--ell", "2000", "--prime", "7995991"],
+    ["classify", "--ell", "4", "--prime", "3"],
+    ["classify", "--ell", "7", "--prime", "3"],
+    ["classify", "--ell", "25", "--prime", "3"],
     ["bset", "--ell", "4"],
     ["bset", "--ell", "4", "--bruteforce"],
     ["bset", "--ell", "4", "--bruteforce", "--intervals"],

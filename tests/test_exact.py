@@ -18,7 +18,6 @@ from virmod.exact import (
     independent_rows,
     is_prime,
     kernel,
-    p_valuation,
     rank,
     reduce_mod_p,
 )
@@ -151,22 +150,6 @@ def rational_matrices(rows, cols):
     return st.lists(
         st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     )
-
-
-class TestValuation:
-    def test_examples(self):
-        assert p_valuation(F(3, 80), 5) == -1
-        assert p_valuation(F(35, 80), 5) == 0
-        assert p_valuation(F(7), 7) == 1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            p_valuation(F(0), 5)
-
-    @given(q=rationals.filter(lambda x: x != 0), r=rationals.filter(lambda x: x != 0),
-           p=st.sampled_from(ODD_PRIMES))
-    def test_additive_on_products(self, q, r, p):
-        assert p_valuation(q * r, p) == p_valuation(q, p) + p_valuation(r, p)
 
 
 class TestReduceModP:

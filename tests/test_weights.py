@@ -14,11 +14,9 @@ from virmod.weights import (
     IntervalSet,
     MinimalLabel,
     PrimeClassification,
-    _classes_off_d,
+    _classes,
     _is_bad_dividing_d,
     _label_at,
-    _residues,
-    _weight_table,
     b_set_bruteforce,
     b_set_intervals,
     b_set_marks,
@@ -72,15 +70,12 @@ def intervals_from_values(values):
     return intervals_normalized((v, v) for v in values)
 
 
-def is_bad_oracle(table, p):
-    """The verdict from the whole residue table: fewer distinct classes
-    than defined weights; p = 2 is bad by convention.  A p not dividing D
-    takes the classes N mod p, the rule of `residues_oracle`; a p dividing D
-    those of `_residues`."""
+def is_bad_oracle(classes, p):
+    """The verdict from the class of every weight, as `residues_oracle`
+    gives them: fewer distinct classes than defined weights; p = 2 is bad by
+    convention."""
     if p == 2:
         return True
-    den, nums = table
-    classes = [N % p for N in nums] if den % p else _residues(table, p)
     defined = [r for r in classes if r is not None]
     return len(set(defined)) < len(defined)
 
@@ -153,17 +148,32 @@ def classify_oracle(ell, p):
 
 
 def residues_oracle(ell, primes):
-    """For each p in `primes`, the class of each canonical weight from a gcd
-    per label: N mod p for p not dividing D, else n * d^-1 mod p of the
-    reduced fraction n/d = N/D, None where p divides d."""
+    """For each p in `primes`, lazily: p and the class of each canonical
+    weight from a gcd per label: N mod p for p not dividing D, else
+    n * d^-1 mod p of the reduced fraction n/d = N/D, None where p divides d."""
     den = 4 * (ell + 1) * (ell + 2)
     nums = [weight_numerator(ell, lab.m, lab.n) for lab in canonical_labels(ell)]
     reduced = [(N // gcd(N, den), den // gcd(N, den)) for N in nums]
-    return {
-        p: [N % p for N in nums] if den % p
-        else [n * pow(d, -1, p) % p if d % p else None for n, d in reduced]
+    return (
+        (p, [N % p for N in nums] if den % p else [n * pow(d, -1, p) % p if d % p else None for n, d in reduced])
         for p in primes
-    }
+    )
+
+
+def classes_as_residues(ell, p):
+    """The stream `_classes(ell, p)` in the form of `residues_oracle`: one
+    entry per label, None where the stream has none, and on D each class
+    times the unit (D/p^e)^-1 that the stream leaves out.  No index comes
+    twice."""
+    den, pe = 4 * (ell + 1) * (ell + 2), 1
+    while den % (pe * p) == 0:
+        pe *= p
+    unit = pow(den // pe, -1, p) if pe > 1 else 1
+    out = [None] * (ell * (ell + 1) // 2)
+    for i, r in _classes(ell, p):
+        assert out[i] is None, i
+        out[i] = r * unit % p
+    return out
 
 
 def d_matrix_full(ell):
@@ -437,26 +447,21 @@ class TestClassifier:
 
 
 class TestResidues:
-    """The p^e rule of `_residues`, and the classes `_classes_off_d` streams
-    for p not dividing D, against the gcd of every label."""
+    """The classes `_classes` streams, by the p^e rule on D and as N mod p
+    off D, against the gcd of every label."""
 
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_primes_dividing_d(self, ell):
-        table = _weight_table(ell)
-        primes = [p for p in primes_upto(ell + 2) if table[0] % p == 0]
-        for p, expected in residues_oracle(ell, primes).items():
-            assert _residues(table, p) == expected
+        for p, expected in residues_oracle(ell, primes_dividing_d(ell)[1:]):
+            assert classes_as_residues(ell, p) == expected, p
 
     @pytest.mark.parametrize("ell", range(2, 31))
     def test_every_prime_to_the_window(self, ell):
-        """p dividing D takes its classes from `_residues`; an odd p not
-        dividing D streams them from `_classes_off_d`."""
-        table = _weight_table(ell)
-        for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)).items():
-            if table[0] % p == 0:
-                assert _residues(table, p) == expected, p
-            else:
-                assert list(_classes_off_d(ell, p)) == expected, p
+        """Every odd p: off D the stream runs in label order."""
+        for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)[1:]):
+            assert classes_as_residues(ell, p) == expected, p
+            if 4 * (ell + 1) * (ell + 2) % p:
+                assert [i for i, _ in _classes(ell, p)] == list(range(len(expected))), p
 
 
 class TestBadPrimes:
@@ -494,15 +499,14 @@ class TestMarksRule:
 
     @pytest.mark.parametrize("ell", range(2, 41))
     def test_verdict_matches_residue_table(self, ell):
-        table = _weight_table(ell)
-        for p in primes_upto(2 * ell * ell + 3 * ell):
-            assert is_bad_prime(ell, p) == is_bad_oracle(table, p), p
+        for p, classes in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)):
+            assert is_bad_prime(ell, p) == is_bad_oracle(classes, p), p
 
     @pytest.mark.parametrize("ell", range(2, 61))
     def test_bad_primes_match_residue_table(self, ell):
-        table = _weight_table(ell)
         bound = 2 * ell * ell + ell - 3
-        assert bad_primes(ell) == [p for p in primes_upto(bound) if is_bad_oracle(table, p)]
+        expected = [p for p, classes in residues_oracle(ell, primes_upto(bound)) if is_bad_oracle(classes, p)]
+        assert bad_primes(ell) == expected
 
     @pytest.mark.parametrize("ell", [3, 5, 30, 112])
     def test_prop_h_fails_on_a_mark_above_the_bound(self, ell, monkeypatch):
@@ -603,11 +607,11 @@ class TestPointVerdictsBuildNoTable:
 
     @pytest.mark.parametrize("ell,p,pairs", [(30, 1733, 4), (2000, 7995991, 4), (2000, 4002001, 1999)])
     def test_bad_primes_above_the_square(self, ell, p, pairs, monkeypatch):
-        def tripwire(ell):
-            raise AssertionError("_weight_rows ran")
+        def tripwire(ell, p):
+            raise AssertionError("_classes ran")
 
         sieve_tripwires(monkeypatch, ell)
-        monkeypatch.setattr(weights, "_weight_rows", tripwire)
+        monkeypatch.setattr(weights, "_classes", tripwire)
         assert is_bad_prime(ell, p)
         assert collision_count(ell, p, cli.CLASSIFY_PAIRS_MAX) == pairs
         assert len(classify_prime(ell, p).collisions) == pairs
@@ -626,7 +630,7 @@ class TestPairsSummingToP:
     def test_matches_the_residue_classes(self, ell):
         low, top = ell * ell + ell - 2, 2 * (ell * ell + ell - 1)
         labels = canonical_labels(ell)
-        for p, classes in residues_oracle(ell, primes_between(low + 1, top + 60)).items():
+        for p, classes in residues_oracle(ell, primes_between(low + 1, top + 60)):
             members = {}
             for lab, r in zip(labels, classes):
                 members.setdefault(r, []).append(lab)
@@ -651,19 +655,17 @@ class TestDefinedLabels:
 
     @pytest.mark.parametrize("ell", range(2, 81))
     def test_verdict_matches_residue_table(self, ell):
-        table = _weight_table(ell)
-        for p in primes_dividing_d(ell):
-            assert _is_bad_dividing_d(ell, p) == is_bad_oracle(table, p), p
+        for p, classes in residues_oracle(ell, primes_dividing_d(ell)):
+            assert _is_bad_dividing_d(ell, p) == is_bad_oracle(classes, p), p
 
     @pytest.mark.parametrize("ell", range(2, 81))
     def test_defined_labels_are_read_off_the_label(self, ell):
-        table = _weight_table(ell)
-        for p in primes_dividing_d(ell)[1:]:
+        for p, classes in residues_oracle(ell, primes_dividing_d(ell)[1:]):
             q = ell + 1 if (ell + 1) % p == 0 else ell + 2
             pe = p
             while q % (pe * p) == 0:
                 pe *= p
-            defined = [lab for lab, r in zip(canonical_labels(ell), _residues(table, p)) if r is not None]
+            defined = [lab for lab, r in zip(canonical_labels(ell), classes) if r is not None]
             key = (lambda lab: lab.m) if q == ell + 1 else (lambda lab: lab.n)
             assert defined == [lab for lab in canonical_labels(ell) if key(lab) % pe in (1, pe - 1)], p
 
@@ -671,12 +673,11 @@ class TestDefinedLabels:
     def test_neighbour_primes_rank_l_plus_1_and_l_labels(self, ell):
         for q, count in ((ell + 1, ell + 1), (ell + 2, ell)):
             if is_prime(q):
-                defined = [r for r in _residues(_weight_table(ell), q) if r is not None]
-                assert len(defined) == count
+                assert len(list(_classes(ell, q))) == count
 
     def test_verdict_stops_at_the_first_repeat(self, monkeypatch):
         """A repeated class shows within p+1 weights, by pigeonhole."""
-        real = weights._defined_classes
+        real = weights._classes
         read = []
 
         def counting(ell, p):
@@ -684,7 +685,7 @@ class TestDefinedLabels:
                 read.append(r)
                 yield r
 
-        monkeypatch.setattr(weights, "_defined_classes", counting)
+        monkeypatch.setattr(weights, "_classes", counting)
         for ell in range(2, 101):
             for p in primes_dividing_d(ell)[1:]:
                 read.clear()
@@ -692,13 +693,15 @@ class TestDefinedLabels:
                 assert (len(read) <= p + 1) if bad else (len(read) == len(list(real(ell, p)))), (ell, p)
 
     def test_bad_primes_build_no_residue_table(self, monkeypatch):
+        """The verdicts build no label: neither the degenerate ones nor
+        those of the colliding classes."""
         expected = {ell: bad_primes(ell) for ell in range(2, 61)}
 
         def tripwire(*args):
-            raise AssertionError("the residue table ran")
+            raise AssertionError("a label was built")
 
-        monkeypatch.setattr(weights, "_weight_table", tripwire)
-        monkeypatch.setattr(weights, "_residues", tripwire)
+        monkeypatch.setattr(weights, "_degenerate_labels", tripwire)
+        monkeypatch.setattr(weights, "_label_at", tripwire)
         for ell in range(2, 61):
             assert bad_primes(ell) == expected[ell]
             for p in primes_dividing_d(ell):
@@ -722,10 +725,10 @@ class TestCollisionCount:
         window = primes_upto(2 * ell * ell + 3 * ell) if ell <= 40 else []
         good = [p for p in window if den % p and not is_bad_prime(ell, p)] + [1000000007]
 
-        def tripwire(ell):
-            raise AssertionError("_weight_rows ran")
+        def tripwire(ell, p):
+            raise AssertionError("_classes ran")
 
-        monkeypatch.setattr(weights, "_weight_rows", tripwire)
+        monkeypatch.setattr(weights, "_classes", tripwire)
         for p in good:
             cls = classify_prime(ell, p)
             assert (cls.status, cls.collisions, cls.degenerate) == ("good", (), ()), p
@@ -754,10 +757,16 @@ class TestCollisionCount:
 class TestDegenerateCount:
     """The degenerate-label count `classify` checks before listing them."""
 
-    @pytest.mark.parametrize("ell", range(2, 13))
+    @pytest.mark.parametrize("ell", range(2, 81))
     def test_equals_the_listed_labels(self, ell):
-        for p in primes_upto(2 * ell * ell + 3 * ell):
-            assert degenerate_count(ell, p) == len(classify_prime(ell, p).degenerate), p
+        """Every prime to the prop-h window at ell <= 12, and every p | D: the
+        listed labels are those the oracle gives no class."""
+        primes = primes_upto(2 * ell * ell + 3 * ell) if ell <= 12 else primes_dividing_d(ell)
+        for p, classes in residues_oracle(ell, primes):
+            listed = classify_prime(ell, p).degenerate
+            expected = () if p == 2 else tuple(lab for lab, r in zip(canonical_labels(ell), classes) if r is None)
+            assert listed == expected, p
+            assert degenerate_count(ell, p) == len(listed), p
 
     @pytest.mark.parametrize("ell", range(13, 61))
     def test_primes_dividing_d_count_the_listed_labels(self, ell):
@@ -801,9 +810,9 @@ class TestEll1000:
         assert all(p in listed for p in primes_upto(low) if den % p)
         b = b_set_intervals(ell)
         assert all(p in b for p in bad if p > low)
-        table = _weight_table(ell)
-        for p in random.Random(ell).sample(primes_upto(2 * ell * ell + 3 * ell), 10):
-            assert (p in listed) == is_bad_oracle(table, p), p
+        sample = random.Random(ell).sample(primes_upto(2 * ell * ell + 3 * ell), 10)
+        for p, classes in residues_oracle(ell, sample):
+            assert (p in listed) == is_bad_oracle(classes, p), p
 
     def test_verify_prop_h(self):
         t0 = time.monotonic()
