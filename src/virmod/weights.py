@@ -31,14 +31,15 @@ exactly when one of the two has t in [2, 2l+2] and s in range, that is,
 when r-k >= 2, or when r <= l-1 and k <= r+l (`in_b_set_below_top`).
 `b_set_marks` marks the whole set at once for the bulk callers.
 
-Where the rule does not apply the classifier reads one stream of weight
-classes, `_classes`: for the odd primes dividing D (each at most l+2), and
-in `collision_count` and `classify_prime`, which count and list the
-colliding labels (above l^2+l-2 they pair off as the labels whose
-x = m(l+2) - n(l+1) sum to p, proved at `_pairs_summing_to`).  With p^e the
-exact power of p in D, N/D has an image mod p exactly when p^e divides N,
-and its class is then (N/p^e)(D/p^e)^-1; for p not dividing D two weights
-collide exactly when their numerators do.
+Where the rule does not apply the classifier groups the colliding weights
+in one routine, `_collisions`: for the odd primes dividing D (each at most
+l+2), and in `collision_count` and `classify_prime`, which count and list
+the colliding labels.  Up to l^2+l-2 it reads one stream of weight classes,
+`_classes`; above, the labels pair off as those whose x = m(l+2) - n(l+1)
+sum to p (proved at `_collisions`).  With p^e the exact power of p in D,
+N/D has an image mod p exactly when p^e divides N, and its class is then
+(N/p^e)(D/p^e)^-1; for p not dividing D two weights collide exactly when
+their numerators do.
 
 For an odd p dividing D the stream holds only the weights defined mod p,
 and these are read off the label (`_defined_rule`, which also gives the
@@ -60,7 +61,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, count
-from math import isqrt
+from math import inf, isqrt
 from operator import le
 
 from .exact import is_prime
@@ -323,10 +324,63 @@ def _classes(ell: int, p: int):
     return ((m * (m - 1) // 2 + n - 1, (x * x - 1) // pe % p) for n in kept for m, x in zip(range(n, b), count(n, a)))
 
 
+def _collisions(ell: int, p: int, limit: float) -> tuple[int, list[list[int]]]:
+    """For a prime p, the classes of two or more canonical weights that
+    collide mod p, each a list of indices into `canonical_labels(ell)`, and
+    the number of pairs they hold.  p = 2 lists none.
+
+    Up to l^2+l-2 the classes come from `_classes`, read only until the
+    count passes `limit`: with limit 0 the reading stops at the first
+    repeated class.  A class need not come sorted, as the stream's indices
+    do not ascend on p | l+2.
+
+    Above l^2+l-2 every class is a pair, found in O(l) plus the pairs, with
+    no weight read.  Write x = m(l+2) - n(l+1) = m + k(l+1) with k = m-n.  A
+    canonical label has 1 <= m <= l and 0 <= k < m, so x lies in
+    [1, l^2+l-1] and fixes its label: m = x mod (l+1) and k = x div (l+1).
+    Such p exceeds l+2, so it does not divide D, and two weights collide
+    exactly when p divides N_a - N_b = (x_a - x_b)(x_a + x_b).  Here
+    0 < |x_a - x_b| <= l^2+l-2 < p and 0 < x_a + x_b <= 2l^2+2l-3 < 2p, so
+    they collide exactly when x_a + x_b = p.  The partner of a label is then
+    the one x = p - x_a, if that is a canonical label's, and every class has
+    one or two members.  With c, r = divmod(p - m, l+1), p - x_a =
+    (c-k)(l+1) + r: a label when r >= 1 and 0 <= c-k < r, namely
+    (r, r-c+k).  So row m pairs for k in [max(0, c-r+1), min(m-1, c)]; each
+    pair is met from both of its labels and kept from the smaller.  A good
+    p, by `in_b_set_below_top`, reads no row.
+    """
+    if p == 2:
+        return 0, []
+    if p > ell * ell + ell - 2:
+        if not in_b_set_below_top(ell, p):
+            return 0, []
+        classes = []
+        for m in range(1, ell + 1):
+            c, r = divmod(p - m, ell + 1)
+            for k in range(max(0, c - r + 1), min(m - 1, c) + 1):  # empty when r = 0
+                # (m, m-k) and (r, r-c+k); (m, n) has index m(m-1)/2 + n-1
+                i, j = m * (m + 1) // 2 - k - 1, r * (r + 1) // 2 - c + k - 1
+                if i < j:
+                    classes.append([i, j])
+        return len(classes), classes
+    first: dict[int, int] = {}  # class -> index of its first weight
+    shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
+    pairs = 0
+    for i, r in _classes(ell, p):
+        j = first.setdefault(r, i)
+        if j != i:
+            idx = shared.setdefault(j, [j])
+            pairs += len(idx)  # the k-th member of a class adds k-1
+            idx.append(i)
+            if pairs > limit:
+                break
+    return pairs, list(shared.values())
+
+
 def _is_bad_dividing_d(ell: int, p: int) -> bool:
     """The verdict for a prime p dividing D: p = 2 is bad by convention, and
-    an odd p is bad when `collision_count` finds one pair."""
-    return p == 2 or collision_count(ell, p, 0) > 0
+    an odd p is bad when `_collisions` finds one pair."""
+    return p == 2 or _collisions(ell, p, 0)[0] > 0
 
 
 def _check_prime_args(ell: int, p: int) -> None:
@@ -334,37 +388,6 @@ def _check_prime_args(ell: int, p: int) -> None:
         raise ValueError(f"{p} is not prime")
     if ell < 2:
         raise ValueError("ell must be >= 2")
-
-
-def _pairs_summing_to(ell: int, p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """For a prime p > l^2+l-2, the colliding pairs of `classify_prime` as
-    sorted pairs of labels (m, n), in O(l) plus the pairs found.
-
-    Write x = m(l+2) - n(l+1) = m + k(l+1) with k = m-n.  A canonical label
-    has 1 <= m <= l and 0 <= k < m, so x lies in [1, l^2+l-1] and fixes its
-    label: m = x mod (l+1) and k = x div (l+1).  Such p exceeds l+2, so it
-    does not divide D, and two weights collide exactly when p divides
-    N_a - N_b = (x_a - x_b)(x_a + x_b).  Here 0 < |x_a - x_b| <= l^2+l-2 < p
-    and 0 < x_a + x_b <= 2l^2+2l-3 < 2p, so they collide exactly when
-    x_a + x_b = p.  The partner of a label is then the one x = p - x_a, if
-    that is a canonical label's, and every class has one or two members.
-    With c, r = divmod(p - m, l+1), p - x_a = (c-k)(l+1) + r: a label when
-    r >= 1 and 0 <= c-k < r, namely (r, r-c+k).  So row m pairs for k in
-    [max(0, c-r+1), min(m-1, c)]; each pair is met from both of its labels
-    and kept from the smaller.  A good p, by `in_b_set_below_top`, reads no
-    row.
-    """
-    if not in_b_set_below_top(ell, p):
-        return []
-    pairs = []
-    for m in range(1, ell + 1):
-        c, r = divmod(p - m, ell + 1)
-        for k in range(max(0, c - r + 1), min(m - 1, c) + 1):  # empty when r = 0
-            a, b = (m, m - k), (r, r - c + k)
-            if a < b:
-                pairs.append((a, b))
-    pairs.sort()
-    return pairs
 
 
 def is_bad_prime(ell: int, p: int) -> bool:
@@ -381,27 +404,12 @@ def is_bad_prime(ell: int, p: int) -> bool:
 
 
 def collision_count(ell: int, p: int, limit: int) -> int:
-    """How many pairs `classify_prime(ell, p)` lists, counted from the sizes
-    of the classes of `_classes` without building a pair or a label: the
-    k-th member of a class adds k-1.  The count stops at the first weight
-    that takes it above `limit`, so at a small p it reads only the first
-    weights, and with limit 0 it stops at the first repeated class.  A
-    p > l^2+l-2 counts the pairs of `_pairs_summing_to`, and a good one reads
-    no weight."""
+    """How many pairs `classify_prime(ell, p)` lists, counted by `_collisions`
+    without building a label.  The count stops at the first weight that
+    takes it above `limit`, so at a small p it reads only the first weights,
+    and a good p > l^2+l-2 reads no weight."""
     _check_prime_args(ell, p)
-    if p == 2:
-        return 0
-    if p > ell * ell + ell - 2:
-        return len(_pairs_summing_to(ell, p))
-    sizes: dict[int, int] = {}
-    pairs = 0
-    for _, r in _classes(ell, p):
-        k = sizes.get(r, 0)
-        pairs += k
-        sizes[r] = k + 1
-        if pairs > limit:
-            break
-    return pairs
+    return _collisions(ell, p, limit)[0]
 
 
 def degenerate_count(ell: int, p: int) -> int:
@@ -418,9 +426,10 @@ def degenerate_count(ell: int, p: int) -> int:
 
 
 def _degenerate_labels(ell: int, p: int) -> tuple[MinimalLabel, ...]:
-    """For an odd prime p, the labels `classify_prime` lists as degenerate,
-    in label order: on D those that `_defined_rule` drops, off D none."""
-    if 4 * (ell + 1) * (ell + 2) % p:
+    """For a prime p, the labels `classify_prime` lists as degenerate, in
+    label order: for an odd p dividing D those that `_defined_rule` drops,
+    otherwise none."""
+    if p == 2 or 4 * (ell + 1) * (ell + 2) % p:
         return ()
     by_m, _, kept = _defined_rule(ell, p)
     kept = set(kept)
@@ -441,34 +450,18 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
 
     p = 2 is bad by convention.  Weights whose reduced denominator is
     divisible by p have no image mod p; they are reported in `degenerate`
-    (`_degenerate_labels`) and excluded from the collision comparison.  A
-    p > l^2+l-2 divides no denominator and takes its pairs from
-    `_pairs_summing_to`.  Otherwise collisions are the sorted pairs of
-    labels in one class of `_classes`, grouped by label index; labels are
-    built only for the classes of two or more.
+    (`_degenerate_labels`) and excluded from the collision comparison.
+    Collisions are the sorted pairs of labels in one class of `_collisions`;
+    labels are built only for the classes it lists.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    cc_defined = central_charge(ell).denominator % p != 0
-    if p == 2:
-        return PrimeClassification(ell, 2, "bad", (), (), cc_defined)
-    if p > ell * ell + ell - 2:
-        pairs = _pairs_summing_to(ell, p)
-        collisions = tuple((MinimalLabel(ell, *a), MinimalLabel(ell, *b)) for a, b in pairs)
-        status = "bad" if collisions else "good"
-        return PrimeClassification(ell, p, status, collisions, (), cc_defined)
-    first: dict[int, int] = {}  # class -> index of its first weight
-    shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
-    for i, r in _classes(ell, p):
-        j = first.setdefault(r, i)
-        if j != i:
-            shared.setdefault(j, [j]).append(i)
-    labels = {i: _label_at(ell, i) for idx in shared.values() for i in idx}
-    # index order is label order, so the sorted index pairs give the sorted label pairs; a class
-    # is sorted first, as the stream's indices need not ascend on p | l+2
-    pairs = sorted((a, b) for idx in map(sorted, shared.values()) for k, a in enumerate(idx) for b in idx[k + 1 :])
+    _check_prime_args(ell, p)
+    _, classes = _collisions(ell, p, inf)
+    labels = {i: _label_at(ell, i) for idx in classes for i in idx}
+    # index order is label order, so the sorted index pairs give the sorted label pairs
+    pairs = sorted((a, b) for idx in map(sorted, classes) for k, a in enumerate(idx) for b in idx[k + 1 :])
     collisions = tuple((labels[a], labels[b]) for a, b in pairs)
-    status = "bad" if collisions else "good"
+    status = "bad" if p == 2 or collisions else "good"
+    cc_defined = central_charge(ell).denominator % p != 0
     return PrimeClassification(ell, p, status, collisions, _degenerate_labels(ell, p), cc_defined)
 
 

@@ -37,6 +37,8 @@ SWEEP = [
     ["classify", "--ell", "4", "--prime", "3"],
     ["classify", "--ell", "7", "--prime", "3"],
     ["classify", "--ell", "25", "--prime", "3"],
+    ["classify", "--ell", "6", "--prime", "11"],
+    ["classify", "--ell", "1", "--prime", "7"],
     ["bset", "--ell", "4"],
     ["bset", "--ell", "4", "--bruteforce"],
     ["bset", "--ell", "4", "--bruteforce", "--intervals"],

@@ -623,8 +623,8 @@ def x_of(lab):
 
 class TestPairsSummingToP:
     """Above l^2+l-2 the colliding pairs are the labels whose x = m(l+2) -
-    n(l+1) sum to p (`weights._pairs_summing_to`), against the classes
-    N mod p of every label."""
+    n(l+1) sum to p (the x-sum rule of `weights._collisions`), against the
+    classes N mod p of every label."""
 
     @pytest.mark.parametrize("ell", range(2, 41))
     def test_matches_the_residue_classes(self, ell):
@@ -692,6 +692,19 @@ class TestDefinedLabels:
                 bad = _is_bad_dividing_d(ell, p)
                 assert (len(read) <= p + 1) if bad else (len(read) == len(list(real(ell, p)))), (ell, p)
 
+    def test_bad_primes_check_no_primality(self, monkeypatch):
+        """The p | D verdicts of `bad_primes` (here p = 3 and 23) take primes
+        from the sieve and do not test them again."""
+        expected, calls = bad_primes(22), []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(weights, "is_prime", counting)
+        assert bad_primes(22) == expected
+        assert calls == []
+
     def test_bad_primes_build_no_residue_table(self, monkeypatch):
         """The verdicts build no label: neither the degenerate ones nor
         those of the colliding classes."""
@@ -747,6 +760,7 @@ class TestCollisionCount:
 
     def test_stops_above_the_limit(self):
         assert 1000 < collision_count(100, 7, 1000) < collision_count(100, 7, 10**9) == 3380770
+        assert all(collision_count(30, 3, limit) > limit for limit in range(100))
 
     @pytest.mark.parametrize("ell, p, message", [(5, 9, "9 is not prime"), (1, 7, "ell must be >= 2")])
     def test_rejects(self, ell, p, message):
@@ -767,11 +781,6 @@ class TestDegenerateCount:
             expected = () if p == 2 else tuple(lab for lab, r in zip(canonical_labels(ell), classes) if r is None)
             assert listed == expected, p
             assert degenerate_count(ell, p) == len(listed), p
-
-    @pytest.mark.parametrize("ell", range(13, 61))
-    def test_primes_dividing_d_count_the_listed_labels(self, ell):
-        for p in primes_dividing_d(ell):
-            assert degenerate_count(ell, p) == len(classify_prime(ell, p).degenerate), p
 
     def test_most_under_the_cli_limit_at_ell_30(self):
         worst = max(
