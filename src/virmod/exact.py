@@ -10,15 +10,25 @@ through fraction-free (Bareiss) elimination on those rows divided by their
 content, the product of the contents multiplied back into the result.
 `rank` serves F_p only; QQ ranks of Gram levels come from
 `virasoro.graded_rank`, and of any other matrix from `kernel`, as the
-number of columns less the kernel dimension.  `kernel` first certifies the
-integer rows mod the fixed prime `_CERT_PRIME`: reduction mod p is a ring
-map, so a minor nonzero mod p is nonzero over Z, and full column rank mod p
-proves the null space zero over QQ.  Only when it falls short are the rows
-divided by their content and a basis found by integer Gauss-Jordan
-elimination.  Every elimination mod p packs each row into one int, a
-fixed-width slot per column (1, 2, 4 or 8 bytes unless p is large, filled
-by one `struct` call), so that a row update is one big-int multiply-add
-with no reduction of the updated row.  No randomness, no floats.
+number of columns less the kernel dimension.
+
+`kernel` eliminates only mod primes below 2^26, descending from
+`_CERT_PRIME`, and checks its answer over Z.  Full column rank mod the
+first proves the null space zero, reduction mod p being a ring map.
+Otherwise each prime's reduced echelon form gives, per free column f, the
+null vector 1 at f and 0 at the other free columns, ending at f.  No prime
+beats QQ on rank, nor at equal rank on a lexicographically smaller pivot
+list (a pivot is a column raising the rank of those before it).  The
+vectors of the best primes so far are combined by CRT, rationally
+reconstructed and accepted once M v = 0 exactly: ncol - rank_p >= dim ker M
+vectors ending at distinct columns span ker M, and a column is free exactly
+when some kernel vector ends there, so they are the basis over QQ.  Finitely
+many primes divide the minors fixing rank and pivots, so the loop ends.
+
+Every elimination mod p packs each row into one int, a fixed-width slot
+per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
+call), so that a row update is one big-int multiply-add with no reduction
+of the updated row.  No randomness, no floats.
 """
 from __future__ import annotations
 
@@ -26,23 +36,27 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
+from operator import mul
 from struct import Struct
 
 # Largest prime below 2^26: a certificate up to 4095 columns, hence every
 # Gram level to cli.LEVEL_MAX (627 columns), packs into 8-byte slots.  A
 # smaller prime gives up nothing exact: a rank it misses only sends the rows
-# to the Gauss-Jordan fallback.
+# to the multi-modular kernel.
 _CERT_PRIME = 67108859
+
+# The primes of `kernel`, descending from `_CERT_PRIME`, grown as it needs more
+_MODULI = [_CERT_PRIME]
 
 # struct codes of the slot widths, in bytes, that are plain unsigned ints
 _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# Eliminations run so far, by path: a certificate or image selection mod
-# `_CERT_PRIME`, an F_p rank, the Gauss-Jordan fallback of `kernel`, and
-# Bareiss (`determinant`).  `virmod reproduce-paper --timings` reports each
-# check's share.
-ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "gauss-jordan": 0, "bareiss": 0}
+# Eliminations run so far, by path: kernel certificates mod `_CERT_PRIME`,
+# F_p ranks, kernels past their certificate (multi-modular) and Bareiss
+# (`determinant`).  `virmod reproduce-paper --timings` reports each check's share.
+ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "bareiss": 0}
 
 
 def is_prime(n: int) -> bool:
@@ -184,26 +198,31 @@ def _divide_content(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     return out, content
 
 
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """A maximal set of integer rows independent mod `_CERT_PRIME`, as
-    (row index, pivot column) pairs, one pivot column per row.
-
-    The chosen rows restricted to their pivot columns form a square matrix
-    invertible mod the prime, hence over QQ, so they are independent over QQ
-    too.  Rows that depend on them mod the prime need not depend on them
-    over QQ.
-    """
-    ELIMINATIONS["mod-cert-prime"] += 1
-    return _echelon_mod_p(rows, _CERT_PRIME)
-
-
 def rank(M: DenseMatrix) -> int:
     """Rank of a matrix over F_p.  Over QQ it raises ValueError: Gram levels
     take their rank from `virasoro.graded_rank`, other matrices from `kernel`."""
     if not isinstance(M.field, PrimeField):
         raise ValueError("rank is provided over prime fields only")
     ELIMINATIONS["fp-rank"] += 1
-    return len(_echelon_mod_p(M.entries, M.field.p))
+    return len(_echelon_mod_p(M.entries, M.field.p)[0])
+
+
+def _rational_vector(v: list[int], modulus: int) -> tuple[int, ...] | None:
+    """v read as fractions mod `modulus` (extended Euclid, numerators and
+    denominators up to sqrt(modulus / 2)) and scaled by their common
+    denominator, which leaves an entry 1 primitive; None if one has none."""
+    bound = isqrt(modulus >> 1)
+    fracs = []
+    for x in v:
+        r0, r1, t0, t1 = modulus, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if not 0 < abs(t1) <= bound:
+            return None
+        fracs.append(Fraction(r1, t1))
+    d = lcm(*(q.denominator for q in fracs))
+    return tuple(q.numerator * (d // q.denominator) for q in fracs)
 
 
 def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
@@ -211,47 +230,43 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     integer vectors: one per free column f of the reduced echelon form,
     positive at f and zero at the other free columns.
 
-    Full column rank mod `_CERT_PRIME` of the denominator-cleared rows
-    proves the null space zero.  Otherwise integer Gauss-Jordan elimination
-    runs on those rows divided by their content, each updated row divided
-    by its content again, which keeps the entries near the size of the minors.
+    The denominator-cleared rows are certified mod `_CERT_PRIME`, then
+    eliminated mod the primes of `_MODULI`, as the module docstring says.
     """
     if not isinstance(M.field, RationalField):
         raise ValueError("kernel is provided over the rationals only")
     m, _ = _clear_denominators(M)
     ncol = M.cols
-    if len(independent_rows(m)) == ncol:
-        return []
-    ELIMINATIONS["gauss-jordan"] += 1
-    m, _ = _divide_content(m)
-    pivots: list[int] = []  # pivots[i] is the pivot column of row i
-    for col in range(ncol):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
+    best = None  # the (-rank, pivot columns) of the primes combined
+    for i in count():
+        if i == len(_MODULI):
+            _MODULI.append(next(n for n in range(_MODULI[-1] - 2, 2, -2) if is_prime(n)))
+        p = _MODULI[i]
+        echelon, tails = _echelon_mod_p(m, p)
+        pivots = [c for _, c in echelon]
+        if not i:
+            ELIMINATIONS["mod-cert-prime"] += 1
+            if len(pivots) == ncol:
+                return []
+            ELIMINATIONS["multi-modular"] += 1
+        key = (-len(pivots), pivots)
+        free = sorted(set(range(ncol)) - set(pivots))
+        if best is None or key < best:
+            best, modulus, vecs = key, 1, [[0] * ncol for _ in free]
+        elif key > best:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        a = top[col]
-        for i, row in enumerate(m):
-            b = row[col]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    out = []
-    for f in sorted(set(range(ncol)) - set(pivots)):
-        scale = lcm(*(abs(m[i][c]) for i, c in enumerate(pivots) if m[i][f]))
-        v = [0] * ncol
-        v[f] = scale
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f] * scale // m[i][c]
-        g = gcd(*v)
-        out.append(tuple(x // g for x in v))
-    return out
+        lift = pow(modulus, -1, p)
+        for f, v in zip(free, vecs):
+            w = [0] * ncol  # the null vector mod p, solved up from the last pivot
+            w[f] = 1
+            for c, tail in zip(reversed(pivots), reversed(tails)):
+                if c < f:
+                    w[c] = sum(map(mul, _unpack(tail, ncol - 1 - c), w[c + 1 : f + 1])) % p
+            v[:] = [x + modulus * ((r - x) * lift % p) for x, r in zip(v, w)]
+        modulus *= p
+        out = [_rational_vector(v, modulus) for v in vecs]
+        if None not in out and not any(sum(map(mul, row, w)) for w in out for row in m):
+            return out
 
 
 def determinant(M: DenseMatrix) -> Fraction:
@@ -285,13 +300,30 @@ def _slots(n: int, nb: int) -> Struct:
     return Struct(f">{n}{code}" if code else ">" + f"{nb}s" * n)
 
 
-def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
+def _pack(vals: Sequence[int], nb: int) -> bytes:
+    """Non-negative ints in big-endian slots of nb bytes, by one struct call."""
+    if nb not in _INT_CODES:
+        vals = [x.to_bytes(nb, "big") for x in vals]
+    return _slots(len(vals), nb).pack(*vals)
+
+
+def _unpack(data: bytes, n: int) -> Sequence[int]:
+    """The n ints that `_pack` put in `data`."""
+    nb = len(data) // n if n else 1
+    vals = _slots(n, nb).unpack(data)
+    return vals if nb in _INT_CODES else [int.from_bytes(x, "big") for x in vals]
+
+
+def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, int]], list[bytes]]:
     """Row echelon form mod p of the integer rows `m`, which stay unchanged;
-    the rank is the length of the result.
+    the rank is the number of pivots.
 
     Returns one (row, column) pair per pivot, where `row` indexes the input:
     those rows restricted to the pivot columns form an invertible minor mod p.
-    Each column's pivot is the first remaining row nonzero there mod p.
+    Each column's pivot is the first remaining row nonzero there mod p.  With
+    them come the pivot tails, packed by `_pack`: for the pivot at column c,
+    the residues of its echelon row at columns c+1, c+2, ... scaled by
+    -1/pivot.
 
     Each row is packed into one int, column j in slot ncol-1-j (the first
     column on top).  Slots start as residues below p.  A pivot row is
@@ -312,16 +344,12 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
     ncol = len(m[0]) if m else 0
     bound = (min(nrow, ncol) + 1) * (p - 1) ** 2 + p
     nb = next((b for b in _INT_CODES if bound >> 8 * b == 0), (bound.bit_length() + 7) // 8)
-    wide = nb not in _INT_CODES
     width = 8 * nb
     slot = (1 << width) - 1
-    pack = _slots(ncol, nb).pack
-    if wide:
-        rows = [int.from_bytes(pack(*[(x % p).to_bytes(nb, "big") for x in row]), "big") for row in m]
-    else:
-        rows = [int.from_bytes(pack(*[x % p for x in row]), "big") for row in m]
+    rows = [int.from_bytes(_pack([x % p for x in row], nb), "big") for row in m]
     order = list(range(nrow))
     pivots: list[tuple[int, int]] = []
+    tails: list[bytes] = []
     for col in range(ncol):
         r = len(pivots)
         sh = width * (ncol - 1 - col)
@@ -331,21 +359,17 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
         rows[r], rows[piv] = rows[piv], rows[r]
         order[r], order[piv] = order[piv], order[r]
         pivots.append((order[r], col))
-        if r + 1 == nrow:
-            break
         top = rows[r]
         scale = -pow((top >> sh & slot) % p, -1, p)
         below = (1 << sh) - 1
-        tail = _slots(ncol - 1 - col, nb)
-        vals = tail.unpack((top & below).to_bytes(sh // 8, "big"))
-        if wide:
-            packed = tail.pack(*[(scale * int.from_bytes(x, "big") % p).to_bytes(nb, "big") for x in vals])
-        else:
-            packed = tail.pack(*[scale * x % p for x in vals])
-        neg = int.from_bytes(packed, "big")
+        vals = _unpack((top & below).to_bytes(sh // 8, "big"), ncol - 1 - col)
+        tails.append(_pack([scale * x % p for x in vals], nb))
+        if r + 1 == nrow:
+            break
+        neg = int.from_bytes(tails[-1], "big")
         for i in range(r + 1, nrow):
             row = rows[i]
             f = (row >> sh & slot) % p
             if f:
                 rows[i] = (row + f * neg) & below
-    return pivots
+    return pivots, tails

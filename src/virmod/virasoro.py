@@ -39,10 +39,16 @@ the radical at level n except for new singular vectors (Feigin-Fuchs: at
 minimal points only the levels mn and (l+1-m)(l+2-n) bring any).  And if
 kernel vectors K have an invertible minor on columns P, then, S_n being
 symmetric, the rows and columns in P are combinations of those in the
-complement C, so rank S_n = rank S_n[C, C].  The images kept are those
-independent mod `exact._CERT_PRIME`, each with one pivot column in P; the
-null vectors of S_n[C, C], extended by zero on P, are the new radical
-vectors.
+complement C, so rank S_n = rank S_n[C, C], and a null vector of
+S_n[C, C] extended by zero on P lies in ker S_n.
+
+K_n is kept in trailing form: no two vectors end (have their last nonzero
+entry) at the same column.  Each image is reduced over Z against the kept
+vector ending where it does, until it ends at a new column or vanishes, so
+the kept vectors are triangular on the columns P where they end.  The null
+vectors of S_n[C, C] from `exact.kernel` each end at their own free column,
+and the columns left, C_n, number |C| - dim ker S_n[C, C] = rank S_n; by
+the same argument on all of K_n, S_n[C_n, C_n] is invertible over QQ.
 
 Each minimal-series point has one QQ tower per process, in the bounded
 cache `_tower`: the Kac-vanishing check, the QQ graded ranks and the probe
@@ -54,6 +60,10 @@ p, the unit D^n times the Gram matrix the F_p engine builds, since
 reduction mod p is a ring map on the entries, which lie in Z[h, c/2].  The
 F_p engine serves `gram --prime` and `graded_rank` over F_p.
 
+The probe ranks S_n[C_n, C_n] mod p.  A submatrix's rank is a lower bound
+and rank_p S_n <= rank_QQ S_n = |C_n|, so a minor of full rank mod p proves
+rank_p S_n = rank_QQ S_n; only a level whose minor falls short is ranked whole.
+
 The Kac-vanishing check asks only whether each det S_n is zero, and
 computes no determinant: `kernel` settles the levels up to the first
 singular one, and from there a radical vector carried up by L_{-1} is a
@@ -64,10 +74,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, independent_rows, kernel, rank, reduce_mod_p
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, kernel, rank, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -255,17 +265,11 @@ class GramReport(namedtuple("GramReport", "levels")):
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
     if params._mod:
-        ranks = _ranks_mod_p(params, params.field_, n_max)
+        _build_levels(params, n_max)
+        ranks = [rank(DenseMatrix(params.field_, level)) for level in params._levels[: n_max + 1]]
     else:
-        ranks = [r for r, _ in _radical_levels(params, n_max)]
+        ranks = [r for r, _, _ in _radical_levels(params, n_max)]
     return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
-
-
-def _ranks_mod_p(params: VermaParams, field_: PrimeField, n_max: int) -> list[int]:
-    """Ranks mod p of the levels S_0..S_{n_max} of `params`, built as needed;
-    `rank` reduces the entries, so a QQ tower is ranked as it stands."""
-    _build_levels(params, n_max)
-    return [rank(DenseMatrix(field_, params._levels[n])) for n in range(n_max + 1)]
 
 
 def _lowered(a: int, v: list[int], n: int) -> list[int]:
@@ -279,28 +283,52 @@ def _lowered(a: int, v: list[int], n: int) -> list[int]:
     return image
 
 
+def _last(v: list[int]) -> int:
+    """The index of the last nonzero entry of v, -1 when v is zero."""
+    j = len(v) - 1
+    while j >= 0 and not v[j]:
+        j -= 1
+    return j
+
+
+def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The principal submatrix of a level on `cols`, ascending."""
+    if len(cols) == len(level):
+        return level
+    return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
+
+
 def _radical_levels(params: VermaParams, n_max: int):
-    """Yield (rank S_n, K_n) for n = 0..n_max over QQ, K_n an integer basis
-    of ker S_n as dense vectors over `partitions(n)`, built as the module
-    docstring says."""
+    """Yield (rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer
+    basis of ker S_n as dense vectors over `partitions(n)`, in trailing form,
+    and C_n the columns that are no vector's last, on which S_n has an
+    invertible principal minor; built as the module docstring says."""
     _build_levels(params, n_max)
     bases: list[list[list[int]]] = []
     for n in range(n_max + 1):
         size = len(partitions(n))
-        images = [_lowered(a, v, n) for a in range(1, min(n, 2) + 1) for v in bases[n - a]]
-        kept = independent_rows(images)
-        basis = [images[i] for i, _ in kept]
-        pivots = {col for _, col in kept}
-        free = [j for j in range(size) if j not in pivots]
-        level = params._levels[n]
-        null = kernel(DenseMatrix(QQ, tuple(tuple(level[i][j] for j in free) for i in free)))
+        trailing: dict[int, list[int]] = {}  # each vector of K_n by its last nonzero column
+        for a in range(1, min(n, 2) + 1):
+            for v in bases[n - a]:
+                w = _lowered(a, v, n)
+                j = _last(w)
+                while j in trailing:
+                    k = trailing[j]
+                    g = gcd(k[j], w[j])
+                    s, t = k[j] // g, w[j] // g
+                    w = [s * x - t * y for x, y in zip(w[:j], k)]  # zero from column j on
+                    g = gcd(*w)
+                    w = [x // g for x in w] if g > 1 else w
+                    j = _last(w)
+                if j >= 0:
+                    trailing[j] = w + [0] * (size - len(w))
+        free = [j for j in range(size) if j not in trailing]
+        null = kernel(DenseMatrix(QQ, _minor(params._levels[n], free)))
         for w in null:
-            v = [0] * size
-            for j, x in zip(free, w):
-                v[j] = x
-            basis.append(v)
-        bases.append(basis)
-        yield len(free) - len(null), basis
+            v = dict(zip(free, w))
+            trailing[free[_last(w)]] = [v.get(j, 0) for j in range(size)]
+        bases.append(list(trailing.values()))
+        yield len(free) - len(null), bases[n], [j for j in free if j not in trailing]
 
 
 @lru_cache(maxsize=16)
@@ -312,9 +340,9 @@ def _tower(c: Fraction, h: Fraction) -> VermaParams:
 
 
 @lru_cache(maxsize=32)
-def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[int, ...]:
-    """QQ Gram ranks at levels 0..n_max; probes at one (c, h) share them."""
-    return tuple(r for _, _, r in graded_rank(_tower(c, h), n_max).levels)
+def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(QQ Gram rank, C_n) at levels 0..n_max; probes at one (c, h) share them."""
+    return tuple((r, tuple(cols)) for r, _, cols in _radical_levels(_tower(c, h), n_max))
 
 
 class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):
@@ -334,18 +362,25 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     Equal ranks at every level are evidence that reduction mod p preserves
     the irreducible quotient at this truncation; the first level where the
     mod-p rank is smaller is reported as a rank drop.  Both ranks come from
-    the QQ tower at (c, h), as the module docstring explains.
+    the QQ tower at (c, h), the rank mod p from the minor on C_n where that
+    minor has the QQ rank mod p, as the module docstring explains.
     """
     c = central_charge(ell)
     h = highest_weight(ell, label.m, label.n)
     if p == 2:
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
     field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
-    over_p = _ranks_mod_p(_tower(c, h), field_, n_max)
-    levels = tuple((n, rq, rp) for n, (rq, rp) in enumerate(zip(_rational_ranks(c, h, n_max), over_p)))
+    tower = _tower(c, h)
+    _build_levels(tower, n_max)
+    levels = []
+    for n, (rq, cols) in enumerate(_rational_ranks(c, h, n_max)):
+        rp = rank(DenseMatrix(field_, _minor(tower._levels[n], cols)))
+        if rp < rq:
+            rp = rank(DenseMatrix(field_, tower._levels[n]))
+        levels.append((n, rq, rp))
     drop = next((n for n, rq, rp in levels if rp != rq), None)
     return ProbeVerdict(
-        label, p, n_max, levels, "consistent" if drop is None else "rank-drop", drop
+        label, p, n_max, tuple(levels), "consistent" if drop is None else "rank-drop", drop
     )
 
 

@@ -70,6 +70,11 @@ SWEEP = [
     ["probe", "--ell", "2", "--label", "1,1", "--prime", "11", "--max-level", "5"],
     ["probe", "--ell", "3", "--label", "3,2", "--prime", "5"],
     ["probe", "--ell", "2", "--label", "x", "--prime", "11"],
+    ["probe", "--ell", "4", "--label", "3,2", "--prime", "73", "--max-level", "11"],
+    ["probe", "--ell", "4", "--label", "3,2", "--prime", "7", "--max-level", "10"],
+    ["probe", "--ell", "3", "--label", "2,2", "--prime", "13", "--max-level", "10"],
+    ["probe", "--ell", "6", "--label", "4,3", "--prime", "83", "--max-level", "13"],
+    ["gram", "--c", "4/5", "--h", "21/40", "--level", "9"],
     ["no-such-command"],
     [],
 ]

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from virmod.exact import (
     DenseMatrix,
     PrimeField,
     determinant,
-    independent_rows,
     is_prime,
     kernel,
     rank,
@@ -113,12 +112,12 @@ def int_matrices(rows, cols, bound=9):
 
 def list_echelon_mod_p(m, p):
     """The list elimination that the packed `exact._echelon_mod_p` replaced,
-    run on a copy; the oracle for its pivots."""
+    run on a copy; the oracle for its pivots and pivot tails."""
     m = [list(row) for row in m]
     nrow = len(m)
     ncol = len(m[0]) if m else 0
     order = list(range(nrow))
-    pivots = []
+    pivots, tails = [], []
     for col in range(ncol):
         r = len(pivots)
         piv = next((i for i in range(r, nrow) if m[i][col] % p != 0), None)
@@ -132,9 +131,69 @@ def list_echelon_mod_p(m, p):
             if f:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append((order[r], col))
+        tails.append([-x * inv % p for x in m[r][col + 1 :]])
         if r + 1 == nrow:
             break
-    return pivots
+    return pivots, tails
+
+
+def gauss_jordan_kernel(rows):
+    """The integer Gauss-Jordan elimination that the multi-modular
+    `exact.kernel` replaced; the oracle for its basis.  Rows are cleared of
+    denominators and divided by their content, and so is each updated row,
+    which keeps the entries near the size of the minors."""
+    m = []
+    for row in rows:
+        d = lcm(*(F(x).denominator for x in row))
+        ints = [int(x * d) for x in row]
+        g = gcd(*ints) or 1
+        m.append([x // g for x in ints])
+    ncol = len(m[0]) if m else 0
+    pivots = []  # pivots[i] is the pivot column of row i
+    for col in range(ncol):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        a = top[col]
+        for i, row in enumerate(m):
+            b = row[col]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    out = []
+    for f in sorted(set(range(ncol)) - set(pivots)):
+        scale = lcm(*(abs(m[i][c]) for i, c in enumerate(pivots) if m[i][f]))
+        v = [0] * ncol
+        v[f] = scale
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f] * scale // m[i][c]
+        g = gcd(*v)
+        out.append(tuple(x // g for x in v))
+    return out
+
+
+# The first three primes of `kernel`: `_CERT_PRIME` and the next two below it
+FIRST_MODULI = [_CERT_PRIME, 67108837, 67108819]
+
+
+def cert_pivots(rows):
+    """The (row, column) pivots of the certificate's elimination mod `_CERT_PRIME`."""
+    return exact._echelon_mod_p(rows, _CERT_PRIME)[0]
+
+
+def primes_used(monkeypatch):
+    """The moduli of every elimination mod p from now on, in order."""
+    used = []
+    echelon = exact._echelon_mod_p
+    monkeypatch.setattr(exact, "_echelon_mod_p", lambda m, p: used.append(p) or echelon(m, p))
+    return used
 
 
 # Full rank over QQ, but not mod _CERT_PRIME: the certificate cannot decide them.
@@ -260,12 +319,15 @@ def fixed_matrix(rows, cols, p, seed, rank_bound=None):
 
 class TestEchelonModP:
     """The packed elimination picks the list oracle's pivots, in its order,
-    and leaves its input alone."""
+    with its pivot tails, and leaves its input alone."""
 
     @staticmethod
     def check(m, p):
         before = [list(row) for row in m]
-        assert exact._echelon_mod_p(m, p) == list_echelon_mod_p(m, p)
+        pivots, tails = exact._echelon_mod_p(m, p)
+        ncol = len(m[0]) if m else 0
+        unpacked = [list(exact._unpack(t, ncol - 1 - c)) for (_, c), t in zip(pivots, tails)]
+        assert (pivots, unpacked) == list_echelon_mod_p(m, p)
         assert m == before
 
     @given(rows=st.integers(0, 12), cols=st.integers(0, 12), p=st.sampled_from(ECHELON_PRIMES), data=st.data())
@@ -288,6 +350,7 @@ class TestCertifiedRank:
         assert is_prime(_CERT_PRIME)
         assert _CERT_PRIME < 2**26
         assert not any(is_prime(n) for n in range(_CERT_PRIME + 1, 2**26))
+        assert [n for n in range(_CERT_PRIME, FIRST_MODULI[-1] - 1, -1) if is_prime(n)] == FIRST_MODULI
         # a certificate on a Gram level up to the CLI's cap packs into 8-byte slots
         k = len(partitions(LEVEL_MAX))
         assert (k + 1) * (_CERT_PRIME - 1) ** 2 + _CERT_PRIME < 2**64
@@ -316,7 +379,7 @@ class TestCertifiedRank:
         # content-divided rows, the exact elimination behind `determinant`,
         # recovers it, and so does the kernel
         int_rows, _ = exact._clear_denominators(qq(rows))
-        assert len(independent_rows(int_rows)) < expected
+        assert len(cert_pivots(int_rows)) < expected
         primitive, _ = exact._divide_content(int_rows)
         bareiss_rank, _ = exact._bareiss(primitive)
         assert bareiss_rank == expected == gauss_jordan_rank(rows) == qq_rank(rows)
@@ -333,7 +396,7 @@ class TestCertifiedRank:
 
 class TestCertificateFallback:
     """kernel certifies the denominator-cleared rows as they are, and divides
-    by content only when the certificate fails."""
+    no row by its content."""
 
     P = _CERT_PRIME
 
@@ -342,7 +405,7 @@ class TestCertificateFallback:
         [([[P, 2 * P], [P, 3 * P]], [], 2), ([[P, 2 * P], [2 * P, 4 * P]], [(-2, 1)], 1)],
     )
     def test_raw_rows_failing_the_certificate(self, rows, vecs, rank_qq):
-        assert independent_rows(rows) == []
+        assert cert_pivots(rows) == []
         assert kernel(qq(rows)) == vecs
         assert qq_rank(rows) == rank_qq == gauss_jordan_rank(rows)
 
@@ -358,11 +421,13 @@ class TestCertificateFallback:
 
 
 class TestKernel:
-    """kernel returns a primitive integer basis of the null space."""
+    """kernel returns a primitive integer basis of the null space: the
+    Gauss-Jordan oracle's."""
 
     @staticmethod
     def check(rows):
         vecs = kernel(qq(rows))
+        assert vecs == gauss_jordan_kernel(rows)
         cols = len(rows[0])
         assert len(vecs) == cols - gauss_jordan_rank(rows)
         for v in vecs:
@@ -390,17 +455,49 @@ class TestKernel:
     @pytest.mark.parametrize("rows,rank_qq", LOST_MOD_CERT_PRIME)
     def test_rank_lost_mod_cert_prime(self, rows, rank_qq, monkeypatch):
         # as given, and transposed so that all four have full column rank
-        # over QQ, where the exact elimination must find no vector; the
-        # certificate decides neither, so the elimination runs on both
-        calls = []
-        divide = exact._divide_content
-        monkeypatch.setattr(exact, "_divide_content", lambda m: calls.append(m) or divide(m))
+        # over QQ, where the kernel must find no vector; the certificate
+        # decides neither, so a later prime of the list is taken on both
         transposed = [list(col) for col in zip(*rows)]
         for m in (rows, transposed):
+            used = primes_used(monkeypatch)
             vecs = self.check(m)
             if len(m[0]) == rank_qq:
                 assert vecs == []
-        assert len(calls) == 2
+            assert used[0] == _CERT_PRIME and len(used) > 1 and _CERT_PRIME not in used[1:]
+            assert used[1:] == exact._MODULI[1 : len(used)]
+
+    @given(cols=st.integers(1, 6), nullity=st.integers(0, 3), extra=st.integers(0, 2),
+           fractions=st.booleans(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_gauss_jordan_when_early_primes_fail(self, cols, nullity, extra, fractions, data):
+        """Rows and columns scaled by products of the first three moduli, so
+        that those primes lose rank or shift pivots, and int or Fraction
+        entries."""
+        nullity = min(nullity, cols)
+        nrow = max(1, cols - nullity + extra)
+        a = data.draw(int_matrices(nrow, cols - nullity, bound=5))
+        b = data.draw(int_matrices(cols - nullity, cols, bound=5))
+        rows = [[sum(a[i][t] * b[t][j] for t in range(cols - nullity)) for j in range(cols)] for i in range(nrow)]
+        moduli = st.lists(st.sampled_from(FIRST_MODULI), max_size=2).map(prod)
+        row_scales = data.draw(st.lists(moduli, min_size=nrow, max_size=nrow))
+        col_scales = data.draw(st.lists(moduli, min_size=cols, max_size=cols))
+        rows = [[x * r * c for x, c in zip(row, col_scales)] for row, r in zip(rows, row_scales)]
+        if fractions:
+            dens = data.draw(st.lists(st.integers(1, 12), min_size=nrow, max_size=nrow))
+            rows = [[F(x, d) for x in row] for row, d in zip(rows, dens)]
+        vecs = self.check(rows)
+        assert len(vecs) >= nullity
+
+    def test_pivots_shifted_mod_cert_prime(self, monkeypatch):
+        # the same rank mod _CERT_PRIME, but pivots at later columns: the
+        # next prime's smaller pivot list replaces the certificate's residues,
+        # and the entry -1/_CERT_PRIME of the vector that is 1 at column 1
+        # takes three primes to reconstruct (a modulus above 2 * 2^52)
+        rows = [[_CERT_PRIME, 1, 0], [0, 0, 0]]
+        assert [c for _, c in cert_pivots(rows)] == [1]
+        used = primes_used(monkeypatch)
+        assert self.check(rows) == [(-1, _CERT_PRIME, 0), (0, 0, 1)]
+        assert used == exact._MODULI[:4]
 
     def test_free_column_normalisation(self):
         assert kernel(qq([[2, 4, 6], [1, 2, 3]])) == [(-2, 1, 0), (-3, 0, 1)]
@@ -413,8 +510,9 @@ class TestKernel:
 
 
 class TestRowContent:
-    """kernel divides each row by its content before its elimination, and
-    determinant before Bareiss, multiplying the contents back into the result."""
+    """Huge row factors leave the kernel's rank alone; determinant divides
+    each row by its content before Bareiss, multiplying the contents back
+    into the result."""
 
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     @settings(max_examples=50, deadline=None)

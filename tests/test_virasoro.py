@@ -486,15 +486,35 @@ class TestGradedRank:
             ranks = [r for _, _, r in graded_rank(params, 12).levels]
             assert ranks == rocha_caridi_ranks(ell, lab.m, lab.n, 12)
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
-    def test_radical_basis_is_exact_kernel(self, ell):
-        for _, params in minimal_points(ell):
-            for n, (r, basis) in enumerate(_radical_levels(params, 11)):
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    def test_radical_basis_is_exact_kernel(self, ell, monkeypatch):
+        """K_n spans ker S_n in trailing form, and C_n carries an invertible
+        principal minor of size rank S_n.  The images of K_{n-1} and K_{n-2}
+        are kept exactly, so the kernel step finds new vectors only at the
+        levels of the two singular vectors."""
+        found = []
+        real = virasoro.kernel
+
+        def counting(m):
+            null = real(m)
+            found.append(len(null))
+            return null
+
+        monkeypatch.setattr(virasoro, "kernel", counting)
+        for lab, params in minimal_points(ell):
+            singular = {lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)}
+            for n, (r, basis, cols) in enumerate(_radical_levels(params, 11)):
+                assert found[-1] == 0 or n in singular
                 level = params._levels[n]
                 assert len(basis) == len(partitions(n)) - r
                 assert r == exact._bareiss([list(row) for row in level])[0]
                 for v in basis:
                     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in level)
+                lasts = [max(j for j, x in enumerate(v) if x) for v in basis]
+                assert len(set(lasts)) == len(lasts)
+                assert sorted(set(cols) | set(lasts)) == list(range(len(partitions(n))))
+                assert len(cols) == r
+                assert exact._bareiss([[level[i][j] for j in cols] for i in cols])[0] == r
 
     @given(point=kac_curve_points)
     @settings(max_examples=25, deadline=None)
@@ -579,10 +599,15 @@ class TestProbe:
         cli.check_probes(cli.ReportEnvelope("t", {}))
         assert _rational_ranks.cache_info().misses == len(canonical_labels(2))
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
-    def test_ranks_mod_p_equal_the_fp_tower(self, ell):
-        """The probe ranks the QQ tower mod p; the F_p engine is its oracle."""
-        drops = 0
+    @staticmethod
+    def probes_against_the_fp_tower(ell, monkeypatch):
+        """Probe every canonical label of ell at several primes to level 8,
+        checking each against the F_p engine, its oracle; the number of
+        rank drops and of levels ranked whole after their minor."""
+        calls = []
+        real = virasoro.rank
+        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(m.rows) or real(m))
+        drops = fallbacks = 0
         for lab in canonical_labels(ell):
             c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
             for p in (7, 11, 13, 17, 19, 23, 37, 101):
@@ -592,11 +617,34 @@ class TestProbe:
                     with pytest.raises(DegenerateParams):
                         irreducibility_probe(ell, lab, p, 8)
                     continue
+                calls.clear()
                 v = irreducibility_probe(ell, lab, p, 8)
                 assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
-                assert [rq for _, rq, _ in v.levels] == list(_rational_ranks(c, h, 8))
+                assert [rq for _, rq, _ in v.levels] == [r for r, _ in _rational_ranks(c, h, 8)]
                 drops += v.drop_level is not None
+                fallbacks += len(calls) - 9
+        return drops, fallbacks
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+    def test_ranks_mod_p_equal_the_fp_tower(self, ell, monkeypatch):
+        """The probe ranks the QQ tower mod p, on the minor C_n where that
+        minor keeps the QQ rank and on the whole level where it does not."""
+        drops, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
         assert drops > 0
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_short_minor_falls_back_to_the_full_level(self, ell, monkeypatch):
+        """Mutation: a minor missing one index of C_n certifies nothing, and
+        the probe still equals the F_p tower."""
+        real = virasoro._rational_ranks
+
+        def short(c, h, n_max):
+            return tuple((r, cols[1:]) for r, cols in real(c, h, n_max))
+
+        monkeypatch.setattr(virasoro, "_rational_ranks", short)
+        _, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
+        assert fallbacks > 0
 
     def test_reproduce_builds_each_tower_once(self, monkeypatch):
         """The paper run builds each Gram level of each (c, h) once, over QQ
