@@ -22,8 +22,19 @@ list (a pivot is a column raising the rank of those before it).  The
 vectors of the best primes so far are combined by CRT, rationally
 reconstructed and accepted once M v = 0 exactly: ncol - rank_p >= dim ker M
 vectors ending at distinct columns span ker M, and a column is free exactly
-when some kernel vector ends there, so they are the basis over QQ.  Finitely
-many primes divide the minors fixing rank and pivots, so the loop ends.
+when some kernel vector ends there, so they are the basis over QQ.
+
+The loop ends by a bound.  Let H be the product of the norms of the nonzero
+cleared rows and P that of the primes sharing the best key so far.  Fix
+rows R and the QQ pivot columns C with det M[R, C] != 0: a prime not
+dividing it keeps the columns C independent, hence has the QQ rank on every
+leading set of columns and the QQ key.  So the primes of a wrong best key
+divide that minor, and P <= H by Hadamard.  Under the QQ key each basis
+entry is, by Cramer, a ratio of two minors of at most H, which rational
+reconstruction recovers once P > 2H^2.  Past 2H^2, then, a failing M v = 0
+means a faulty elimination mod p, and `kernel` raises.  The bound is read
+off row bit lengths: entries below 2^b give a squared norm below
+2^(2b + bit length of ncol).
 
 Every elimination mod p packs each row into one int, a fixed-width slot
 per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
@@ -231,7 +242,8 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     positive at f and zero at the other free columns.
 
     The denominator-cleared rows are certified mod `_CERT_PRIME`, then
-    eliminated mod the primes of `_MODULI`, as the module docstring says.
+    eliminated mod the primes of `_MODULI`, as the module docstring says;
+    past its bound a faulty elimination raises RuntimeError.
     """
     if not isinstance(M.field, RationalField):
         raise ValueError("kernel is provided over the rationals only")
@@ -249,6 +261,8 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
             if len(pivots) == ncol:
                 return []
             ELIMINATIONS["multi-modular"] += 1
+            bits = [max(map(abs, row), default=0).bit_length() for row in m]
+            bound_bits = 1 + sum(2 * b + ncol.bit_length() for b in bits if b)  # 2H^2 < 2^bound_bits
         key = (-len(pivots), pivots)
         free = sorted(set(range(ncol)) - set(pivots))
         if best is None or key < best:
@@ -267,6 +281,8 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
         out = [_rational_vector(v, modulus) for v in vecs]
         if None not in out and not any(sum(map(mul, row, w)) for w in out for row in m):
             return out
+        if modulus.bit_length() > bound_bits:
+            raise RuntimeError("kernel: faulty elimination mod p, as M v = 0 fails past the Hadamard bound")
 
 
 def determinant(M: DenseMatrix) -> Fraction:

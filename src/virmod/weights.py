@@ -1,27 +1,51 @@
 """Minimal-series weight arithmetic and the bad/good prime classifier.
 
 For the discrete-series central charge c_l = 1 - 6/((l+1)(l+2)) the highest
-weight h_{m,n} is N/D with N = (m(l+2) - n(l+1))^2 - 1 and D = 4(l+1)(l+2);
-a difference of two numerators factors as `d_plus` * `d_minus`.  This module
-computes the collision set B_l by brute force (a bytearray of marks, over
-only the positive values by the negation symmetry proved at `b_set_marks`,
-compared with the closed form run by run) and as closed intervals, the
-good-candidate set G_l as the complement of those intervals, and checks the
-bound 2l^2 + l - 3 beyond which every prime is good.
+weight h_{m,n} is N/D with N = x^2 - 1, x = m(l+2) - n(l+1), and
+D = 4(l+1)(l+2).  This module computes the collision set B_l by brute force
+(a bytearray of marks, over only the positive values by the negation
+symmetry proved at `b_set_marks`, compared with the closed form run by run)
+and as closed intervals, the good-candidate set G_l as the complement of
+those intervals, and checks the bound 2l^2 + l - 3 beyond which every prime
+is good.
 
-Prime verdicts come from a membership test for B_l.  Let p be an odd prime
-not dividing D.  Then p is bad exactly when p < 2(l^2+l-1), the top value
-of B_l, and p lies in B_l.  Proof: as D is invertible mod p, two distinct
-canonical weights collide exactly when p divides N_a - N_b = d_minus *
-d_plus, that is, when p divides |d_plus| or |d_minus| of the pair.  The
-d_minus of (a, b) is the d_plus of (a, b') with b' = (l+1-m', l+2-n') the
-conjugate label, so every realized |d+-| is a value of B_l.  Enumeration
-over the distinct canonical pairs (tests/test_weights.py, ell = 2..30)
-shows the realized values are all of B_l except its top value, and at
-ell = 2 also except 2; no odd p divides 2 (p = 2 is bad by convention), so
-p is bad exactly when a multiple of p other than the top lies in B_l.  B_l
-holds [1, l^2+l-2], so every odd p <= l^2+l-2 not dividing D is bad.  A
-larger p has 2p >= 2(l^2+l-1), so p itself is the only candidate.
+The classifier keys each weight by its x = m + k(l+1) = n + k(l+2), k = m-n.
+A canonical label has 1 <= m <= l and 0 <= k < m, so x lies in
+[1, l^2+l-1] and fixes its label: m = x mod (l+1) and k = x div (l+1).
+
+One rule serves every odd prime p.  Let p^e be the exact power of p in D
+(e = 0 off D).  Then h_{m,n} has an image mod p exactly when
+x = +-1 (mod p^e), and two such weights collide exactly when
+x_a^2 = x_b^2 (mod p^{e+1}), that is, x_a = +-x_b (mod p^{e+1}).  Proof:
+N/D has an image exactly when p^e | N = (x-1)(x+1), and p divides at most
+one factor, as their common divisors divide 2.  The images are then
+(N/p^e)(D/p^e)^-1, so two agree exactly when p^{e+1} divides
+N_a - N_b = (x_a - x_b)(x_a + x_b).  When e >= 1 p divides no x, hence at
+most one of these factors; when e = 0 the modulus p is prime.
+
+On D, l+1 and l+2 being coprime, p^e is the power of p in one of them.  As
+x = m (mod l+1) and x = n (mod l+2), the rule keeps the rows with
+m = +-1 (mod p^e) when p | l+1 and the columns with n = +-1 (mod p^e) when
+p | l+2 (`_defined_rule`): for a prime l+1 the l+1 labels with m = 1 or
+m = l, for a prime l+2 the l labels with n = 1.  Off D it keeps every row.
+`_classes` streams the kept x with their classes x^2 mod p^{e+1}, and one
+routine, `_collisions`, groups them for the p | D verdict,
+`collision_count` and `classify_prime`.  Above l^2+l-2 no stream is needed:
+such p exceeds l+2, so e = 0, and 0 < |x_a - x_b| < p and
+0 < x_a + x_b < 2p, so every class is a pair whose x sum to p.
+
+Off D the verdict is a membership test for B_l.  With e = 0, two distinct
+canonical weights collide exactly when p divides
+(x_a + x_b)(x_a - x_b) = `d_plus` * `d_minus` of the pair.  The d_minus of
+(a, b) is the d_plus of (a, b') with b' = (l+1-m', l+2-n') the conjugate
+label, so every realized |d+-| is a value of B_l.  Enumeration over the
+distinct canonical pairs (tests/test_weights.py, ell = 2..30) shows the
+realized values are all of B_l except its top value 2(l^2+l-1), and at
+ell = 2 also except 2, which no odd p divides (p = 2 is bad by
+convention).  So p is bad exactly when a multiple of p below the top lies
+in B_l.  B_l holds [1, l^2+l-2], so every odd p <= l^2+l-2 off D is bad,
+and a larger p has 2p >= 2(l^2+l-1): it is bad exactly when p lies in B_l
+below the top.
 
 Membership takes O(1), with no table.  As l+2 = (l+1)+1, a value
 v = s(l+2) - t(l+1) has s = v (mod l+1).  So with k, r = divmod(v, l+1),
@@ -30,37 +54,13 @@ t = (s(l+2) - v)/(l+1): t = r-k and t = r+l+2-k.  A positive v lies in B_l
 exactly when one of the two has t in [2, 2l+2] and s in range, that is,
 when r-k >= 2, or when r <= l-1 and k <= r+l (`in_b_set_below_top`).
 `b_set_marks` marks the whole set at once for the bulk callers.
-
-Where the rule does not apply the classifier groups the colliding weights
-in one routine, `_collisions`: for the odd primes dividing D (each at most
-l+2), and in `collision_count` and `classify_prime`, which count and list
-the colliding labels.  Up to l^2+l-2 it reads one stream of weight classes,
-`_classes`; above, the labels pair off as those whose x = m(l+2) - n(l+1)
-sum to p (proved at `_collisions`).  With p^e the exact power of p in D,
-N/D has an image mod p exactly when p^e divides N, and its class is then
-(N/p^e)(D/p^e)^-1; for p not dividing D two weights collide exactly when
-their numerators do.
-
-For an odd p dividing D the stream holds only the weights defined mod p,
-and these are read off the label (`_defined_rule`, which also gives the
-degenerate labels and their count).  Proof: l+1 and l+2 are coprime and p
-is odd, so p divides exactly one of them, q say, and p^e is the exact power
-of p in q.  Write N = (x-1)(x+1) with x = m(l+2) - n(l+1).  A common divisor
-of x-1 and x+1 divides 2, so p divides at most one of the two factors, and
-p^e | N exactly when x = +-1 (mod p^e).  As x = m + (m-n)(l+1) =
-n + (m-n)(l+2), x = m (mod p^e) when q = l+1 and x = n (mod p^e) when
-q = l+2.  So the defined weights are those with m = +-1 (mod p^e) in the
-first case and n = +-1 (mod p^e) in the second: for a prime q = l+1 the
-l+1 labels with m = 1 or m = l, for a prime q = l+2 the l labels with
-n = 1.  Their classes share the unit factor (D/p^e)^-1, so two of them
-collide exactly when their values N/p^e agree mod p.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from math import inf, isqrt
 from operator import le
 
@@ -290,88 +290,66 @@ def in_b_set_below_top(ell: int, v: int) -> bool:
 
 
 def _defined_rule(ell: int, p: int) -> tuple[bool, int, list[int]]:
-    """For an odd prime p dividing D, the rule of the module docstring:
-    whether it reads m (p | l+1) or n (p | l+2), p^e, the exact power of p
-    in D, and the values in 1..l of that coordinate that keep a weight
-    defined mod p, those = +-1 mod p^e, ascending (p^e >= 3, so the two
-    strides are disjoint)."""
-    by_m = (ell + 1) % p == 0
-    q, pe = (ell + 1 if by_m else ell + 2), p
+    """For an odd prime p, the rule of the module docstring: whether it keeps
+    rows of m (p does not divide l+2) or columns of n, p^e, the exact power
+    of p in D, and the kept values in 1..l of that coordinate, those = +-1
+    mod p^e, ascending."""
+    by_m = (ell + 2) % p != 0
+    q, pe = (ell + 1 if by_m else ell + 2), 1
     while q % (pe * p) == 0:
         pe *= p
-    return by_m, pe, sorted([*range(1, ell + 1, pe), *range(pe - 1, ell + 1, pe)])
+    # c = 1 and c = -1 (mod p^e): two strides, which are one when p^e = 1
+    return by_m, pe, sorted({*range(1, ell + 1, pe), *range(pe - 1 or 1, ell + 1, pe)})
 
 
 def _classes(ell: int, p: int):
-    """For an odd prime p, lazily: (i, class) for each canonical weight with
-    an image mod p, i its index in `canonical_labels(ell)`.  Two of these
-    weights collide exactly when their classes agree.
-
-    Off D every weight has an image, and its class is N mod p.  On D only
-    the labels kept by `_defined_rule` have one, and their class is N/p^e mod
-    p, the image times the unit D/p^e that they all share.  With p | l+2 the
-    labels come n-major, so the indices do not ascend.
-    """
-    a, b = ell + 2, ell + 1
-    if 4 * a * b % p:  # x = m(l+2) - n(l+1) for n = 1..m, stepping down from m(l+2) - (l+1) to m
-        return enumerate((x * x - 1) % p for m in range(1, ell + 1) for x in range(m * a - b, m - 1, -b))
+    """For an odd prime p, lazily: (x, x^2 mod p^{e+1}) for each canonical
+    weight with an image mod p.  Two of these weights collide exactly when
+    their classes agree (the rule of the module docstring).  Rows run
+    n = 1..m, so off D the weights come in label order."""
     by_m, pe, kept = _defined_rule(ell, p)
-    # (m, n) has index m(m-1)/2 + n-1
-    if by_m:  # n = 1..m for each kept m, x stepping down as above
-        return ((i, (x * x - 1) // pe % p) for m in kept
-                for i, x in zip(range(m * (m - 1) // 2, m * (m + 1) // 2), range(m * a - b, m - 1, -b)))
-    # m = n..l for each kept n, x = n + (m-n)(l+2) stepping up
-    return ((m * (m - 1) // 2 + n - 1, (x * x - 1) // pe % p) for n in kept for m, x in zip(range(n, b), count(n, a)))
+    a, b, q = ell + 2, ell + 1, pe * p
+    if by_m:  # the row of m: x = m + k(l+1) for k = m-1..0, that is n = 1..m
+        xs = (range(m * a - b, m - 1, -b) for m in kept)
+    else:  # the column of n: x = n + k(l+2) for k = 0..l-n, that is m = n..l
+        xs = (range(n, n + (ell - n) * a + 1, a) for n in kept)
+    return ((x, x * x % q) for run in xs for x in run)
 
 
 def _collisions(ell: int, p: int, limit: float) -> tuple[int, list[list[int]]]:
     """For a prime p, the classes of two or more canonical weights that
-    collide mod p, each a list of indices into `canonical_labels(ell)`, and
-    the number of pairs they hold.  p = 2 lists none.
+    collide mod p, each a list of their x, and the number of pairs they
+    hold.  p = 2 lists none.
 
     Up to l^2+l-2 the classes come from `_classes`, read only until the
     count passes `limit`: with limit 0 the reading stops at the first
-    repeated class.  A class need not come sorted, as the stream's indices
-    do not ascend on p | l+2.
-
-    Above l^2+l-2 every class is a pair, found in O(l) plus the pairs, with
-    no weight read.  Write x = m(l+2) - n(l+1) = m + k(l+1) with k = m-n.  A
-    canonical label has 1 <= m <= l and 0 <= k < m, so x lies in
-    [1, l^2+l-1] and fixes its label: m = x mod (l+1) and k = x div (l+1).
-    Such p exceeds l+2, so it does not divide D, and two weights collide
-    exactly when p divides N_a - N_b = (x_a - x_b)(x_a + x_b).  Here
-    0 < |x_a - x_b| <= l^2+l-2 < p and 0 < x_a + x_b <= 2l^2+2l-3 < 2p, so
-    they collide exactly when x_a + x_b = p.  The partner of a label is then
-    the one x = p - x_a, if that is a canonical label's, and every class has
-    one or two members.  With c, r = divmod(p - m, l+1), p - x_a =
-    (c-k)(l+1) + r: a label when r >= 1 and 0 <= c-k < r, namely
-    (r, r-c+k).  So row m pairs for k in [max(0, c-r+1), min(m-1, c)]; each
-    pair is met from both of its labels and kept from the smaller.  A good
-    p, by `in_b_set_below_top`, reads no row.
+    repeated class.  Above, each class is x with p - x (module docstring),
+    found in O(l) plus the pairs, and a good p, by `in_b_set_below_top`,
+    reads no row.  Row m holds x = m + k(l+1) for 0 <= k < m, up to
+    m(l+2) - (l+1).  Its partners p - x share the residue r = (p - m) mod
+    (l+1), and p - x is a label's x when r exceeds (p - x) div (l+1), that
+    is, when x > p - r(l+2).  Each pair is kept from its smaller x, x < p/2.
     """
     if p == 2:
         return 0, []
     if p > ell * ell + ell - 2:
         if not in_b_set_below_top(ell, p):
             return 0, []
-        classes = []
-        for m in range(1, ell + 1):
-            c, r = divmod(p - m, ell + 1)
-            for k in range(max(0, c - r + 1), min(m - 1, c) + 1):  # empty when r = 0
-                # (m, m-k) and (r, r-c+k); (m, n) has index m(m-1)/2 + n-1
-                i, j = m * (m + 1) // 2 - k - 1, r * (r + 1) // 2 - c + k - 1
-                if i < j:
-                    classes.append([i, j])
+        a, b, half, classes = ell + 2, ell + 1, p // 2, []
+        for m in range(1, b):
+            r = (p - m) % b
+            for x in range(max(m, p + b - r * a), min(m * a - b, half) + 1, b):
+                classes.append([x, p - x])
         return len(classes), classes
-    first: dict[int, int] = {}  # class -> index of its first weight
-    shared: dict[int, list[int]] = {}  # that index -> every index of a class of two or more
+    first: dict[int, int] = {}  # class -> x of its first weight
+    shared: dict[int, list[int]] = {}  # that x -> every x of a class of two or more
     pairs = 0
-    for i, r in _classes(ell, p):
-        j = first.setdefault(r, i)
-        if j != i:
-            idx = shared.setdefault(j, [j])
-            pairs += len(idx)  # the k-th member of a class adds k-1
-            idx.append(i)
+    for x, r in _classes(ell, p):
+        y = first.setdefault(r, x)
+        if y != x:
+            xs = shared.setdefault(y, [y])
+            pairs += len(xs)  # the k-th member of a class adds k-1
+            xs.append(x)
             if pairs > limit:
                 break
     return pairs, list(shared.values())
@@ -433,16 +411,8 @@ def _degenerate_labels(ell: int, p: int) -> tuple[MinimalLabel, ...]:
         return ()
     by_m, _, kept = _defined_rule(ell, p)
     kept = set(kept)
-    if by_m:
-        return tuple(MinimalLabel(ell, m, n) for m in range(1, ell + 1) if m not in kept for n in range(1, m + 1))
-    return tuple(MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1) if n not in kept)
-
-
-def _label_at(ell: int, i: int) -> MinimalLabel:
-    """The i-th label of `canonical_labels(ell)`: the rows m' = 1..m-1, of
-    m' labels each, come before (m, n), so i = m(m-1)/2 + n - 1."""
-    m = (isqrt(8 * i + 1) + 1) // 2
-    return MinimalLabel(ell, m, i - m * (m - 1) // 2 + 1)
+    return tuple(MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1)
+                 if (m if by_m else n) not in kept)
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:
@@ -456,10 +426,13 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
     """
     _check_prime_args(ell, p)
     _, classes = _collisions(ell, p, inf)
-    labels = {i: _label_at(ell, i) for idx in classes for i in idx}
-    # index order is label order, so the sorted index pairs give the sorted label pairs
-    pairs = sorted((a, b) for idx in map(sorted, classes) for k, a in enumerate(idx) for b in idx[k + 1 :])
-    collisions = tuple((labels[a], labels[b]) for a, b in pairs)
+    b, sq = ell + 1, (ell + 1) ** 2
+    # the label of x as its key m(l+1) + n < (l+1)^2, m = x mod (l+1) and n = m - x div (l+1): keys,
+    # and pairs as u(l+1)^2 + v, sort as the labels and pairs do, and divmod gives (m, n) back
+    keys = [sorted([x % b * (b + 1) - x // b for x in xs]) for xs in classes]
+    labels = {key: MinimalLabel(ell, *divmod(key, b)) for ks in keys for key in ks}
+    pairs = sorted(u * sq + v for ks in keys for k, u in enumerate(ks) for v in ks[k + 1 :])
+    collisions = tuple((labels[uv // sq], labels[uv % sq]) for uv in pairs)
     status = "bad" if p == 2 or collisions else "good"
     cc_defined = central_charge(ell).denominator % p != 0
     return PrimeClassification(ell, p, status, collisions, _degenerate_labels(ell, p), cc_defined)

@@ -436,3 +436,21 @@ def test_import_loads_no_introspection_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["bset", "--ell", "300", "--bruteforce"], ["dmatrix", "--ell", "400"]], ids=["bset", "dmatrix"]
+)
+def test_stdout_closed_early_prints_no_traceback(argv):
+    """A reader that stops after the first bytes, as `| head -c 20` does,
+    ends the run with exit 141 and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "virmod.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr and stderr == ""

@@ -499,6 +499,27 @@ class TestKernel:
         assert self.check(rows) == [(-1, _CERT_PRIME, 0), (0, 0, 1)]
         assert used == exact._MODULI[:4]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_faulty_elimination_raises(self, seed, monkeypatch):
+        """A mutant elimination that leaves out the last pivot's tail gives
+        vectors that fail M v = 0 at every prime: the kernel raises once
+        the primes pass the Hadamard bound, instead of trying more."""
+        used = primes_used(monkeypatch)
+        real = exact._echelon_mod_p
+
+        def mutant(m, p):
+            pivots, tails = real(m, p)
+            return pivots, [*tails[:-1], bytes(len(tails[-1]))] if tails else tails
+
+        rng = random.Random(seed)
+        rows = [[1, 0, 1], [0, 1, 1]] if not seed else [
+            [rng.randint(-100, 100) for _ in range(8)] for _ in range(2 * seed)
+        ]
+        monkeypatch.setattr(exact, "_echelon_mod_p", mutant)
+        with pytest.raises(RuntimeError, match="faulty elimination"):
+            kernel(qq(rows))
+        assert 0 < len(used) < 10
+
     def test_free_column_normalisation(self):
         assert kernel(qq([[2, 4, 6], [1, 2, 3]])) == [(-2, 1, 0), (-3, 0, 1)]
         assert kernel(qq([[0, 0]])) == [(1, 0), (0, 1)]

@@ -16,7 +16,6 @@ from virmod.weights import (
     PrimeClassification,
     _classes,
     _is_bad_dividing_d,
-    _label_at,
     b_set_bruteforce,
     b_set_intervals,
     b_set_marks,
@@ -45,6 +44,10 @@ from virmod.weights import (
 def weight_numerator(ell, m, n):
     """The integer (m(l+2) - n(l+1))^2 - 1, i.e. 4(l+1)(l+2) * h_{m,n}."""
     return (m * (ell + 2) - n * (ell + 1)) ** 2 - 1
+
+
+def x_of(lab):
+    return lab.m * (lab.ell + 2) - lab.n * (lab.ell + 1)
 
 
 def interval_values(s):
@@ -160,19 +163,32 @@ def residues_oracle(ell, primes):
     )
 
 
-def classes_as_residues(ell, p):
-    """The stream `_classes(ell, p)` in the form of `residues_oracle`: one
-    entry per label, None where the stream has none, and on D each class
-    times the unit (D/p^e)^-1 that the stream leaves out.  No index comes
-    twice."""
+def exact_power_in_d(ell, p):
+    """p^e, the largest power of p dividing D = 4(l+1)(l+2)."""
     den, pe = 4 * (ell + 1) * (ell + 2), 1
     while den % (pe * p) == 0:
         pe *= p
-    unit = pow(den // pe, -1, p) if pe > 1 else 1
-    out = [None] * (ell * (ell + 1) // 2)
-    for i, r in _classes(ell, p):
-        assert out[i] is None, i
-        out[i] = r * unit % p
+    return pe
+
+
+def label_index(ell):
+    """The index in `canonical_labels(ell)` of each label's x = m(l+2) - n(l+1)."""
+    return {x_of(lab): i for i, lab in enumerate(canonical_labels(ell))}
+
+
+def classes_as_residues(ell, p):
+    """The stream `_classes(ell, p)` in the form of `residues_oracle`: one
+    entry per label, None where the stream has none, and each class
+    c = x^2 mod p^{e+1} as the oracle's residue, (c - 1)/p^e: N mod p off D,
+    and on D times the unit (D/p^e)^-1 of the image.  No x comes twice."""
+    pe = exact_power_in_d(ell, p)
+    unit = pow(4 * (ell + 1) * (ell + 2) // pe, -1, p) if pe > 1 else 1
+    index = label_index(ell)
+    out = [None] * len(index)
+    for x, c in _classes(ell, p):
+        i = index[x]
+        assert out[i] is None and c == x * x % (pe * p), x
+        out[i] = (c - 1) // pe * unit % p
     return out
 
 
@@ -427,9 +443,21 @@ class TestClassifier:
 
 
     @pytest.mark.parametrize("ell", [2, 3, 10, 61])
-    def test_label_at_is_canonical_order(self, ell):
+    def test_label_at_is_canonical_order(self, ell, monkeypatch):
+        """`classify_prime` rebuilds each label from its x and lists the
+        pairs in label order, whatever order the classes and their members
+        come in: here every x, shuffled, in classes of three."""
         labels = canonical_labels(ell)
-        assert [_label_at(ell, i) for i in range(len(labels))] == labels
+        xs = [x_of(lab) for lab in labels]
+        random.Random(ell).shuffle(xs)
+        classes = [xs[i : i + 3] for i in range(0, len(xs), 3)]
+        monkeypatch.setattr(weights, "_collisions", lambda ell, p, limit: (0, classes))
+        index = label_index(ell)
+        expected = []
+        for cls in classes:
+            members = sorted(index[x] for x in cls)
+            expected += [(labels[i], labels[j]) for k, i in enumerate(members) for j in members[k + 1 :]]
+        assert list(classify_prime(ell, 1000000007).collisions) == sorted(expected)
 
     @pytest.mark.parametrize("ell,p", [(200, 1000000007), (60, 61), (60, 31), (40, 7)])
     def test_builds_labels_only_for_collisions_and_degenerates(self, ell, p, monkeypatch):
@@ -447,8 +475,8 @@ class TestClassifier:
 
 
 class TestResidues:
-    """The classes `_classes` streams, by the p^e rule on D and as N mod p
-    off D, against the gcd of every label."""
+    """The classes `_classes` streams, x^2 mod p^{e+1} for the x of each
+    weight with an image mod p, against the gcd of every label."""
 
     @pytest.mark.parametrize("ell", range(2, 101))
     def test_primes_dividing_d(self, ell):
@@ -458,10 +486,38 @@ class TestResidues:
     @pytest.mark.parametrize("ell", range(2, 31))
     def test_every_prime_to_the_window(self, ell):
         """Every odd p: off D the stream runs in label order."""
+        index = label_index(ell)
         for p, expected in residues_oracle(ell, primes_upto(2 * ell * ell + 3 * ell)[1:]):
             assert classes_as_residues(ell, p) == expected, p
             if 4 * (ell + 1) * (ell + 2) % p:
-                assert [i for i, _ in _classes(ell, p)] == list(range(len(expected))), p
+                assert [index[x] for x, _ in _classes(ell, p)] == list(range(len(expected))), p
+
+
+class TestTheRule:
+    """The rule of the `weights` docstring, against the gcd of every label:
+    with p^e the exact power of the odd prime p in D, a weight has an image
+    mod p exactly when x = +-1 (mod p^e), and two such weights share it
+    exactly when x_a = +-x_b (mod p^{e+1})."""
+
+    @staticmethod
+    def check(ell, primes):
+        xs = [x_of(lab) for lab in canonical_labels(ell)]
+        for p, classes in residues_oracle(ell, primes):
+            pe = exact_power_in_d(ell, p)
+            q = pe * p
+            assert [r is not None for r in classes] == [x % pe in (1 % pe, -1 % pe) for x in xs], p
+            # c is x up to sign mod p^{e+1}: equal residues match equal c
+            # exactly when the pairs (residue, c) match the two sides one to one
+            pairs = {(r, min(x % q, -x % q)) for x, r in zip(xs, classes) if r is not None}
+            assert len(pairs) == len({r for r, _ in pairs}) == len({c for _, c in pairs}), p
+
+    @pytest.mark.parametrize("ell", range(2, 41))
+    def test_every_odd_prime_to_the_window(self, ell):
+        self.check(ell, primes_upto(2 * ell * ell + 3 * ell)[1:])
+
+    @pytest.mark.parametrize("ell", range(2, 101))
+    def test_primes_dividing_d(self, ell):
+        self.check(ell, primes_dividing_d(ell)[1:])
 
 
 class TestBadPrimes:
@@ -617,10 +673,6 @@ class TestPointVerdictsBuildNoTable:
         assert len(classify_prime(ell, p).collisions) == pairs
 
 
-def x_of(lab):
-    return lab.m * (lab.ell + 2) - lab.n * (lab.ell + 1)
-
-
 class TestPairsSummingToP:
     """Above l^2+l-2 the colliding pairs are the labels whose x = m(l+2) -
     n(l+1) sum to p (the x-sum rule of `weights._collisions`), against the
@@ -714,7 +766,7 @@ class TestDefinedLabels:
             raise AssertionError("a label was built")
 
         monkeypatch.setattr(weights, "_degenerate_labels", tripwire)
-        monkeypatch.setattr(weights, "_label_at", tripwire)
+        monkeypatch.setattr(weights, "MinimalLabel", tripwire)
         for ell in range(2, 61):
             assert bad_primes(ell) == expected[ell]
             for p in primes_dividing_d(ell):
