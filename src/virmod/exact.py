@@ -4,13 +4,11 @@ Rationals are `fractions.Fraction` (always stored reduced, arbitrary
 precision).  Prime-field elements are plain ints in [0, p-1].  A matrix
 carries a field tag, `QQ` or a `PrimeField` holding the modulus p, and no
 scalar operations: callers compute in ints and reduce mod p themselves.
-All linear algebra is exact.  Over the rationals, rows are cleared of
-denominators (rows of ints pass through as they are).  The determinant goes
-through fraction-free (Bareiss) elimination on those rows divided by their
-content, the product of the contents multiplied back into the result.
-`rank` serves F_p only; QQ ranks of Gram levels come from
-`virasoro.graded_rank`, and of any other matrix from `kernel`, as the
-number of columns less the kernel dimension.
+All linear algebra is exact, and runs through one elimination,
+`_echelon_mod_p`.  Over the rationals, rows are cleared of denominators
+(rows of ints pass through as they are).  `rank` serves F_p only; QQ ranks
+of Gram levels come from `virasoro.graded_rank`, and of any other matrix
+from `kernel`, as the number of columns less the kernel dimension.
 
 `kernel` eliminates only mod primes below 2^26, descending from
 `_CERT_PRIME`, and checks its answer over Z.  Full column rank mod the
@@ -36,6 +34,16 @@ means a faulty elimination mod p, and `kernel` raises.  The bound is read
 off row bit lengths: entries below 2^b give a squared norm below
 2^(2b + bit length of ncol).
 
+`determinant` reads det mod p off the same elimination: row swaps and
+adding multiples of one row to another turn a square matrix into a
+triangular one whose diagonal holds the pivots, so det is the signed
+pivot product mod p when every column has a pivot, and 0 mod p otherwise.
+The residues mod the primes of `kernel` are combined by CRT until their
+product P passes 2H, H as above.  By Hadamard |det| <= H < P/2, so det is
+the residue of least absolute value mod P.  Clearing a row's denominators
+multiplies det by the row's scale, and the product of the scales is
+divided back out.
+
 Every elimination mod p packs each row into one int, a fixed-width slot
 per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
 call), so that a row update is one big-int multiply-add with no reduction
@@ -48,7 +56,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 from struct import Struct
 
@@ -58,16 +66,18 @@ from struct import Struct
 # to the multi-modular kernel.
 _CERT_PRIME = 67108859
 
-# The primes of `kernel`, descending from `_CERT_PRIME`, grown as it needs more
+# The primes of `kernel` and `determinant`, descending from `_CERT_PRIME`,
+# grown by `_moduli` as they need more
 _MODULI = [_CERT_PRIME]
 
 # struct codes of the slot widths, in bytes, that are plain unsigned ints
 _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # Eliminations run so far, by path: kernel certificates mod `_CERT_PRIME`,
-# F_p ranks, kernels past their certificate (multi-modular) and Bareiss
-# (`determinant`).  `virmod reproduce-paper --timings` reports each check's share.
-ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "bareiss": 0}
+# F_p ranks, kernels past their certificate (multi-modular) and
+# determinants (one per call that eliminates, whatever its number of primes).
+# `virmod reproduce-paper --timings` reports each check's share.
+ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
 
 
 def is_prime(n: int) -> bool:
@@ -148,38 +158,6 @@ class DenseMatrix(namedtuple("DenseMatrix", "field entries")):
         return len(self.entries[0]) if self.entries else 0
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination on an integer matrix.
-
-    Returns (rank, det) where det is the signed last pivot; det is only
-    meaningful for square input (0 when rank-deficient).
-    """
-    ELIMINATIONS["bareiss"] += 1
-    m = [row[:] for row in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if m else 0
-    prev = 1
-    sign = 1
-    rank = 0
-    for col in range(ncol):
-        piv = next((i for i in range(rank, nrow) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        for i in range(rank + 1, nrow):
-            for j in range(col + 1, ncol):
-                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nrow:
-            break
-    det = sign * prev if (nrow == ncol and rank == nrow) else 0
-    return rank, det
-
-
 def _clear_denominators(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
     """Scale each row to integers; returns (int rows, product of row scales).
 
@@ -197,16 +175,21 @@ def _clear_denominators(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
     return out, scale
 
 
-def _divide_content(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Each integer row divided by its content (the gcd of its entries), as
-    new lists, and the product of the contents (0 when a row is zero)."""
-    out = []
-    content = 1
-    for row in rows:
-        g = gcd(*row)
-        content *= g
-        out.append([x // g for x in row] if g > 1 else list(row))
-    return out, content
+def _moduli():
+    """The primes of `_MODULI` in order, endlessly: past its end each next
+    prime below the last is appended."""
+    for i in count():
+        if i == len(_MODULI):
+            _MODULI.append(next(n for n in range(_MODULI[-1] - 2, 2, -2) if is_prime(n)))
+        yield _MODULI[i]
+
+
+def _hadamard_bits(m: Sequence[Sequence[int]]) -> int:
+    """A bit count S with H^2 < 2^S, H the product of the norms of the
+    nonzero integer rows `m`, read off their bit lengths."""
+    ncol = len(m[0]) if m else 0
+    bits = [max(map(abs, row), default=0).bit_length() for row in m]
+    return sum(2 * b + ncol.bit_length() for b in bits if b)
 
 
 def rank(M: DenseMatrix) -> int:
@@ -250,19 +233,15 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
     m, _ = _clear_denominators(M)
     ncol = M.cols
     best = None  # the (-rank, pivot columns) of the primes combined
-    for i in count():
-        if i == len(_MODULI):
-            _MODULI.append(next(n for n in range(_MODULI[-1] - 2, 2, -2) if is_prime(n)))
-        p = _MODULI[i]
-        echelon, tails = _echelon_mod_p(m, p)
+    for p in _moduli():
+        echelon, tails, _ = _echelon_mod_p(m, p)
         pivots = [c for _, c in echelon]
-        if not i:
+        if best is None:
             ELIMINATIONS["mod-cert-prime"] += 1
             if len(pivots) == ncol:
                 return []
             ELIMINATIONS["multi-modular"] += 1
-            bits = [max(map(abs, row), default=0).bit_length() for row in m]
-            bound_bits = 1 + sum(2 * b + ncol.bit_length() for b in bits if b)  # 2H^2 < 2^bound_bits
+            bound_bits = 1 + _hadamard_bits(m)  # 2H^2 < 2^bound_bits
         key = (-len(pivots), pivots)
         free = sorted(set(range(ncol)) - set(pivots))
         if best is None or key < best:
@@ -288,11 +267,10 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
 def determinant(M: DenseMatrix) -> Fraction:
     """Exact determinant of a square rational matrix.
 
-    Bareiss runs on the denominator-cleared rows divided by their content,
-    and the product of the contents is multiplied back in: the determinant
-    is linear in each row, and the primitive rows keep Bareiss's entries
-    small when the rows carry large common factors, as Gram levels scaled
-    by D^n do.  A zero row gives 0 without elimination.
+    The determinants mod the primes of `_MODULI`, read off `_echelon_mod_p`,
+    are combined by CRT past twice the Hadamard bound of the
+    denominator-cleared rows, as the module docstring says.  A zero row
+    gives 0 without elimination.
     """
     if not isinstance(M.field, RationalField):
         raise ValueError("determinant is provided over the rationals only")
@@ -300,12 +278,18 @@ def determinant(M: DenseMatrix) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     if M.rows == 0:
         return Fraction(1)
-    int_rows, scale = _clear_denominators(M)
-    rows, content = _divide_content(int_rows)
-    if not content:
+    m, scale = _clear_denominators(M)
+    if not all(map(any, m)):
         return Fraction(0)
-    _, det = _bareiss(rows)
-    return Fraction(det * content, scale)
+    ELIMINATIONS["determinant"] += 1
+    bound_bits = (_hadamard_bits(m) + 1) // 2 + 1  # 2H < 2^bound_bits
+    det, modulus = 0, 1
+    for p in _moduli():
+        det += modulus * ((_echelon_mod_p(m, p)[2] - det) * pow(modulus, -1, p) % p)
+        modulus *= p
+        if modulus.bit_length() > bound_bits:
+            break
+    return Fraction(det - modulus if 2 * det > modulus else det, scale)
 
 
 @lru_cache(maxsize=1024)
@@ -330,7 +314,7 @@ def _unpack(data: bytes, n: int) -> Sequence[int]:
     return vals if nb in _INT_CODES else [int.from_bytes(x, "big") for x in vals]
 
 
-def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, int]], list[bytes]]:
+def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, int]], list[bytes], int]:
     """Row echelon form mod p of the integer rows `m`, which stay unchanged;
     the rank is the number of pivots.
 
@@ -339,7 +323,9 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, 
     Each column's pivot is the first remaining row nonzero there mod p.  With
     them come the pivot tails, packed by `_pack`: for the pivot at column c,
     the residues of its echelon row at columns c+1, c+2, ... scaled by
-    -1/pivot.
+    -1/pivot.  Last comes the signed product of the pivots mod p, the
+    determinant mod p of a square `m` with a pivot in every column, and 0
+    for any other `m`.
 
     Each row is packed into one int, column j in slot ncol-1-j (the first
     column on top).  Slots start as residues below p.  A pivot row is
@@ -366,17 +352,22 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, 
     order = list(range(nrow))
     pivots: list[tuple[int, int]] = []
     tails: list[bytes] = []
+    det = 1
     for col in range(ncol):
         r = len(pivots)
         sh = width * (ncol - 1 - col)
         piv = next((i for i in range(r, nrow) if (rows[i] >> sh & slot) % p), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        order[r], order[piv] = order[piv], order[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            order[r], order[piv] = order[piv], order[r]
+            det = -det
         pivots.append((order[r], col))
         top = rows[r]
-        scale = -pow((top >> sh & slot) % p, -1, p)
+        lead = (top >> sh & slot) % p
+        det = det * lead % p
+        scale = -pow(lead, -1, p)
         below = (1 << sh) - 1
         vals = _unpack((top & below).to_bytes(sh // 8, "big"), ncol - 1 - col)
         tails.append(_pack([scale * x % p for x in vals], nb))
@@ -388,4 +379,4 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, 
             f = (row >> sh & slot) % p
             if f:
                 rows[i] = (row + f * neg) & below
-    return pivots, tails
+    return pivots, tails, det if nrow == ncol == len(pivots) else 0

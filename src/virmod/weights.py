@@ -383,11 +383,12 @@ def is_bad_prime(ell: int, p: int) -> bool:
 
 def collision_count(ell: int, p: int, limit: int) -> int:
     """How many pairs `classify_prime(ell, p)` lists, counted by `_collisions`
-    without building a label.  The count stops at the first weight that
-    takes it above `limit`, so at a small p it reads only the first weights,
-    and a good p > l^2+l-2 reads no weight."""
+    without building a label, or limit + 1 when there are more than `limit`.
+    The reading stops at the first weight that takes the count above
+    `limit`, so at a small p it reads only the first weights, and a good
+    p > l^2+l-2 reads no weight."""
     _check_prime_args(ell, p)
-    return _collisions(ell, p, limit)[0]
+    return min(_collisions(ell, p, limit)[0], limit + 1)
 
 
 def degenerate_count(ell: int, p: int) -> int:

@@ -20,7 +20,7 @@ from math import inf
 from virmod import cli
 from virmod.weights import classify_prime, collision_count, degenerate_count, is_bad_prime, primes_upto
 
-DUMP_SHA256 = "596be3f3c6a9646badfa213a9e3f55c235c9da02e46d6e5b25b2adb8f2d251d5"
+DUMP_SHA256 = "c8d06d3cbce77a004eda2ca012a028c7cbf9137108501368c6c019f209ae3c68"
 
 
 def cases():

@@ -94,11 +94,13 @@ def test_gram_rank_mod_largest_prime_equals_qq_rank(capsys):
 
 
 def test_gram_qq_rank_skips_bareiss(capsys, monkeypatch):
-    def tripwire(rows):
-        raise AssertionError("Bareiss ran")
+    def tripwire(m):
+        raise AssertionError("a determinant ran")
 
-    monkeypatch.setattr(exact, "_bareiss", tripwire)
+    monkeypatch.setattr(exact, "determinant", tripwire)
+    before = exact.ELIMINATIONS["determinant"]
     assert run(["gram", "--c", "1/2", "--h", "1/16", "--level", "6"]) == 0
+    assert exact.ELIMINATIONS["determinant"] == before
     rank_rows = [l.split() for l in capsys.readouterr().out.splitlines() if l.split()[:1] == ["rank"]]
     assert rank_rows == [["rank", "info", "4"]]
 
@@ -362,13 +364,13 @@ def test_reproduce_paper_timings(tmp_path, capsys):
         assert list(v) == ["wall_s", "caches", "eliminations", "gram"] and v["wall_s"] >= 0
         assert list(v["caches"]) == caches
         assert all(list(c) == ["hits", "misses"] and min(c.values()) >= 0 for c in v["caches"].values())
-        assert list(v["eliminations"]) == ["mod-cert-prime", "fp-rank", "multi-modular", "bareiss"]
+        assert list(v["eliminations"]) == ["mod-cert-prime", "fp-rank", "multi-modular", "determinant"]
         assert min(v["eliminations"].values()) >= 0
         assert list(v["gram"]) == ["levels", "entries"] and min(v["gram"].values()) >= 0
 
 
 def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
-    """No check runs Bareiss.  kac-vanishing certifies its regular levels
+    """No check runs a determinant.  kac-vanishing certifies its regular levels
     mod the fixed prime and runs no F_p rank.  From cold caches the probes'
     QQ ranks certify mod the fixed prime and fall back to the multi-modular
     kernel where it falls short; each of the 12 probes ranks the minor of
@@ -380,13 +382,13 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["eliminations"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
-    assert all(v["bareiss"] == 0 for v in doc.values())
+    assert all(v["determinant"] == 0 for v in doc.values())
     assert doc["kac-vanishing"]["mod-cert-prime"] > 0
     assert doc["kac-vanishing"]["fp-rank"] == 0
     assert 12 * (PROBE_LEVEL + 1) < doc["probes"]["fp-rank"] < 2 * 12 * (PROBE_LEVEL + 1)
-    assert doc["probes"]["bareiss"] == 0
+    assert doc["probes"]["determinant"] == 0
     assert doc["probes"]["mod-cert-prime"] > doc["probes"]["multi-modular"] > 0
-    none = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "bareiss": 0}
+    none = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "level2-gram", "gko", "table1"):
         assert doc[name] == none, name
 

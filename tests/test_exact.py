@@ -87,6 +87,31 @@ def gauss_jordan_det(rows):
     return det
 
 
+def bareiss(rows):
+    """Fraction-free (Bareiss) elimination on integer rows, run on a copy;
+    the independent oracle for exact ranks over QQ.  Returns (rank, det),
+    det the signed last pivot for square input of full rank, else 0."""
+    m = [list(row) for row in rows]
+    nrow = len(m)
+    ncol = len(m[0]) if m else 0
+    prev, sign, r = 1, 1, 0
+    for col in range(ncol):
+        piv = next((i for i in range(r, nrow) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        for i in range(r + 1, nrow):
+            m[i] = [0] * (col + 1) + [(m[r][col] * a - m[i][col] * b) // prev
+                                      for a, b in zip(m[i][col + 1 :], m[r][col + 1 :])]
+        prev = m[r][col]
+        r += 1
+        if r == nrow:
+            break
+    return r, sign * prev if nrow == ncol == r else 0
+
+
 def qq(rows):
     return DenseMatrix(QQ, tuple(map(tuple, rows)))
 
@@ -112,19 +137,23 @@ def int_matrices(rows, cols, bound=9):
 
 def list_echelon_mod_p(m, p):
     """The list elimination that the packed `exact._echelon_mod_p` replaced,
-    run on a copy; the oracle for its pivots and pivot tails."""
+    run on a copy; the oracle for its pivots, pivot tails and signed pivot
+    product (0 unless `m` is square with a pivot in every column)."""
     m = [list(row) for row in m]
     nrow = len(m)
     ncol = len(m[0]) if m else 0
     order = list(range(nrow))
-    pivots, tails = [], []
+    pivots, tails, det = [], [], 1
     for col in range(ncol):
         r = len(pivots)
         piv = next((i for i in range(r, nrow) if m[i][col] % p != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        order[r], order[piv] = order[piv], order[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
+            det = -det
+        det *= m[r][col]
         inv = pow(m[r][col] % p, -1, p)
         for i in range(r + 1, nrow):
             f = m[i][col] * inv % p
@@ -134,7 +163,7 @@ def list_echelon_mod_p(m, p):
         tails.append([-x * inv % p for x in m[r][col + 1 :]])
         if r + 1 == nrow:
             break
-    return pivots, tails
+    return pivots, tails, det % p if nrow == ncol == len(pivots) else 0
 
 
 def gauss_jordan_kernel(rows):
@@ -319,15 +348,16 @@ def fixed_matrix(rows, cols, p, seed, rank_bound=None):
 
 class TestEchelonModP:
     """The packed elimination picks the list oracle's pivots, in its order,
-    with its pivot tails, and leaves its input alone."""
+    with its pivot tails and signed pivot product, and leaves its input
+    alone."""
 
     @staticmethod
     def check(m, p):
         before = [list(row) for row in m]
-        pivots, tails = exact._echelon_mod_p(m, p)
+        pivots, tails, det = exact._echelon_mod_p(m, p)
         ncol = len(m[0]) if m else 0
         unpacked = [list(exact._unpack(t, ncol - 1 - c)) for (_, c), t in zip(pivots, tails)]
-        assert (pivots, unpacked) == list_echelon_mod_p(m, p)
+        assert (pivots, unpacked, det) == list_echelon_mod_p(m, p)
         assert m == before
 
     @given(rows=st.integers(0, 12), cols=st.integers(0, 12), p=st.sampled_from(ECHELON_PRIMES), data=st.data())
@@ -376,27 +406,24 @@ class TestCertifiedRank:
     @pytest.mark.parametrize("rows,expected", LOST_MOD_CERT_PRIME)
     def test_rank_lost_mod_cert_prime_goes_through_bareiss(self, rows, expected):
         # the certificate falls short of the QQ rank; Bareiss on the
-        # content-divided rows, the exact elimination behind `determinant`,
-        # recovers it, and so does the kernel
+        # denominator-cleared rows recovers it, and so does the kernel
         int_rows, _ = exact._clear_denominators(qq(rows))
         assert len(cert_pivots(int_rows)) < expected
-        primitive, _ = exact._divide_content(int_rows)
-        bareiss_rank, _ = exact._bareiss(primitive)
-        assert bareiss_rank == expected == gauss_jordan_rank(rows) == qq_rank(rows)
+        assert bareiss(int_rows)[0] == expected == gauss_jordan_rank(rows) == qq_rank(rows)
 
     def test_full_rank_skips_bareiss(self, monkeypatch):
         def fail(m):
-            raise AssertionError("exact elimination ran on a certified full-rank matrix")
+            raise AssertionError("a determinant ran on a certified full-rank matrix")
 
-        monkeypatch.setattr(exact, "_bareiss", fail)
-        monkeypatch.setattr(exact, "_divide_content", fail)
+        monkeypatch.setattr(exact, "determinant", fail)
+        before = exact.ELIMINATIONS["determinant"]
         assert qq_rank(identity(6)) == 6
         assert qq_rank([[F(1, 2), 7], [3, F(-11, 13)], [5, 17]]) == 2
+        assert exact.ELIMINATIONS["determinant"] == before
 
 
 class TestCertificateFallback:
-    """kernel certifies the denominator-cleared rows as they are, and divides
-    no row by its content."""
+    """kernel certifies the denominator-cleared rows as they are."""
 
     P = _CERT_PRIME
 
@@ -408,16 +435,6 @@ class TestCertificateFallback:
         assert cert_pivots(rows) == []
         assert kernel(qq(rows)) == vecs
         assert qq_rank(rows) == rank_qq == gauss_jordan_rank(rows)
-
-    def test_certified_rows_skip_content_division(self, monkeypatch):
-        def fail(rows):
-            raise AssertionError("content divided out of certified rows")
-
-        monkeypatch.setattr(exact, "_divide_content", fail)
-        assert kernel(qq([[6, 10, 4], [9, 3, 12], [F(1, 2), 0, 5]])) == []
-        assert kernel(qq([[2, 3], [4, 3], [6, 9]])) == []
-        assert kernel(qq(identity(6))) == []
-        assert kernel(qq([[F(1, 2), 7], [3, F(-11, 13)], [5, 17]])) == []
 
 
 class TestKernel:
@@ -508,8 +525,8 @@ class TestKernel:
         real = exact._echelon_mod_p
 
         def mutant(m, p):
-            pivots, tails = real(m, p)
-            return pivots, [*tails[:-1], bytes(len(tails[-1]))] if tails else tails
+            pivots, tails, det = real(m, p)
+            return pivots, [*tails[:-1], bytes(len(tails[-1]))] if tails else tails, det
 
         rng = random.Random(seed)
         rows = [[1, 0, 1], [0, 1, 1]] if not seed else [
@@ -531,9 +548,8 @@ class TestKernel:
 
 
 class TestRowContent:
-    """Huge row factors leave the kernel's rank alone; determinant divides
-    each row by its content before Bareiss, multiplying the contents back
-    into the result."""
+    """Huge row factors leave the kernel's rank alone, and determinant keeps
+    them as factors of the result."""
 
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -543,15 +559,6 @@ class TestRowContent:
         scales = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
         scaled = [[10**60 * s * x for x in row] for s, row in zip(scales, ints)]
         assert qq_rank(scaled) == gauss_jordan_rank(ints)
-
-    def test_bareiss_sees_primitive_rows(self, monkeypatch):
-        seen = []
-        bareiss = exact._bareiss
-        monkeypatch.setattr(exact, "_bareiss", lambda rows: seen.append(rows) or bareiss(rows))
-        big = 3**200
-        rows = ((big, 2 * big, 3 * big), (7 * big, 14 * big, 21 * big), (F(1, 5), 0, F(big, 5)))
-        assert determinant(DenseMatrix(QQ, rows)) == 0
-        assert seen == [[[1, 2, 3], [1, 2, 3], [1, 0, big]]]
 
     @given(n=st.integers(1, 4), data=st.data())
     @settings(max_examples=30)
@@ -607,7 +614,25 @@ class TestDeterminant:
                     f = 10 ** data.draw(st.integers(0, 40)) * data.draw(st.integers(-10**6, 10**6))
                     row = [f * x for x in row]
                 rows.append(row)
-        assert determinant(qq(rows)) == gauss_jordan_det(rows)
+        int_rows, scale = exact._clear_denominators(qq(rows))
+        assert determinant(qq(rows)) == gauss_jordan_det(rows) == F(bareiss(int_rows)[1], scale)
+
+    @given(n=st.integers(3, 6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_crt_looks_past_zero_residues(self, n, data):
+        """Rows scaled by the first three primes of `_MODULI` in turn: the
+        determinant is 0 mod each, so the CRT needs later primes."""
+        ints = data.draw(int_matrices(n, n))
+        rows = [[FIRST_MODULI[i % 3] * x for x in row] for i, row in enumerate(ints)]
+        assert determinant(qq(rows)) == bareiss(rows)[1] == gauss_jordan_det(rows)
+
+    def test_negative_multiple_of_the_first_primes(self, monkeypatch):
+        p, q, r = FIRST_MODULI
+        used = primes_used(monkeypatch)
+        before = exact.ELIMINATIONS["determinant"]
+        assert determinant(qq([[0, q, 0], [p, 0, 0], [0, 0, r]])) == -p * q * r
+        assert exact.ELIMINATIONS["determinant"] == before + 1
+        assert used == exact._MODULI[: len(used)] and len(used) > 3
 
     @given(n=st.integers(2, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -621,10 +646,10 @@ class TestDeterminant:
         assert determinant(qq(rows)) == 0 == gauss_jordan_det(rows)
 
     def test_zero_row_skips_bareiss(self, monkeypatch):
-        def fail(m):
-            raise AssertionError("Bareiss ran on a matrix with a zero row")
+        def fail(m, p):
+            raise AssertionError("an elimination ran on a matrix with a zero row")
 
-        monkeypatch.setattr(exact, "_bareiss", fail)
+        monkeypatch.setattr(exact, "_echelon_mod_p", fail)
         assert determinant(qq([[1, 2], [0, 0]])) == 0
         assert determinant(qq([[F(0), F(0)], [F(1, 3), 2]])) == 0
 

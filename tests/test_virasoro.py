@@ -26,6 +26,7 @@ from virmod.virasoro import (
     partitions,
 )
 from virmod.weights import MinimalLabel, canonical_labels, central_charge, highest_weight
+from test_exact import bareiss
 
 
 def vacuum_coefficient(word, c, h):
@@ -507,14 +508,14 @@ class TestGradedRank:
                 assert found[-1] == 0 or n in singular
                 level = params._levels[n]
                 assert len(basis) == len(partitions(n)) - r
-                assert r == exact._bareiss([list(row) for row in level])[0]
+                assert r == bareiss(level)[0]
                 for v in basis:
                     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in level)
                 lasts = [max(j for j, x in enumerate(v) if x) for v in basis]
                 assert len(set(lasts)) == len(lasts)
                 assert sorted(set(cols) | set(lasts)) == list(range(len(partitions(n))))
                 assert len(cols) == r
-                assert exact._bareiss([[level[i][j] for j in cols] for i in cols])[0] == r
+                assert bareiss([[level[i][j] for j in cols] for i in cols])[0] == r
 
     @given(point=kac_curve_points)
     @settings(max_examples=25, deadline=None)
@@ -524,7 +525,7 @@ class TestGradedRank:
         t, (r, s) = point
         params = VermaParams.rational(13 - 6 * (t + 1 / t), kac_h(r, s, t))
         ranks = [rk for _, _, rk in graded_rank(params, 8).levels]
-        assert ranks == [exact._bareiss([list(row) for row in params._levels[n]])[0] for n in range(9)]
+        assert ranks == [bareiss(params._levels[n])[0] for n in range(9)]
         assert ranks[r * s] < len(partitions(r * s))
 
     @pytest.mark.parametrize(
@@ -534,11 +535,13 @@ class TestGradedRank:
         ids=["2-2-2", "3-3-2", "4-3-2", "generic"],
     )
     def test_rational_ranks_never_run_bareiss(self, c, h, monkeypatch):
-        def fail(rows):
-            raise AssertionError("Bareiss ran in a QQ graded rank")
+        def fail(m):
+            raise AssertionError("a determinant ran in a QQ graded rank")
 
-        monkeypatch.setattr(exact, "_bareiss", fail)
+        monkeypatch.setattr(exact, "determinant", fail)
+        before = exact.ELIMINATIONS["determinant"]
         graded_rank(VermaParams.rational(c, h), 11)
+        assert exact.ELIMINATIONS["determinant"] == before
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_rank_mod_p_bounded(self, p):
@@ -730,7 +733,7 @@ class TestKacVanishing:
         before = dict(exact.ELIMINATIONS)
         for ell, lab in LABELS_2_3:
             kac_vanishing_check(ell, lab, 8)
-        assert exact.ELIMINATIONS["bareiss"] == before["bareiss"]
+        assert exact.ELIMINATIONS["determinant"] == before["determinant"]
         assert exact.ELIMINATIONS["mod-cert-prime"] > before["mod-cert-prime"]
 
     @pytest.mark.parametrize("ell,lab", [(ell, lab) for ell, lab in LABELS_2_3 if d_min(ell, lab) > 1])

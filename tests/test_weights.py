@@ -811,8 +811,8 @@ class TestCollisionCount:
             assert collision_count(ell, p, 10**9) == len(classify_prime(ell, p).collisions), p
 
     def test_stops_above_the_limit(self):
-        assert 1000 < collision_count(100, 7, 1000) < collision_count(100, 7, 10**9) == 3380770
-        assert all(collision_count(30, 3, limit) > limit for limit in range(100))
+        assert collision_count(100, 7, 1000) == 1001 < collision_count(100, 7, 10**9) == 3380770
+        assert all(collision_count(30, 3, limit) == limit + 1 for limit in range(100))
 
     @pytest.mark.parametrize("ell, p, message", [(5, 9, "9 is not prime"), (1, 7, "ell must be >= 2")])
     def test_rejects(self, ell, p, message):
