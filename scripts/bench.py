@@ -8,7 +8,9 @@ The checkout measured is the one this script sits in.  Each workload of
 `BENCHMARK.json` runs once through `bench/run.py --trace 0`, at seed `SEED`
 and the run length `BENCHMARK.json` gives; the record keeps its last output
 line (the result object), and from its metadata the commit, the Python
-version and the line count of `src/`.  The Tier-1 tests run once, and the
+version and the line count of `src/`.  Beside that total, `src_files` holds
+the line count of each `src/virmod/*.py`, as `wc -l` gives it, so a change
+shows which module grew or shrank.  The Tier-1 tests run once, and the
 record keeps their wall time and summary line.  The record goes under KEY
 in the output file, and keys already there are kept, so one file can hold
 the records of a parent commit and of a change.
@@ -40,6 +42,11 @@ def run_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
     return json.loads(lines[-1]), meta
 
 
+def src_files() -> dict[str, int]:
+    """The `wc -l` line count of each module of `src/virmod`, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "virmod").glob("*.py"))}
+
+
 def run_tier1() -> dict:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH="src" + (os.pathsep + path if path else ""))
@@ -66,6 +73,7 @@ def main() -> int:
         "commit": meta["commit"],
         "python": meta["python"],
         "src_lines": meta["src_lines"],
+        "src_files": src_files(),
         "seed": SEED,
         "seconds": seconds,
         "tier1": run_tier1(),

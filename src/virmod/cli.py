@@ -439,9 +439,7 @@ PAPER_CHECKS = (
 
 
 # The engine's process-wide caches; --timings shows how the checks share them.
-ENGINE_CACHES = (
-    virasoro._prepend, virasoro._lower, virasoro.partitions, virasoro._rational_ranks, virasoro._tower,
-)
+ENGINE_CACHES = (virasoro._prepend, virasoro._lower, virasoro.partitions, virasoro._tower)
 
 
 def _cache_counts() -> list[tuple[int, int]]:

@@ -1,14 +1,19 @@
 """Exact numeric substrate: rationals, prime fields, dense linear algebra.
 
 Rationals are `fractions.Fraction` (always stored reduced, arbitrary
-precision).  Prime-field elements are plain ints in [0, p-1].  A matrix
-carries a field tag, `QQ` or a `PrimeField` holding the modulus p, and no
-scalar operations: callers compute in ints and reduce mod p themselves.
-All linear algebra is exact, and runs through one elimination,
-`_echelon_mod_p`.  Over the rationals, rows are cleared of denominators
-(rows of ints pass through as they are).  `rank` serves F_p only; QQ ranks
-of Gram levels come from `virasoro.graded_rank`, and of any other matrix
-from `kernel`, as the number of columns less the kernel dimension.
+precision).  Prime-field elements are plain ints in [0, p-1].  All linear
+algebra is exact, and runs through one elimination, `_echelon_mod_p`, on
+rows of ints.  `kernel` and `determinant` work over QQ on the integer rows
+their callers hold: every Gram level the engine builds is already the
+integer matrix S_n = D^n G_n, so no denominators are cleared.
+
+`rank` serves F_p only, on a `DenseMatrix` of residues tagged with a
+`PrimeField` holding p (a `QQ` tag raises); callers compute in ints and
+reduce mod p themselves.  QQ ranks come from `virasoro.graded_rank` for Gram levels,
+and from `kernel` otherwise, as columns less the kernel dimension.  The
+tag and `DenseMatrix` stay only because the benchmark's tracer,
+`bench/spans.py`, names its rank span by the tag, reads `rows` and `cols`,
+and rebinds `determinant`; they go with ROADMAP items 1 and 2.
 
 `kernel` eliminates only mod primes below 2^26, descending from
 `_CERT_PRIME`, and checks its answer over Z.  Full column rank mod the
@@ -23,15 +28,15 @@ vectors ending at distinct columns span ker M, and a column is free exactly
 when some kernel vector ends there, so they are the basis over QQ.
 
 The loop ends by a bound.  Let H be the product of the norms of the nonzero
-cleared rows and P that of the primes sharing the best key so far.  Fix
-rows R and the QQ pivot columns C with det M[R, C] != 0: a prime not
-dividing it keeps the columns C independent, hence has the QQ rank on every
-leading set of columns and the QQ key.  So the primes of a wrong best key
-divide that minor, and P <= H by Hadamard.  Under the QQ key each basis
-entry is, by Cramer, a ratio of two minors of at most H, which rational
-reconstruction recovers once P > 2H^2.  Past 2H^2, then, a failing M v = 0
-means a faulty elimination mod p, and `kernel` raises.  The bound is read
-off row bit lengths: entries below 2^b give a squared norm below
+rows and P that of the primes sharing the best key so far.  Fix rows R and
+the QQ pivot columns C with det M[R, C] != 0: a prime not dividing it keeps
+the columns C independent, hence has the QQ rank on every leading set of
+columns and the QQ key.  So the primes of a wrong best key divide that
+minor, and P <= H by Hadamard.  Under the QQ key each basis entry is, by
+Cramer, a ratio of two minors of at most H, which rational reconstruction
+recovers once P > 2H^2.  Past 2H^2, then, a failing M v = 0 means a faulty
+elimination mod p, and `kernel` raises.  The bound is read off row bit
+lengths: entries below 2^b give a squared norm below
 2^(2b + bit length of ncol).
 
 `determinant` reads det mod p off the same elimination: row swaps and
@@ -40,9 +45,7 @@ triangular one whose diagonal holds the pivots, so det is the signed
 pivot product mod p when every column has a pivot, and 0 mod p otherwise.
 The residues mod the primes of `kernel` are combined by CRT until their
 product P passes 2H, H as above.  By Hadamard |det| <= H < P/2, so det is
-the residue of least absolute value mod P.  Clearing a row's denominators
-multiplies det by the row's scale, and the product of the scales is
-divided back out.
+the residue of least absolute value mod P.
 
 Every elimination mod p packs each row into one int, a fixed-width slot
 per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
@@ -158,23 +161,6 @@ class DenseMatrix(namedtuple("DenseMatrix", "field entries")):
         return len(self.entries[0]) if self.entries else 0
 
 
-def _clear_denominators(M: DenseMatrix) -> tuple[list[Sequence[int]], int]:
-    """Scale each row to integers; returns (int rows, product of row scales).
-
-    A row of ints is passed through as it is, with scale 1.
-    """
-    out = []
-    scale = 1
-    for row in M.entries:
-        if set(map(type, row)) <= {int}:
-            out.append(row)
-            continue
-        d = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return out, scale
-
-
 def _moduli():
     """The primes of `_MODULI` in order, endlessly: past its end each next
     prime below the last is appended."""
@@ -219,29 +205,26 @@ def _rational_vector(v: list[int], modulus: int) -> tuple[int, ...] | None:
     return tuple(q.numerator * (d // q.denominator) for q in fracs)
 
 
-def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
-    """Basis of the null space {v : M v = 0} of a QQ matrix in primitive
-    integer vectors: one per free column f of the reduced echelon form,
-    positive at f and zero at the other free columns.
+def kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of the null space {v : M v = 0} of the matrix M of integer
+    `rows` over QQ, in primitive integer vectors: one per free column f of
+    the reduced echelon form, positive at f and zero at the other free
+    columns.
 
-    The denominator-cleared rows are certified mod `_CERT_PRIME`, then
-    eliminated mod the primes of `_MODULI`, as the module docstring says;
-    past its bound a faulty elimination raises RuntimeError.
+    The rows are certified mod `_CERT_PRIME`, then eliminated mod the primes
+    of `_MODULI`, as the module docstring says; past its bound a faulty
+    elimination raises RuntimeError.
     """
-    if not isinstance(M.field, RationalField):
-        raise ValueError("kernel is provided over the rationals only")
-    m, _ = _clear_denominators(M)
-    ncol = M.cols
+    ncol = len(rows[0]) if rows else 0
     best = None  # the (-rank, pivot columns) of the primes combined
     for p in _moduli():
-        echelon, tails, _ = _echelon_mod_p(m, p)
-        pivots = [c for _, c in echelon]
+        pivots, tails, _ = _echelon_mod_p(rows, p)
         if best is None:
             ELIMINATIONS["mod-cert-prime"] += 1
             if len(pivots) == ncol:
                 return []
             ELIMINATIONS["multi-modular"] += 1
-            bound_bits = 1 + _hadamard_bits(m)  # 2H^2 < 2^bound_bits
+            bound_bits = 1 + _hadamard_bits(rows)  # 2H^2 < 2^bound_bits
         key = (-len(pivots), pivots)
         free = sorted(set(range(ncol)) - set(pivots))
         if best is None or key < best:
@@ -258,38 +241,35 @@ def kernel(M: DenseMatrix) -> list[tuple[int, ...]]:
             v[:] = [x + modulus * ((r - x) * lift % p) for x, r in zip(v, w)]
         modulus *= p
         out = [_rational_vector(v, modulus) for v in vecs]
-        if None not in out and not any(sum(map(mul, row, w)) for w in out for row in m):
+        if None not in out and not any(sum(map(mul, row, w)) for w in out for row in rows):
             return out
         if modulus.bit_length() > bound_bits:
             raise RuntimeError("kernel: faulty elimination mod p, as M v = 0 fails past the Hadamard bound")
 
 
-def determinant(M: DenseMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix.
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of the square matrix of integer `rows`.
 
     The determinants mod the primes of `_MODULI`, read off `_echelon_mod_p`,
-    are combined by CRT past twice the Hadamard bound of the
-    denominator-cleared rows, as the module docstring says.  A zero row
-    gives 0 without elimination.
+    are combined by CRT past twice the Hadamard bound of the rows, as the
+    module docstring says.  The 0 x 0 matrix gives 1, and a zero row gives
+    0 without elimination.
     """
-    if not isinstance(M.field, RationalField):
-        raise ValueError("determinant is provided over the rationals only")
-    if M.rows != M.cols:
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant requires a square matrix")
-    if M.rows == 0:
-        return Fraction(1)
-    m, scale = _clear_denominators(M)
-    if not all(map(any, m)):
-        return Fraction(0)
+    if not rows:
+        return 1
+    if not all(map(any, rows)):
+        return 0
     ELIMINATIONS["determinant"] += 1
-    bound_bits = (_hadamard_bits(m) + 1) // 2 + 1  # 2H < 2^bound_bits
+    bound_bits = (_hadamard_bits(rows) + 1) // 2 + 1  # 2H < 2^bound_bits
     det, modulus = 0, 1
     for p in _moduli():
-        det += modulus * ((_echelon_mod_p(m, p)[2] - det) * pow(modulus, -1, p) % p)
+        det += modulus * ((_echelon_mod_p(rows, p)[2] - det) * pow(modulus, -1, p) % p)
         modulus *= p
         if modulus.bit_length() > bound_bits:
             break
-    return Fraction(det - modulus if 2 * det > modulus else det, scale)
+    return det - modulus if 2 * det > modulus else det
 
 
 @lru_cache(maxsize=1024)
@@ -314,18 +294,16 @@ def _unpack(data: bytes, n: int) -> Sequence[int]:
     return vals if nb in _INT_CODES else [int.from_bytes(x, "big") for x in vals]
 
 
-def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, int]], list[bytes], int]:
+def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[bytes], int]:
     """Row echelon form mod p of the integer rows `m`, which stay unchanged;
     the rank is the number of pivots.
 
-    Returns one (row, column) pair per pivot, where `row` indexes the input:
-    those rows restricted to the pivot columns form an invertible minor mod p.
-    Each column's pivot is the first remaining row nonzero there mod p.  With
-    them come the pivot tails, packed by `_pack`: for the pivot at column c,
-    the residues of its echelon row at columns c+1, c+2, ... scaled by
-    -1/pivot.  Last comes the signed product of the pivots mod p, the
-    determinant mod p of a square `m` with a pivot in every column, and 0
-    for any other `m`.
+    Returns the pivot columns, ascending: each column's pivot is the first
+    remaining row nonzero there mod p.  With them come the pivot tails,
+    packed by `_pack`: for the pivot at column c, the residues of its
+    echelon row at columns c+1, c+2, ... scaled by -1/pivot.  Last comes
+    the signed product of the pivots mod p, the determinant mod p of a
+    square `m` with a pivot in every column, and 0 for any other `m`.
 
     Each row is packed into one int, column j in slot ncol-1-j (the first
     column on top).  Slots start as residues below p.  A pivot row is
@@ -349,8 +327,7 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, 
     width = 8 * nb
     slot = (1 << width) - 1
     rows = [int.from_bytes(_pack([x % p for x in row], nb), "big") for row in m]
-    order = list(range(nrow))
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     tails: list[bytes] = []
     det = 1
     for col in range(ncol):
@@ -361,9 +338,8 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, 
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            order[r], order[piv] = order[piv], order[r]
             det = -det
-        pivots.append((order[r], col))
+        pivots.append(col)
         top = rows[r]
         lead = (top >> sh & slot) % p
         det = det * lead % p

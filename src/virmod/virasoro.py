@@ -52,7 +52,9 @@ the same argument on all of K_n, S_n[C_n, C_n] is invertible over QQ.
 
 Each minimal-series point has one QQ tower per process, in the bounded
 cache `_tower`: the Kac-vanishing check, the QQ graded ranks and the probe
-all extend and read the same levels.  A probe builds no tower over F_p.
+all extend and read the same levels, and the tower keeps each level's
+(rank, K_n, C_n) beside it, so the probes at several primes share one
+radical.  A probe builds no tower over F_p.
 Its rank mod p at level n is the rank of that tower's S_n mod p: the probe
 runs only where `VermaParams.mod_p` succeeds, that is where p divides
 neither denominator of (c, h), hence not D, and then S_n = D^n G_n is, mod
@@ -111,8 +113,9 @@ class VermaParams:
         self.c, self.h, self.field_ = c, h, field_
         # images of positive modes, kept by the word oracle in the tests
         self._memo: dict = {}
-        # S_0, S_1, ... as built so far
+        # S_0, S_1, ... as built so far, and (rank S_n, K_n, C_n) over QQ
         self._levels: list = []
+        self._radical: list = []
         # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
         if isinstance(field_, PrimeField):
             p = self._mod = field_.p
@@ -298,18 +301,19 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
     return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
 
 
-def _radical_levels(params: VermaParams, n_max: int):
-    """Yield (rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer
-    basis of ker S_n as dense vectors over `partitions(n)`, in trailing form,
-    and C_n the columns that are no vector's last, on which S_n has an
-    invertible principal minor; built as the module docstring says."""
+def _radical_levels(params: VermaParams, n_max: int) -> list:
+    """(rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer basis
+    of ker S_n as dense vectors over `partitions(n)`, in trailing form, and
+    C_n the columns that are no vector's last, on which S_n has an
+    invertible principal minor; built as the module docstring says.
+    `params` keeps them, so a later call extends only the levels it lacks."""
     _build_levels(params, n_max)
-    bases: list[list[list[int]]] = []
-    for n in range(n_max + 1):
+    radical = params._radical
+    for n in range(len(radical), n_max + 1):
         size = len(partitions(n))
         trailing: dict[int, list[int]] = {}  # each vector of K_n by its last nonzero column
         for a in range(1, min(n, 2) + 1):
-            for v in bases[n - a]:
+            for v in radical[n - a][1]:
                 w = _lowered(a, v, n)
                 j = _last(w)
                 while j in trailing:
@@ -323,26 +327,20 @@ def _radical_levels(params: VermaParams, n_max: int):
                 if j >= 0:
                     trailing[j] = w + [0] * (size - len(w))
         free = [j for j in range(size) if j not in trailing]
-        null = kernel(DenseMatrix(QQ, _minor(params._levels[n], free)))
+        null = kernel(_minor(params._levels[n], free))
         for w in null:
             v = dict(zip(free, w))
             trailing[free[_last(w)]] = [v.get(j, 0) for j in range(size)]
-        bases.append(list(trailing.values()))
-        yield len(free) - len(null), bases[n], [j for j in free if j not in trailing]
+        radical.append((len(free) - len(null), list(trailing.values()), [j for j in free if j not in trailing]))
+    return radical[: n_max + 1]
 
 
 @lru_cache(maxsize=16)
 def _tower(c: Fraction, h: Fraction) -> VermaParams:
-    """The one QQ parameter set at (c, h), whose levels every check shares.
-    A paper run holds nine (the Kac-vanishing labels at ell = 2, 3); the
-    bound keeps a long run from holding every tower it ever built."""
+    """The one QQ parameter set at (c, h), whose levels and radical every
+    check shares.  A paper run holds nine (the Kac-vanishing labels at
+    ell = 2, 3); the bound keeps a long run from holding every tower."""
     return VermaParams.rational(c, h)
-
-
-@lru_cache(maxsize=32)
-def _rational_ranks(c: Fraction, h: Fraction, n_max: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(QQ Gram rank, C_n) at levels 0..n_max; probes at one (c, h) share them."""
-    return tuple((r, tuple(cols)) for r, _, cols in _radical_levels(_tower(c, h), n_max))
 
 
 class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):
@@ -371,9 +369,8 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
     field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
     tower = _tower(c, h)
-    _build_levels(tower, n_max)
     levels = []
-    for n, (rq, cols) in enumerate(_rational_ranks(c, h, n_max)):
+    for n, (rq, _, cols) in enumerate(_radical_levels(tower, n_max)):
         rp = rank(DenseMatrix(field_, _minor(tower._levels[n], cols)))
         if rp < rq:
             rp = rank(DenseMatrix(field_, tower._levels[n]))
@@ -417,7 +414,7 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
             w = _lowered(1, w, n)
             singular = not any(sum(map(mul, row, w)) for row in level)
         if w is None or not singular:
-            null = kernel(DenseMatrix(QQ, level))
+            null = kernel(level)
             singular = bool(null)
             w = list(null[0]) if null else None
         levels.append((n, singular))

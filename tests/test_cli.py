@@ -359,7 +359,7 @@ def test_reproduce_paper_timings(tmp_path, capsys):
         "level2-gram", "kac-vanishing", "probes", "gko", "table1",
     ]
     assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
-    caches = ["_prepend", "_lower", "partitions", "_rational_ranks", "_tower"]
+    caches = ["_prepend", "_lower", "partitions", "_tower"]
     for v in doc.values():
         assert list(v) == ["wall_s", "caches", "eliminations", "gram"] and v["wall_s"] >= 0
         assert list(v["caches"]) == caches
@@ -378,7 +378,6 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     which happens at some levels but not at most.  Checks that run no
     elimination show none."""
     virasoro._tower.cache_clear()
-    virasoro._rational_ranks.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["eliminations"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
@@ -395,15 +394,13 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
 
 def test_reproduce_paper_timings_show_the_shared_towers(tmp_path, capsys):
     """From cold tower caches, kac-vanishing builds the nine QQ towers and
-    the probes find their three there."""
+    the probes find their three there, one hit per probe."""
     virasoro._tower.cache_clear()
-    virasoro._rational_ranks.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = json.loads(timings.read_text(encoding="utf-8"))
     assert doc["kac-vanishing"]["caches"]["_tower"] == {"hits": 0, "misses": 9}
-    assert doc["probes"]["caches"]["_tower"]["misses"] == 0
-    assert doc["probes"]["caches"]["_rational_ranks"] == {"hits": 9, "misses": 3}
+    assert doc["probes"]["caches"]["_tower"] == {"hits": 12, "misses": 0}
     untouched = {"hits": 0, "misses": 0}
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "gko", "table1"):
         assert doc[name]["caches"]["_tower"] == doc[name]["caches"]["_lower"] == untouched, name
@@ -414,7 +411,6 @@ def test_reproduce_paper_timings_count_gram_builds(tmp_path, capsys):
     QQ towers, level2-gram levels 1 and 2 of its five samples, and every
     other check none, the probes included."""
     virasoro._tower.cache_clear()
-    virasoro._rational_ranks.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["gram"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}

@@ -18,7 +18,6 @@ from virmod.virasoro import (
     _lower,
     _prepend,
     _radical_levels,
-    _rational_ranks,
     gram_matrix,
     graded_rank,
     irreducibility_probe,
@@ -206,8 +205,10 @@ def kac_constants(t, h, n_max):
     """det G_N / kac_product for N = 1..n_max; the same for every (t, h) off
     the Kac curves (Kac 1979)."""
     params = VermaParams.rational(13 - 6 * (t + 1 / t), h)
+    _build_levels(params, n_max)
     return [
-        determinant(gram_matrix(params, n)) / kac_product(t, h, n) for n in range(1, n_max + 1)
+        F(determinant(params._levels[n]), params._scale ** (n * len(partitions(n)))) / kac_product(t, h, n)
+        for n in range(1, n_max + 1)
     ]
 
 
@@ -492,7 +493,12 @@ class TestGradedRank:
         """K_n spans ker S_n in trailing form, and C_n carries an invertible
         principal minor of size rank S_n.  The images of K_{n-1} and K_{n-2}
         are kept exactly, so the kernel step finds new vectors only at the
-        levels of the two singular vectors."""
+        levels of the two singular vectors.
+
+        No whole level is eliminated: the assertions fix rank S_n = r.  K_n
+        lies in ker S_n (checked exactly) and holds dim - r vectors with
+        distinct last columns, hence independent, so rank S_n <= r.  The
+        minor on C_n has rank r, so rank S_n >= r."""
         found = []
         real = virasoro.kernel
 
@@ -504,11 +510,13 @@ class TestGradedRank:
         monkeypatch.setattr(virasoro, "kernel", counting)
         for lab, params in minimal_points(ell):
             singular = {lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)}
-            for n, (r, basis, cols) in enumerate(_radical_levels(params, 11)):
-                assert found[-1] == 0 or n in singular
+            start = len(found)
+            radical = _radical_levels(params, 11)
+            assert len(found) == start + 12  # one kernel step per level
+            for n, (r, basis, cols) in enumerate(radical):
+                assert found[start + n] == 0 or n in singular
                 level = params._levels[n]
                 assert len(basis) == len(partitions(n)) - r
-                assert r == bareiss(level)[0]
                 for v in basis:
                     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in level)
                 lasts = [max(j for j, x in enumerate(v) if x) for v in basis]
@@ -597,10 +605,15 @@ class TestProbe:
         with pytest.raises(ValueError, match="9 is not prime"):
             irreducibility_probe(2, MinimalLabel(2, 2, 2), 9, 4)
 
-    def test_paper_probes_rank_each_rational_tower_once(self):
-        _rational_ranks.cache_clear()
+    def test_paper_probes_rank_each_rational_tower_once(self, fresh_towers, monkeypatch):
+        """The four primes probed at each ell = 2 label share its tower's
+        radical: the kernel step runs once per level of each tower."""
+        calls = []
+        real = virasoro.kernel
+        monkeypatch.setattr(virasoro, "kernel", lambda m: calls.append(m) or real(m))
         cli.check_probes(cli.ReportEnvelope("t", {}))
-        assert _rational_ranks.cache_info().misses == len(canonical_labels(2))
+        assert virasoro._tower.cache_info().misses == len(canonical_labels(2))
+        assert len(calls) == len(canonical_labels(2)) * (cli.PROBE_LEVEL + 1)
 
     @staticmethod
     def probes_against_the_fp_tower(ell, monkeypatch):
@@ -623,7 +636,7 @@ class TestProbe:
                 calls.clear()
                 v = irreducibility_probe(ell, lab, p, 8)
                 assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
-                assert [rq for _, rq, _ in v.levels] == [r for r, _ in _rational_ranks(c, h, 8)]
+                assert [rq for _, rq, _ in v.levels] == [r for r, _, _ in _radical_levels(virasoro._tower(c, h), 8)]
                 drops += v.drop_level is not None
                 fallbacks += len(calls) - 9
         return drops, fallbacks
@@ -640,12 +653,12 @@ class TestProbe:
     def test_short_minor_falls_back_to_the_full_level(self, ell, monkeypatch):
         """Mutation: a minor missing one index of C_n certifies nothing, and
         the probe still equals the F_p tower."""
-        real = virasoro._rational_ranks
+        real = virasoro._radical_levels
 
-        def short(c, h, n_max):
-            return tuple((r, cols[1:]) for r, cols in real(c, h, n_max))
+        def short(params, n_max):
+            return [(r, basis, cols[1:]) for r, basis, cols in real(params, n_max)]
 
-        monkeypatch.setattr(virasoro, "_rational_ranks", short)
+        monkeypatch.setattr(virasoro, "_radical_levels", short)
         _, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
         assert fallbacks > 0
 
@@ -654,7 +667,6 @@ class TestProbe:
         only: the nine minimal-series towers to level 8, shared by the
         Kac-vanishing check and the probes."""
         virasoro._tower.cache_clear()
-        _rational_ranks.cache_clear()
         built = Counter()
         real = virasoro._build_levels
 
@@ -673,6 +685,23 @@ class TestProbe:
             (central_charge(ell), highest_weight(ell, lab.m, lab.n)) for ell in (2, 3) for lab in canonical_labels(ell)
         }
 
+    def test_kernel_gets_int_rows(self, fresh_towers, monkeypatch):
+        """The paper run and a level-11 probe at (4; 3,2) hand `kernel` only
+        integer entries: the levels S_n and their minors, never Fractions."""
+        real = virasoro.kernel
+        calls = []
+
+        def ints_only(m):
+            assert all(type(x) is int for row in m for x in row)
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(virasoro, "kernel", ints_only)
+        cli.reproduce(cli.ReportEnvelope("t", {}))
+        before = len(calls)
+        assert irreducibility_probe(4, MinimalLabel(4, 3, 2), 101, 11).consistent
+        assert 0 < before < len(calls)
+
     def test_bad_prime_runs_to_completion(self):
         # experiment: no expected verdict, only that ranks are well defined
         v = irreducibility_probe(2, MinimalLabel(2, 2, 1), 7, 6)
@@ -686,10 +715,8 @@ def fresh_towers():
     """Cold QQ tower caches, cleared again after the test, which may alter a
     cached level."""
     virasoro._tower.cache_clear()
-    _rational_ranks.cache_clear()
     yield
     virasoro._tower.cache_clear()
-    _rational_ranks.cache_clear()
 
 
 def cached_level(ell, label, n):
@@ -717,8 +744,9 @@ class TestKacVanishing:
         rep = kac_vanishing_check(2, MinimalLabel(2, 2, 2), 4)
         assert rep.d_min == 2
         params = VermaParams.rational(central_charge(2), highest_weight(2, 2, 2))
-        assert determinant(gram_matrix(params, 1)) == F(1, 8)
-        assert determinant(gram_matrix(params, 2)) == 0
+        _build_levels(params, 2)
+        assert F(determinant(params._levels[1]), params._scale) == F(1, 8)
+        assert determinant(params._levels[2]) == 0
         assert rep.levels == ((1, False), (2, True), (3, True), (4, True))
         assert rep.passed
 
@@ -726,7 +754,8 @@ class TestKacVanishing:
     def test_flags_are_zero_determinants(self, ell):
         for lab, params in minimal_points(ell):
             rep = kac_vanishing_check(ell, lab, 8)
-            assert rep.levels == tuple((n, determinant(gram_matrix(params, n)) == 0) for n in range(1, 9))
+            _build_levels(params, 8)
+            assert rep.levels == tuple((n, determinant(params._levels[n]) == 0) for n in range(1, 9))
             assert rep.passed
 
     def test_runs_no_bareiss(self, fresh_towers):
@@ -754,11 +783,11 @@ class TestKacVanishing:
         that entry is nonzero and the level becomes regular."""
         n = d_min(ell, lab)
         params, rows = cached_level(ell, lab, n)
-        (w,) = exact.kernel(exact.DenseMatrix(QQ, params._levels[n]))
+        (w,) = exact.kernel(params._levels[n])
         i = next(i for i, x in enumerate(w) if x)
         rows[i][i] += 1
         params._levels[n] = tuple(map(tuple, rows))
-        assert determinant(exact.DenseMatrix(QQ, params._levels[n])) != 0
+        assert determinant(params._levels[n]) != 0
         rep = kac_vanishing_check(ell, lab, 8)
         assert (n, False) in rep.levels
         assert not rep.passed
@@ -773,9 +802,7 @@ class TestKacVanishing:
         rows[0][-1] += 1
         params._levels[n] = tuple(map(tuple, rows))
         rep = kac_vanishing_check(ell, lab, 8)
-        expected = tuple(
-            (k, determinant(exact.DenseMatrix(QQ, params._levels[k])) == 0) for k in range(1, 9)
-        )
+        expected = tuple((k, determinant(params._levels[k]) == 0) for k in range(1, 9))
         assert rep.levels == expected
         assert rep.passed == all(flag == (k >= rep.d_min) for k, flag in expected)
 
