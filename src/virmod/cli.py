@@ -129,8 +129,8 @@ def _parse_fraction(s: str) -> Fraction:
 # far larger ell exhaust memory.
 ELL_MAX = 2000
 # The largest Gram level: gram --level 20 at (4/5, 21/40) takes about 3 s and
-# 130 MB, and probe --max-level 20 at (6; 4,3), p = 83, 3 s and 78 MB, while
-# level 24 takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
+# 130 MB, and probe --max-level 20 at (6; 4,3), p = 83, 1.8-2.8 s and 77 MB,
+# while level 24 takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
 LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.

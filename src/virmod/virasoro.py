@@ -65,6 +65,11 @@ F_p engine serves `gram --prime` and `graded_rank` over F_p.
 The probe ranks S_n[C_n, C_n] mod p.  A submatrix's rank is a lower bound
 and rank_p S_n <= rank_QQ S_n = |C_n|, so a minor of full rank mod p proves
 rank_p S_n = rank_QQ S_n; only a level whose minor falls short is ranked whole.
+A probe that adds level n to the radical first ranks S_n[F, F] mod p, F the
+columns no carried vector ends at.  At full rank det S_n[F, F] is nonzero mod
+p, hence over Z, so `kernel` is skipped: C_n = F and |F| <= rank_p S_n <=
+rank_QQ S_n = |F|.  Else `kernel` runs; where it adds no vector, C_n = F still.
+Either way the tower keeps that rank mod p by (n, p) for the probe to read.
 
 The Kac-vanishing check asks only whether each det S_n is zero, and
 computes no determinant: `kernel` settles the levels up to the first
@@ -113,9 +118,10 @@ class VermaParams:
         self.c, self.h, self.field_ = c, h, field_
         # images of positive modes, kept by the word oracle in the tests
         self._memo: dict = {}
-        # S_0, S_1, ... as built so far, and (rank S_n, K_n, C_n) over QQ
+        # S_0, S_1, ... as built, (rank S_n, K_n, C_n) over QQ, probe ranks by (n, p)
         self._levels: list = []
         self._radical: list = []
+        self._ranks_mod_p: dict = {}
         # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
         if isinstance(field_, PrimeField):
             p = self._mod = field_.p
@@ -301,12 +307,13 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
     return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
 
 
-def _radical_levels(params: VermaParams, n_max: int) -> list:
+def _radical_levels(params: VermaParams, n_max: int, field_: PrimeField | None = None) -> list:
     """(rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, in trailing form, and
     C_n the columns that are no vector's last, on which S_n has an
-    invertible principal minor; built as the module docstring says.
-    `params` keeps them, so a later call extends only the levels it lacks."""
+    invertible principal minor; built, and certified mod p for a probe's
+    `field_`, as the module docstring says.  `params` keeps them, so a
+    later call extends only the levels it lacks."""
     _build_levels(params, n_max)
     radical = params._radical
     for n in range(len(radical), n_max + 1):
@@ -327,12 +334,23 @@ def _radical_levels(params: VermaParams, n_max: int) -> list:
                 if j >= 0:
                     trailing[j] = w + [0] * (size - len(w))
         free = [j for j in range(size) if j not in trailing]
-        null = kernel(_minor(params._levels[n], free))
+        minor = _minor(params._levels[n], free)
+        rp = rank(DenseMatrix(field_, minor)) if field_ else None
+        null = [] if rp == len(free) else kernel(minor)
         for w in null:
             v = dict(zip(free, w))
             trailing[free[_last(w)]] = [v.get(j, 0) for j in range(size)]
+        if field_ and not null:
+            params._ranks_mod_p[n, field_.p] = rp
         radical.append((len(free) - len(null), list(trailing.values()), [j for j in free if j not in trailing]))
     return radical[: n_max + 1]
+
+
+def _point(ell: int, label: MinimalLabel) -> tuple[Fraction, Fraction]:
+    """(c, h) at a label of ell; a label of another ell raises ValueError."""
+    if label.ell != ell:
+        raise ValueError(f"label {label.m},{label.n} is at ell = {label.ell}, not {ell}")
+    return central_charge(ell), highest_weight(ell, label.m, label.n)
 
 
 @lru_cache(maxsize=16)
@@ -360,19 +378,21 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     Equal ranks at every level are evidence that reduction mod p preserves
     the irreducible quotient at this truncation; the first level where the
     mod-p rank is smaller is reported as a rank drop.  Both ranks come from
-    the QQ tower at (c, h), the rank mod p from the minor on C_n where that
-    minor has the QQ rank mod p, as the module docstring explains.
+    the QQ tower at (c, h), the rank mod p from the minor on C_n (or the
+    level's certificate at p) where it has the QQ rank, as the module
+    docstring explains.
     """
-    c = central_charge(ell)
-    h = highest_weight(ell, label.m, label.n)
+    c, h = _point(ell, label)
     if p == 2:
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
     field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
     tower = _tower(c, h)
     levels = []
-    for n, (rq, _, cols) in enumerate(_radical_levels(tower, n_max)):
-        rp = rank(DenseMatrix(field_, _minor(tower._levels[n], cols)))
-        if rp < rq:
+    for n, (rq, _, cols) in enumerate(_radical_levels(tower, n_max, field_)):
+        rp = tower._ranks_mod_p.get((n, p))
+        if rp is None:
+            rp = rank(DenseMatrix(field_, _minor(tower._levels[n], cols)))
+        if rp < rq and len(cols) < len(tower._levels[n]):
             rp = rank(DenseMatrix(field_, tower._levels[n]))
         levels.append((n, rq, rp))
     drop = next((n for n, rq, rp in levels if rp != rq), None)
@@ -404,7 +424,7 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     if not label.is_canonical:
         raise ValueError("label must be canonical")
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
-    params = _tower(central_charge(ell), highest_weight(ell, label.m, label.n))
+    params = _tower(*_point(ell, label))
     _build_levels(params, n_max)
     levels = []
     w = None

@@ -371,12 +371,15 @@ def test_reproduce_paper_timings(tmp_path, capsys):
 
 def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     """No check runs a determinant.  kac-vanishing certifies its regular levels
-    mod the fixed prime and runs no F_p rank.  From cold caches the probes'
-    QQ ranks certify mod the fixed prime and fall back to the multi-modular
-    kernel where it falls short; each of the 12 probes ranks the minor of
-    every level mod p, and the whole level where that minor is singular,
-    which happens at some levels but not at most.  Checks that run no
-    elimination show none."""
+    mod the fixed prime and runs no F_p rank.  From cold caches the first
+    probe at each of the three ell = 2 towers certifies its radical mod its
+    own prime, so `kernel` runs only at the two levels per tower that bring
+    a new singular vector, and there it falls back to the multi-modular
+    kernel.  Each of the 12 probes ranks every level mod p once, on the
+    minor or from the rank its certificate kept; the certificates add one
+    rank at those two levels, and a level whose minor is singular mod p is
+    also ranked whole, which happens at some levels but not at most.  Checks
+    that run no elimination show none."""
     virasoro._tower.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
@@ -384,9 +387,9 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     assert all(v["determinant"] == 0 for v in doc.values())
     assert doc["kac-vanishing"]["mod-cert-prime"] > 0
     assert doc["kac-vanishing"]["fp-rank"] == 0
-    assert 12 * (PROBE_LEVEL + 1) < doc["probes"]["fp-rank"] < 2 * 12 * (PROBE_LEVEL + 1)
+    assert 12 * (PROBE_LEVEL + 1) + 6 < doc["probes"]["fp-rank"] < 2 * 12 * (PROBE_LEVEL + 1)
     assert doc["probes"]["determinant"] == 0
-    assert doc["probes"]["mod-cert-prime"] > doc["probes"]["multi-modular"] > 0
+    assert doc["probes"]["mod-cert-prime"] == doc["probes"]["multi-modular"] == 2 * 3
     none = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "level2-gram", "gko", "table1"):
         assert doc[name] == none, name

@@ -74,6 +74,9 @@ SWEEP = [
     ["probe", "--ell", "4", "--label", "3,2", "--prime", "7", "--max-level", "10"],
     ["probe", "--ell", "3", "--label", "2,2", "--prime", "13", "--max-level", "10"],
     ["probe", "--ell", "6", "--label", "4,3", "--prime", "83", "--max-level", "13"],
+    ["probe", "--ell", "3", "--label", "3,2", "--prime", "23", "--max-level", "11"],
+    ["probe", "--ell", "4", "--label", "3,2", "--prime", "47", "--max-level", "11"],
+    ["probe", "--ell", "4", "--label", "3,2", "--prime", "1099511627689", "--max-level", "11"],
     ["gram", "--c", "4/5", "--h", "21/40", "--level", "9"],
     ["no-such-command"],
     [],

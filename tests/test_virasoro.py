@@ -2,6 +2,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -605,24 +606,33 @@ class TestProbe:
         with pytest.raises(ValueError, match="9 is not prime"):
             irreducibility_probe(2, MinimalLabel(2, 2, 2), 9, 4)
 
+    def test_label_of_another_ell_rejected(self):
+        with pytest.raises(ValueError, match="at ell = 2, not 3"):
+            irreducibility_probe(3, MinimalLabel(2, 2, 2), 11, 3)
+
     def test_paper_probes_rank_each_rational_tower_once(self, fresh_towers, monkeypatch):
         """The four primes probed at each ell = 2 label share its tower's
-        radical: the kernel step runs once per level of each tower."""
-        calls = []
+        radical, which the first prime certifies: `kernel` runs only at the
+        two levels of each tower that bring a new singular vector, and finds
+        that one vector there."""
+        found = []
         real = virasoro.kernel
-        monkeypatch.setattr(virasoro, "kernel", lambda m: calls.append(m) or real(m))
+        monkeypatch.setattr(virasoro, "kernel", lambda m: found.append(real(m)) or found[-1])
         cli.check_probes(cli.ReportEnvelope("t", {}))
         assert virasoro._tower.cache_info().misses == len(canonical_labels(2))
-        assert len(calls) == len(canonical_labels(2)) * (cli.PROBE_LEVEL + 1)
+        assert [len(null) for null in found] == [1, 1] * len(canonical_labels(2))
 
     @staticmethod
     def probes_against_the_fp_tower(ell, monkeypatch):
         """Probe every canonical label of ell at several primes to level 8,
         checking each against the F_p engine, its oracle; the number of
-        rank drops and of levels ranked whole after their minor."""
+        rank drops and of levels ranked whole after their minor.  A probe
+        ranks mod p once per level it certifies, once per level whose rank
+        mod p the tower does not keep, and once per level ranked whole, and
+        never ranks one matrix twice in a row."""
         calls = []
         real = virasoro.rank
-        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(m.rows) or real(m))
+        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(m.entries) or real(m))
         drops = fallbacks = 0
         for lab in canonical_labels(ell):
             c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
@@ -633,34 +643,76 @@ class TestProbe:
                     with pytest.raises(DegenerateParams):
                         irreducibility_probe(ell, lab, p, 8)
                     continue
+                tower = virasoro._tower(c, h)
+                certified = len(tower._radical)
                 calls.clear()
                 v = irreducibility_probe(ell, lab, p, 8)
                 assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
-                assert [rq for _, rq, _ in v.levels] == [r for r, _, _ in _radical_levels(virasoro._tower(c, h), 8)]
+                assert [rq for _, rq, _ in v.levels] == [r for r, _, _ in _radical_levels(tower, 8)]
+                # CPython keeps one empty tuple, the minor on no columns
+                assert not any(a is b and a for a, b in zip(calls, calls[1:])), (lab, p)
                 drops += v.drop_level is not None
-                fallbacks += len(calls) - 9
+                certified = len(tower._radical) - certified
+                kept = sum((n, p) in tower._ranks_mod_p for n in range(9))
+                fallbacks += len(calls) - certified - (9 - kept)
         return drops, fallbacks
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
-    def test_ranks_mod_p_equal_the_fp_tower(self, ell, monkeypatch):
+    def test_ranks_mod_p_equal_the_fp_tower(self, ell, fresh_towers, monkeypatch):
         """The probe ranks the QQ tower mod p, on the minor C_n where that
-        minor keeps the QQ rank and on the whole level where it does not."""
+        minor keeps the QQ rank and on the whole level where it does not.
+        The towers start cold, so the first prime at each label certifies
+        the radical and the others read it."""
         drops, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
         assert drops > 0
         assert fallbacks > 0
 
     @pytest.mark.parametrize("ell", [2, 4])
-    def test_short_minor_falls_back_to_the_full_level(self, ell, monkeypatch):
+    def test_short_minor_falls_back_to_the_full_level(self, ell, fresh_towers, monkeypatch):
         """Mutation: a minor missing one index of C_n certifies nothing, and
-        the probe still equals the F_p tower."""
+        the probe still equals the F_p tower.  The kept ranks mod p are
+        dropped, so that the probe ranks every short minor."""
         real = virasoro._radical_levels
 
-        def short(params, n_max):
-            return [(r, basis, cols[1:]) for r, basis, cols in real(params, n_max)]
+        def short(params, n_max, field_=None):
+            levels = real(params, n_max, field_)
+            params._ranks_mod_p.clear()
+            return [(r, basis, cols[1:]) for r, basis, cols in levels]
 
         monkeypatch.setattr(virasoro, "_radical_levels", short)
         _, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
         assert fallbacks > 0
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_certified_radical_is_the_kernel(self, ell, fresh_towers):
+        """A probe on a cold tower certifies its radical mod p; at good and
+        drop primes alike, each level's rank over QQ is that of the whole
+        level, by `exact.kernel`, and K_n is a basis of that kernel."""
+        for lab in canonical_labels(ell):
+            c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
+            for p in (7, 23, 101):
+                virasoro._tower.cache_clear()
+                try:
+                    v = irreducibility_probe(ell, lab, p, 8)
+                except DegenerateParams:
+                    continue
+                tower = virasoro._tower(c, h)
+                for (n, rq, _), (_, basis, _) in zip(v.levels, tower._radical):
+                    level = tower._levels[n]
+                    assert rq == len(level) - len(exact.kernel(level)), (lab, p, n)
+                    assert len(basis) == len(level) - rq
+                    assert not any(sum(map(mul, row, w)) for w in basis for row in level)
+
+    def test_kept_ranks_are_per_prime(self, fresh_towers):
+        """A good prime certifies the cold tower at (3; 3,2) and keeps its
+        ranks; a drop prime probed next reads none of them, and its ranks
+        equal the F_p tower's."""
+        lab = MinimalLabel(3, 3, 2)
+        assert irreducibility_probe(3, lab, 101, 11).consistent
+        v = irreducibility_probe(3, lab, 23, 11)
+        over_p = graded_rank(VermaParams.mod_p(central_charge(3), highest_weight(3, 3, 2), 23), 11).levels
+        assert v.drop_level == 4
+        assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p]
 
     def test_reproduce_builds_each_tower_once(self, monkeypatch):
         """The paper run builds each Gram level of each (c, h) once, over QQ
@@ -814,6 +866,10 @@ class TestKacVanishing:
     def test_noncanonical_rejected(self):
         with pytest.raises(ValueError):
             kac_vanishing_check(2, MinimalLabel(2, 1, 2), 3)
+
+    def test_label_of_another_ell_rejected(self):
+        with pytest.raises(ValueError, match="at ell = 2, not 3"):
+            kac_vanishing_check(3, MinimalLabel(2, 2, 1), 4)
 
 
 class TestPBWVector:
