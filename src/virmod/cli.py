@@ -128,9 +128,9 @@ def _parse_fraction(s: str) -> Fraction:
 # and 67 MB peak RSS (fresh interpreter, 2-CPU host), while the tables of a
 # far larger ell exhaust memory.
 ELL_MAX = 2000
-# The largest Gram level: gram --level 20 at (4/5, 21/40) takes about 3 s and
-# 130 MB, and probe --max-level 20 at (6; 4,3), p = 83, 1.8-2.8 s and 77 MB,
-# while level 24 takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
+# The largest Gram level: gram --level 20 at (4/5, 21/40) takes 3.1 s and 129 MB,
+# and probe --max-level 20 1.2-1.6 s and 68-72 MB (2-CPU host), while level 24
+# takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
 LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.
@@ -276,8 +276,14 @@ def cmd_probe(args) -> int:
         return _emit(env, args)
     for lev, rq, rp in verdict.levels:
         env.add(f"level-{lev}", "info", f"rank QQ = {rq}, rank mod p = {rp}")
-    env.add("verdict", "info", verdict.verdict + (f" at level {verdict.drop_level}" if verdict.drop_level is not None else ""))
+    env.add("verdict", *_verdict_row(verdict))
     return _emit(env, args)
+
+
+def _verdict_row(v: virasoro.ProbeVerdict) -> tuple[str, str]:
+    """A probe verdict's status, fail for a fault and else info, and detail."""
+    at = f" at level {v.drop_level}" if v.drop_level is not None else ""
+    return "fail" if v.verdict == "fault" else "info", v.verdict + at
 
 
 def _verify_range(args) -> list[int]:
@@ -407,15 +413,14 @@ def check_kac_vanishing(env: ReportEnvelope) -> None:
 
 
 def check_probes(env: ReportEnvelope) -> None:
-    """Rank probes at ell=2 for primes above the bound; bad p=7 only as info."""
+    """Rank probes at ell=2 for primes above the bound; bad p=7 as info, or fail on a fault."""
     env.note("probe-proxy")
     for lab in weights.canonical_labels(2):
         for p in (11, 13, 101):
             v = virasoro.irreducibility_probe(2, lab, p, PROBE_LEVEL)
             env.check(f"probe ell=2 label={_label(lab)} p={p}", v.consistent)
         v7 = virasoro.irreducibility_probe(2, lab, 7, PROBE_LEVEL)
-        detail = v7.verdict + (f" at level {v7.drop_level}" if v7.drop_level is not None else "")
-        env.add(f"probe ell=2 label={_label(lab)} p=7 (experiment)", "info", detail)
+        env.add(f"probe ell=2 label={_label(lab)} p=7 (experiment)", *_verdict_row(v7))
 
 
 def check_gko(env: ReportEnvelope, ells=range(2, 21)) -> None:

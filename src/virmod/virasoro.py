@@ -51,25 +51,15 @@ and the columns left, C_n, number |C| - dim ker S_n[C, C] = rank S_n; by
 the same argument on all of K_n, S_n[C_n, C_n] is invertible over QQ.
 
 Each minimal-series point has one QQ tower per process, in the bounded
-cache `_tower`: the Kac-vanishing check, the QQ graded ranks and the probe
-all extend and read the same levels, and the tower keeps each level's
-(rank, K_n, C_n) beside it, so the probes at several primes share one
-radical.  A probe builds no tower over F_p.
-Its rank mod p at level n is the rank of that tower's S_n mod p: the probe
-runs only where `VermaParams.mod_p` succeeds, that is where p divides
-neither denominator of (c, h), hence not D, and then S_n = D^n G_n is, mod
-p, the unit D^n times the Gram matrix the F_p engine builds, since
-reduction mod p is a ring map on the entries, which lie in Z[h, c/2].  The
-F_p engine serves `gram --prime` and `graded_rank` over F_p.
-
-The probe ranks S_n[C_n, C_n] mod p.  A submatrix's rank is a lower bound
-and rank_p S_n <= rank_QQ S_n = |C_n|, so a minor of full rank mod p proves
-rank_p S_n = rank_QQ S_n; only a level whose minor falls short is ranked whole.
-A probe that adds level n to the radical first ranks S_n[F, F] mod p, F the
-columns no carried vector ends at.  At full rank det S_n[F, F] is nonzero mod
-p, hence over Z, so `kernel` is skipped: C_n = F and |F| <= rank_p S_n <=
-rank_QQ S_n = |F|.  Else `kernel` runs; where it adds no vector, C_n = F still.
-Either way the tower keeps that rank mod p by (n, p) for the probe to read.
+cache `_tower`, shared by the Kac-vanishing check, the QQ graded ranks and
+the probes at every prime.  A probe needs p to divide neither denominator
+of (c, h), hence not D, so S_n mod p is the unit D^n times the F_p engine's
+Gram matrix (reduction mod p is a ring map on Z[h, c/2]): its rank mod p
+is that of the tower's whole S_n.  Its rank over QQ is chi_n, the level-n
+coefficient of the irreducible character (Rocha-Caridi 1985), which
+`character` sums from partition counts, as at (c_l, h_{m,n}) the radical
+is the maximal submodule (Feigin-Fuchs 1984).  Reduction mod p only loses
+rank, so rank_p S_n > chi_n is a fault of the engine or of the character.
 
 The Kac-vanishing check asks only whether each det S_n is zero, and
 computes no determinant: `kernel` settles the levels up to the first
@@ -118,10 +108,9 @@ class VermaParams:
         self.c, self.h, self.field_ = c, h, field_
         # images of positive modes, kept by the word oracle in the tests
         self._memo: dict = {}
-        # S_0, S_1, ... as built, (rank S_n, K_n, C_n) over QQ, probe ranks by (n, p)
+        # S_0, S_1, ... as built, and (rank S_n, K_n, C_n) over QQ
         self._levels: list = []
         self._radical: list = []
-        self._ranks_mod_p: dict = {}
         # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
         if isinstance(field_, PrimeField):
             p = self._mod = field_.p
@@ -307,13 +296,12 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
     return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
 
 
-def _radical_levels(params: VermaParams, n_max: int, field_: PrimeField | None = None) -> list:
+def _radical_levels(params: VermaParams, n_max: int) -> list:
     """(rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, in trailing form, and
     C_n the columns that are no vector's last, on which S_n has an
-    invertible principal minor; built, and certified mod p for a probe's
-    `field_`, as the module docstring says.  `params` keeps them, so a
-    later call extends only the levels it lacks."""
+    invertible principal minor; built as the module docstring says.
+    `params` keeps them, so a later call extends only the levels it lacks."""
     _build_levels(params, n_max)
     radical = params._radical
     for n in range(len(radical), n_max + 1):
@@ -334,14 +322,10 @@ def _radical_levels(params: VermaParams, n_max: int, field_: PrimeField | None =
                 if j >= 0:
                     trailing[j] = w + [0] * (size - len(w))
         free = [j for j in range(size) if j not in trailing]
-        minor = _minor(params._levels[n], free)
-        rp = rank(DenseMatrix(field_, minor)) if field_ else None
-        null = [] if rp == len(free) else kernel(minor)
+        null = kernel(_minor(params._levels[n], free))
         for w in null:
             v = dict(zip(free, w))
             trailing[free[_last(w)]] = [v.get(j, 0) for j in range(size)]
-        if field_ and not null:
-            params._ranks_mod_p[n, field_.p] = rp
         radical.append((len(free) - len(null), list(trailing.values()), [j for j in free if j not in trailing]))
     return radical[: n_max + 1]
 
@@ -353,17 +337,33 @@ def _point(ell: int, label: MinimalLabel) -> tuple[Fraction, Fraction]:
     return central_charge(ell), highest_weight(ell, label.m, label.n)
 
 
+def character(ell: int, label: MinimalLabel, n_max: int) -> list[int]:
+    """Level coefficients 0..n_max of the irreducible character at a label of
+    ell (Rocha-Caridi 1985): q^-h chi = (1/phi(q)) sum_k (q^a_k(n) - q^a_k(-n)),
+    a_k(s) = ((2pp'k + pm - p's)^2 - (pm - p'n)^2) / (4pp'), p = l+2, p' = l+1.
+    A label of another ell raises ValueError."""
+    _point(ell, label)
+    p, pp, m, n = ell + 2, ell + 1, label.m, label.n
+    # a_k(s) >= pp'((|k|-1)^2 - 1/4) > n_max once |k| > n_max + 1
+    shifts = [
+        (((2 * p * pp * k + p * m - pp * s) ** 2 - (p * m - pp * n) ** 2) // (4 * p * pp), sign)
+        for k in range(-n_max - 1, n_max + 2) for s, sign in ((n, 1), (-n, -1))
+    ]
+    return [sum(sign * len(partitions(N - e)) for e, sign in shifts if e <= N) for N in range(n_max + 1)]
+
+
 @lru_cache(maxsize=16)
 def _tower(c: Fraction, h: Fraction) -> VermaParams:
-    """The one QQ parameter set at (c, h), whose levels and radical every
-    check shares.  A paper run holds nine (the Kac-vanishing labels at
-    ell = 2, 3); the bound keeps a long run from holding every tower."""
+    """The one QQ parameter set at (c, h), whose levels every check shares.
+    A paper run holds nine (the Kac-vanishing labels at ell = 2, 3); the
+    bound keeps a long run from holding every tower."""
     return VermaParams.rational(c, h)
 
 
 class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):
-    """`levels` holds one (degree, rank over QQ, rank mod p) per level;
-    `verdict` is "consistent" or "rank-drop", at `drop_level` (else None)."""
+    """`levels` holds one (degree, chi_n, rank mod p) per level; `verdict` is
+    "consistent", or "rank-drop" or "fault" at `drop_level` (else None), the
+    first level where the rank mod p is below chi_n, or above it."""
 
     __slots__ = ()
 
@@ -376,29 +376,21 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
     """Compare graded Gram ranks over QQ and over F_p at a minimal-series point.
 
     Equal ranks at every level are evidence that reduction mod p preserves
-    the irreducible quotient at this truncation; the first level where the
-    mod-p rank is smaller is reported as a rank drop.  Both ranks come from
-    the QQ tower at (c, h), the rank mod p from the minor on C_n (or the
-    level's certificate at p) where it has the QQ rank, as the module
-    docstring explains.
+    the irreducible quotient at this truncation.  The rank over QQ is the
+    character's coefficient chi_n, and the rank mod p that of the whole
+    level S_n of the QQ tower at (c, h), as the module docstring explains.
     """
     c, h = _point(ell, label)
     if p == 2:
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
     field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
-    tower = _tower(c, h)
-    levels = []
-    for n, (rq, _, cols) in enumerate(_radical_levels(tower, n_max, field_)):
-        rp = tower._ranks_mod_p.get((n, p))
-        if rp is None:
-            rp = rank(DenseMatrix(field_, _minor(tower._levels[n], cols)))
-        if rp < rq and len(cols) < len(tower._levels[n]):
-            rp = rank(DenseMatrix(field_, tower._levels[n]))
-        levels.append((n, rq, rp))
-    drop = next((n for n, rq, rp in levels if rp != rq), None)
-    return ProbeVerdict(
-        label, p, n_max, tuple(levels), "consistent" if drop is None else "rank-drop", drop
-    )
+    tower, chi = _tower(c, h), character(ell, label, n_max)
+    _build_levels(tower, n_max)
+    levels = tuple((n, chi[n], rank(DenseMatrix(field_, tower._levels[n]))) for n in range(n_max + 1))
+    faults = [n for n, rq, rp in levels if rp > rq]
+    drops = [n for n, rq, rp in levels if rp < rq]
+    verdict = "fault" if faults else "rank-drop" if drops else "consistent"
+    return ProbeVerdict(label, p, n_max, levels, verdict, (faults or drops or [None])[0])
 
 
 class VanishingReport(namedtuple("VanishingReport", "label d_min n_max levels passed")):

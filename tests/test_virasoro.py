@@ -19,6 +19,7 @@ from virmod.virasoro import (
     _lower,
     _prepend,
     _radical_levels,
+    character,
     gram_matrix,
     graded_rank,
     irreducibility_probe,
@@ -218,24 +219,6 @@ KAC_REFERENCE = (F(2), F(1, 3))
 kac_curve_points = st.tuples(
     nonzero_rationals, st.sampled_from([(r, s) for r in range(1, 9) for s in range(1, 8 // r + 1)])
 )
-
-
-def rocha_caridi_ranks(ell, m, n, n_max):
-    """Level coefficients 0..n_max of the irreducible minimal-model character
-    (Rocha-Caridi 1985), with p = l+2 and p' = l+1:
-    q^-h chi = (1/phi(q)) sum_k (q^a_k(m,n) - q^a_k(m,-n)),
-    a_k(m,s) = ((2pp'k + pm - p's)^2 - (pm - p'n)^2) / (4pp')."""
-    p, pp = ell + 2, ell + 1
-
-    def a(k, s):
-        return ((2 * p * pp * k + p * m - pp * s) ** 2 - (p * m - pp * n) ** 2) // (4 * p * pp)
-
-    # a_k >= pp'((|k|-1)^2 - 1/4) > n_max once |k| > n_max + 1
-    shifts = [(a(k, s), sign) for k in range(-n_max - 1, n_max + 2) for s, sign in ((n, 1), (-n, -1))]
-    return [
-        sum(sign * len(partitions(level - e)) for e, sign in shifts if e <= level)
-        for level in range(n_max + 1)
-    ]
 
 
 def minimal_points(ell):
@@ -483,11 +466,28 @@ class TestGradedRank:
         for n, dim, r in rep.levels:
             assert r == dim == len(partitions(n))
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
     def test_matches_rocha_caridi_character(self, ell):
+        """The QQ graded ranks equal the irreducible character, which the
+        probe takes as its rank over QQ: every canonical label to level 12,
+        and at ell = 2, 3 and 6 one label, probed deep, to level 16."""
+        deep = {2: (2, 2), 3: (2, 1), 6: (4, 3)}
         for lab, params in minimal_points(ell):
-            ranks = [r for _, _, r in graded_rank(params, 12).levels]
-            assert ranks == rocha_caridi_ranks(ell, lab.m, lab.n, 12)
+            n_max = 16 if (lab.m, lab.n) == deep.get(ell) else 12
+            ranks = [r for _, _, r in graded_rank(params, n_max).levels]
+            assert ranks == character(ell, lab, n_max), lab
+
+    @pytest.mark.parametrize("ell", range(2, 9))
+    def test_character_is_equal_at_the_mirror_label(self, ell):
+        """(m, n) and (l+1-m, l+2-n) name one weight, and the probe takes
+        labels that are not canonical."""
+        for lab in canonical_labels(ell):
+            mirror = MinimalLabel(ell, ell + 1 - lab.m, ell + 2 - lab.n)
+            assert character(ell, mirror, 16) == character(ell, lab, 16), lab
+
+    def test_character_rejects_a_label_of_another_ell(self):
+        with pytest.raises(ValueError, match="at ell = 2, not 3"):
+            character(3, MinimalLabel(2, 2, 2), 4)
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 5])
     def test_radical_basis_is_exact_kernel(self, ell, monkeypatch):
@@ -611,29 +611,27 @@ class TestProbe:
             irreducibility_probe(3, MinimalLabel(2, 2, 2), 11, 3)
 
     def test_paper_probes_rank_each_rational_tower_once(self, fresh_towers, monkeypatch):
-        """The four primes probed at each ell = 2 label share its tower's
-        radical, which the first prime certifies: `kernel` runs only at the
-        two levels of each tower that bring a new singular vector, and finds
-        that one vector there."""
+        """The four primes probed at each ell = 2 label share its tower, built
+        once, and take their ranks over QQ from the character: no probe
+        calls `kernel`."""
         found = []
         real = virasoro.kernel
         monkeypatch.setattr(virasoro, "kernel", lambda m: found.append(real(m)) or found[-1])
         cli.check_probes(cli.ReportEnvelope("t", {}))
         assert virasoro._tower.cache_info().misses == len(canonical_labels(2))
-        assert [len(null) for null in found] == [1, 1] * len(canonical_labels(2))
+        assert found == []
 
-    @staticmethod
-    def probes_against_the_fp_tower(ell, monkeypatch):
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+    def test_ranks_mod_p_equal_the_fp_tower(self, ell, fresh_towers, monkeypatch):
         """Probe every canonical label of ell at several primes to level 8,
-        checking each against the F_p engine, its oracle; the number of
-        rank drops and of levels ranked whole after their minor.  A probe
-        ranks mod p once per level it certifies, once per level whose rank
-        mod p the tower does not keep, and once per level ranked whole, and
-        never ranks one matrix twice in a row."""
+        on towers that start cold and that the primes at a label share.  At
+        good and drop primes alike, the probe ranks each whole level mod p
+        once, those ranks equal the F_p engine's, its oracle, and its ranks
+        over QQ are the character's."""
         calls = []
         real = virasoro.rank
-        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(m.entries) or real(m))
-        drops = fallbacks = 0
+        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(len(m.entries)) or real(m))
+        drops = 0
         for lab in canonical_labels(ell):
             c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
             for p in (7, 11, 13, 17, 19, 23, 37, 101):
@@ -643,70 +641,66 @@ class TestProbe:
                     with pytest.raises(DegenerateParams):
                         irreducibility_probe(ell, lab, p, 8)
                     continue
-                tower = virasoro._tower(c, h)
-                certified = len(tower._radical)
                 calls.clear()
                 v = irreducibility_probe(ell, lab, p, 8)
                 assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
-                assert [rq for _, rq, _ in v.levels] == [r for r, _, _ in _radical_levels(tower, 8)]
-                # CPython keeps one empty tuple, the minor on no columns
-                assert not any(a is b and a for a, b in zip(calls, calls[1:])), (lab, p)
-                drops += v.drop_level is not None
-                certified = len(tower._radical) - certified
-                kept = sum((n, p) in tower._ranks_mod_p for n in range(9))
-                fallbacks += len(calls) - certified - (9 - kept)
-        return drops, fallbacks
-
-    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
-    def test_ranks_mod_p_equal_the_fp_tower(self, ell, fresh_towers, monkeypatch):
-        """The probe ranks the QQ tower mod p, on the minor C_n where that
-        minor keeps the QQ rank and on the whole level where it does not.
-        The towers start cold, so the first prime at each label certifies
-        the radical and the others read it."""
-        drops, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
+                assert [rq for _, rq, _ in v.levels] == character(ell, lab, 8)
+                assert calls == [len(partitions(n)) for n in range(9)]
+                drops += v.verdict == "rank-drop"
         assert drops > 0
-        assert fallbacks > 0
 
-    @pytest.mark.parametrize("ell", [2, 4])
-    def test_short_minor_falls_back_to_the_full_level(self, ell, fresh_towers, monkeypatch):
-        """Mutation: a minor missing one index of C_n certifies nothing, and
-        the probe still equals the F_p tower.  The kept ranks mod p are
-        dropped, so that the probe ranks every short minor."""
-        real = virasoro._radical_levels
+    def test_character_off_by_one_is_a_fault(self, monkeypatch, capsys):
+        """Mutation: a character one too small at level 2, where no ell = 2
+        probe drops, is a fault there, as a fault of the engine or of the
+        character would be.  The probe says so, every `check_probes` row
+        fails, the p = 7 experiment included, and `virmod probe` exits 1
+        with no traceback."""
+        real = virasoro.character
 
-        def short(params, n_max, field_=None):
-            levels = real(params, n_max, field_)
-            params._ranks_mod_p.clear()
-            return [(r, basis, cols[1:]) for r, basis, cols in levels]
+        def short(ell, label, n_max):
+            chi = real(ell, label, n_max)
+            chi[2] -= 1
+            return chi
 
-        monkeypatch.setattr(virasoro, "_radical_levels", short)
-        _, fallbacks = self.probes_against_the_fp_tower(ell, monkeypatch)
-        assert fallbacks > 0
+        monkeypatch.setattr(virasoro, "character", short)
+        v = irreducibility_probe(2, MinimalLabel(2, 2, 2), 101, 6)
+        assert (v.verdict, v.drop_level, v.consistent) == ("fault", 2, False)
+        env = cli.ReportEnvelope("t", {})
+        cli.check_probes(env)
+        assert len(env.results) == 4 * len(canonical_labels(2))
+        assert all(r["status"] == "fail" for r in env.results)
+        assert [r["detail"] for r in env.results if "p=7" in r["name"]] == ["fault at level 2"] * 3
+        assert cli.run(["probe", "--ell", "2", "--label", "2,2", "--prime", "101", "--max-level", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert "  verdict  fail  fault at level 2" in out
+        assert err == ""
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_certified_radical_is_the_kernel(self, ell, fresh_towers):
-        """A probe on a cold tower certifies its radical mod p; at good and
-        drop primes alike, each level's rank over QQ is that of the whole
-        level, by `exact.kernel`, and K_n is a basis of that kernel."""
+        """The exact radical certifies the probe's ranks over QQ.  On a tower
+        that probes at good and drop primes have used, the character gives
+        each level the rank of the whole level by `exact.kernel`, and the
+        radical that `graded_rank` then carries up holds a basis of that
+        kernel."""
         for lab in canonical_labels(ell):
-            c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
+            chi = character(ell, lab, 8)
             for p in (7, 23, 101):
-                virasoro._tower.cache_clear()
                 try:
                     v = irreducibility_probe(ell, lab, p, 8)
                 except DegenerateParams:
                     continue
-                tower = virasoro._tower(c, h)
-                for (n, rq, _), (_, basis, _) in zip(v.levels, tower._radical):
-                    level = tower._levels[n]
-                    assert rq == len(level) - len(exact.kernel(level)), (lab, p, n)
-                    assert len(basis) == len(level) - rq
-                    assert not any(sum(map(mul, row, w)) for w in basis for row in level)
+                assert [rq for _, rq, _ in v.levels] == chi, (lab, p)
+            tower = virasoro._tower(central_charge(ell), highest_weight(ell, lab.m, lab.n))
+            for n, (r, basis, _) in enumerate(_radical_levels(tower, 8)):
+                level = tower._levels[n]
+                assert chi[n] == r == len(level) - len(exact.kernel(level)), (lab, n)
+                assert len(basis) == len(level) - r
+                assert not any(sum(map(mul, row, w)) for w in basis for row in level)
 
     def test_kept_ranks_are_per_prime(self, fresh_towers):
-        """A good prime certifies the cold tower at (3; 3,2) and keeps its
-        ranks; a drop prime probed next reads none of them, and its ranks
-        equal the F_p tower's."""
+        """A good prime probed first on the cold tower at (3; 3,2) leaves on
+        it nothing that a drop prime probed next reads: the drop prime's
+        ranks equal the F_p tower's."""
         lab = MinimalLabel(3, 3, 2)
         assert irreducibility_probe(3, lab, 101, 11).consistent
         v = irreducibility_probe(3, lab, 23, 11)
@@ -738,8 +732,9 @@ class TestProbe:
         }
 
     def test_kernel_gets_int_rows(self, fresh_towers, monkeypatch):
-        """The paper run and a level-11 probe at (4; 3,2) hand `kernel` only
-        integer entries: the levels S_n and their minors, never Fractions."""
+        """The paper run hands `kernel` only integer entries: the levels S_n
+        and their minors, never Fractions.  A level-11 probe at (4; 3,2)
+        adds no `kernel` call."""
         real = virasoro.kernel
         calls = []
 
@@ -752,7 +747,7 @@ class TestProbe:
         cli.reproduce(cli.ReportEnvelope("t", {}))
         before = len(calls)
         assert irreducibility_probe(4, MinimalLabel(4, 3, 2), 101, 11).consistent
-        assert 0 < before < len(calls)
+        assert 0 < before == len(calls)
 
     def test_bad_prime_runs_to_completion(self):
         # experiment: no expected verdict, only that ranks are well defined
