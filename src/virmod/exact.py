@@ -83,8 +83,10 @@ _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 ELIMINATIONS = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
 
 
+@lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
-    """Trial division; the program's one primality test."""
+    """Trial division; the program's one primality test.  A few recent
+    answers are kept, so the checks of one run test their prime once."""
     if n < 2:
         return False
     if n < 4:

@@ -39,20 +39,20 @@ the radical at level n except for new singular vectors (Feigin-Fuchs: at
 minimal points only the levels mn and (l+1-m)(l+2-n) bring any).  And if
 kernel vectors K have an invertible minor on columns P, then, S_n being
 symmetric, the rows and columns in P are combinations of those in the
-complement C, so rank S_n = rank S_n[C, C], and a null vector of
-S_n[C, C] extended by zero on P lies in ker S_n.
+complement C, so rank S_n = rank S_n[C, C] = |C| - dim ker S_n[C, C],
+and a null vector of S_n[C, C] extended by zero on P lies in ker S_n.
 
 K_n is kept in trailing form: no two vectors end (have their last nonzero
 entry) at the same column.  Each image is reduced over Z against the kept
 vector ending where it does, until it ends at a new column or vanishes, so
 the kept vectors are triangular on the columns P where they end.  The null
-vectors of S_n[C, C] from `exact.kernel` each end at their own free column,
-and the columns left, C_n, number |C| - dim ker S_n[C, C] = rank S_n; by
-the same argument on all of K_n, S_n[C_n, C_n] is invertible over QQ.
+vectors of S_n[C, C] from `exact.kernel` each end at their own free column.
+Level n reads only K_{n-1} and K_{n-2}, so `graded_rank` carries the
+radical up in one pass per call and keeps no other level of it.
 
 Each minimal-series point has one QQ tower per process, in the bounded
-cache `_tower`, shared by the Kac-vanishing check, the QQ graded ranks and
-the probes at every prime.  A probe needs p to divide neither denominator
+cache `_tower`, shared by the Kac-vanishing check and the probes at every
+prime.  A probe needs p to divide neither denominator
 of (c, h), hence not D, so S_n mod p is the unit D^n times the F_p engine's
 Gram matrix (reduction mod p is a ring map on Z[h, c/2]): its rank mod p
 is that of the tower's whole S_n.  Its rank over QQ is chi_n, the level-n
@@ -108,9 +108,8 @@ class VermaParams:
         self.c, self.h, self.field_ = c, h, field_
         # images of positive modes, kept by the word oracle in the tests
         self._memo: dict = {}
-        # S_0, S_1, ... as built, and (rank S_n, K_n, C_n) over QQ
+        # S_0, S_1, ... as built
         self._levels: list = []
-        self._radical: list = []
         # the engine's ints: the scale D, D*h and D*c/2, and the modulus (0 over QQ)
         if isinstance(field_, PrimeField):
             p = self._mod = field_.p
@@ -206,6 +205,8 @@ GRAM_BUILDS = {"levels": 0, "entries": 0}
 
 def _build_levels(params: VermaParams, n: int) -> None:
     """Append S_m = D^m G_m for the levels `params` lacks, through level n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     levels = params._levels
     if not levels:
         levels.append(((1,),))
@@ -244,8 +245,6 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
     the module docstring from the levels 0..n-1, which `params` keeps: a
     later call on the same params builds only the levels it lacks.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     _build_levels(params, n)
     rows = params._levels[n]
     if not params._mod:
@@ -266,7 +265,7 @@ def graded_rank(params: VermaParams, n_max: int) -> GramReport:
         _build_levels(params, n_max)
         ranks = [rank(DenseMatrix(params.field_, level)) for level in params._levels[: n_max + 1]]
     else:
-        ranks = [r for r, _, _ in _radical_levels(params, n_max)]
+        ranks = [r for r, _ in _radical_levels(params, n_max)]
     return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
 
 
@@ -296,19 +295,17 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
     return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
 
 
-def _radical_levels(params: VermaParams, n_max: int) -> list:
-    """(rank S_n, K_n, C_n) for n = 0..n_max over QQ: K_n an integer basis
-    of ker S_n as dense vectors over `partitions(n)`, in trailing form, and
-    C_n the columns that are no vector's last, on which S_n has an
-    invertible principal minor; built as the module docstring says.
-    `params` keeps them, so a later call extends only the levels it lacks."""
+def _radical_levels(params: VermaParams, n_max: int):
+    """Yield (rank S_n, K_n) for n = 0..n_max over QQ: K_n an integer basis
+    of ker S_n as dense vectors over `partitions(n)`, in trailing form,
+    built from K_{n-1} and K_{n-2} alone as the module docstring says."""
     _build_levels(params, n_max)
-    radical = params._radical
-    for n in range(len(radical), n_max + 1):
+    below = ([], [])  # K_{n-1} and K_{n-2}
+    for n in range(n_max + 1):
         size = len(partitions(n))
         trailing: dict[int, list[int]] = {}  # each vector of K_n by its last nonzero column
-        for a in range(1, min(n, 2) + 1):
-            for v in radical[n - a][1]:
+        for a, lower in zip((1, 2), below):
+            for v in lower:
                 w = _lowered(a, v, n)
                 j = _last(w)
                 while j in trailing:
@@ -326,8 +323,9 @@ def _radical_levels(params: VermaParams, n_max: int) -> list:
         for w in null:
             v = dict(zip(free, w))
             trailing[free[_last(w)]] = [v.get(j, 0) for j in range(size)]
-        radical.append((len(free) - len(null), list(trailing.values()), [j for j in free if j not in trailing]))
-    return radical[: n_max + 1]
+        basis = list(trailing.values())
+        yield len(free) - len(null), basis
+        below = (basis, below[0])
 
 
 def _point(ell: int, label: MinimalLabel) -> tuple[Fraction, Fraction]:
@@ -341,8 +339,10 @@ def character(ell: int, label: MinimalLabel, n_max: int) -> list[int]:
     """Level coefficients 0..n_max of the irreducible character at a label of
     ell (Rocha-Caridi 1985): q^-h chi = (1/phi(q)) sum_k (q^a_k(n) - q^a_k(-n)),
     a_k(s) = ((2pp'k + pm - p's)^2 - (pm - p'n)^2) / (4pp'), p = l+2, p' = l+1.
-    A label of another ell raises ValueError."""
+    A label of another ell, or a negative n_max, raises ValueError."""
     _point(ell, label)
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     p, pp, m, n = ell + 2, ell + 1, label.m, label.n
     # a_k(s) >= pp'((|k|-1)^2 - 1/4) > n_max once |k| > n_max + 1
     shifts = [

@@ -60,11 +60,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import inf, isqrt
 from operator import le
 
 from .exact import is_prime
+
+
+def _check_ell(ell: int) -> None:
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
 
 
 class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
@@ -74,8 +79,7 @@ class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
     __slots__ = ()
 
     def __new__(cls, ell: int, m: int, n: int):
-        if ell < 2:
-            raise ValueError("ell must be >= 2")
+        _check_ell(ell)
         if not (1 <= m <= ell and 1 <= n <= ell + 1):
             raise ValueError(f"label ({m},{n}) out of range for ell={ell}")
         return super().__new__(cls, ell, m, n)
@@ -86,8 +90,7 @@ class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
 
 
 def central_charge(ell: int) -> Fraction:
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     return 1 - Fraction(6, (ell + 1) * (ell + 2))
 
 
@@ -107,6 +110,7 @@ def canonicalize(ell: int, m: int, n: int) -> MinimalLabel:
 
 def canonical_labels(ell: int) -> list[MinimalLabel]:
     """All l(l+1)/2 canonical labels, sorted."""
+    _check_ell(ell)
     return [MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1)]
 
 
@@ -158,8 +162,7 @@ def b_set_marks(ell: int) -> bytearray:
     x = s(l+2) and t = floor(x/(l+1))..2, marked whole.  The zero value
     occurs exactly at symmetry-paired tuples and is discarded.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     a, b = ell + 2, ell + 1
     # the largest value, 2l(l+2) - 2(l+1), is at s = 2l, t = 2
     marks = bytearray(2 * ell * a - 2 * b + 1)
@@ -185,8 +188,7 @@ def b_set_intervals(ell: int) -> IntervalSet:
     starts a+2 above the end of the interval before it, so the intervals
     come sorted, disjoint and non-adjacent as built.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     low, a, b = ell * ell + ell, ell + 2, ell + 1
     blocks = zip(range(low, low + ell * a, a), range(low + ell - 1, low + ell - 1 + ell * b, b))
     return IntervalSet(((1, low - 2), *blocks))
@@ -199,8 +201,7 @@ def d_matrix(ell: int) -> list[list[int]]:
     (n+n')(l+1) for n+n' = 2..l+2 (the left half of the full table; the full
     table is symmetric under 180-degree rotation).
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     rows = [s * (ell + 2) for s in range(2, 2 * ell + 1)]
     cols = [t * (ell + 1) for t in range(2, ell + 3)]
     return [[abs(c - r) for c in cols] for r in rows]
@@ -232,6 +233,7 @@ def g_blocks(ell: int) -> IntervalSet:
     Block a+1 starts l+1-a >= 2 above the end of block a, so the blocks come
     sorted, disjoint and non-adjacent as built.
     """
+    _check_ell(ell)
     base, a, b = ell * ell + ell - 1, ell + 2, ell + 1
     return IntervalSet(tuple(zip(range(base, base + ell * b, b), range(base, base + ell * a, a))))
 
@@ -364,8 +366,7 @@ def _is_bad_dividing_d(ell: int, p: int) -> bool:
 def _check_prime_args(ell: int, p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
 
 
 def is_bad_prime(ell: int, p: int) -> bool:
@@ -427,13 +428,10 @@ def classify_prime(ell: int, p: int) -> PrimeClassification:
     """
     _check_prime_args(ell, p)
     _, classes = _collisions(ell, p, inf)
-    b, sq = ell + 1, (ell + 1) ** 2
-    # the label of x as its key m(l+1) + n < (l+1)^2, m = x mod (l+1) and n = m - x div (l+1): keys,
-    # and pairs as u(l+1)^2 + v, sort as the labels and pairs do, and divmod gives (m, n) back
-    keys = [sorted([x % b * (b + 1) - x // b for x in xs]) for xs in classes]
-    labels = {key: MinimalLabel(ell, *divmod(key, b)) for ks in keys for key in ks}
-    pairs = sorted(u * sq + v for ks in keys for k, u in enumerate(ks) for v in ks[k + 1 :])
-    collisions = tuple((labels[uv // sq], labels[uv % sq]) for uv in pairs)
+    b = ell + 1
+    # the label of x = m + (m - n)(l+1): m = x mod (l+1) and n = m - x div (l+1)
+    labels = [sorted(MinimalLabel(ell, x % b, x % b - x // b) for x in xs) for xs in classes]
+    collisions = tuple(sorted(pair for group in labels for pair in combinations(group, 2)))
     status = "bad" if p == 2 or collisions else "good"
     cc_defined = central_charge(ell).denominator % p != 0
     return PrimeClassification(ell, p, status, collisions, _degenerate_labels(ell, p), cc_defined)
@@ -447,8 +445,7 @@ def bad_primes(ell: int) -> list[int]:
     other prime reads its collision mark, which for p <= 2l^2+l-3 <
     2(l^2+l-1) is the whole rule of the module docstring.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     bound = 2 * ell * ell + ell - 3
     den, marks = 4 * (ell + 1) * (ell + 2), b_set_marks(ell)
     return [p for p in primes_upto(bound) if (marks[p] if den % p else _is_bad_dividing_d(ell, p))]
@@ -466,8 +463,7 @@ def verify_prop_h(ell: int) -> VerifyReport:
     `in_b_set_below_top` by the rule of the module docstring: the check is
     that no prime in (2l^2+l-3, 2(l^2+l-1)) is a collision value.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell)
     window = primes_between(2 * ell * ell + ell - 2, 2 * ell * ell + 3 * ell)
     offenders = [p for p in window if in_b_set_below_top(ell, p)]
     return VerifyReport(

@@ -9,10 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from virmod import cli, coset, weights
+from virmod import cli, weights
 from virmod.cli import EXPECTED_D5, ReportEnvelope, run
 from virmod.exact import QQ, DenseMatrix
-from virmod.virasoro import VermaParams, gram_matrix, kac_vanishing_check
+from virmod.virasoro import VermaParams, gram_matrix
 from test_virasoro import gram_oracle
 from test_weights import interval_values
 
@@ -61,8 +61,10 @@ def test_criterion_2_interval_decomposition():
 
 
 def test_criterion_3_printed_matrix():
+    rows = run_check(cli.check_difference_table)
     got = weights.d_matrix(5)
-    ok = got == EXPECTED_D5 and got[0] == [2, 4, 10, 16, 22, 28] and got[-1][-1] == 28
+    ok = passes(rows, ["difference-table ell=5"])
+    ok = ok and got == EXPECTED_D5 and got[0] == [2, 4, 10, 16, 22, 28] and got[-1][-1] == 28
     report("3 printed 9x6 matrix at ell=5", ok)
 
 
@@ -107,13 +109,13 @@ def test_criterion_6_gram_oracle_equivalence():
 
 def test_criterion_7_kac_vanishing():
     t0 = time.monotonic()
-    ok = True
-    for ell in (2, 3):
-        for lab in weights.canonical_labels(ell):
-            rep = kac_vanishing_check(ell, lab, n_max=8)
-            d_min = min(lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n))
-            if rep.d_min != d_min or not rep.passed:
-                ok = False
+    rows = run_check(cli.check_kac_vanishing)
+    labels = [(ell, lab) for ell in (2, 3) for lab in weights.canonical_labels(ell)]
+    ok = passes(rows, [f"vanishing ell={ell} label=({lab.m},{lab.n})" for ell, lab in labels])
+    # each label's first singular level, as reported, against the formula
+    for r, (ell, lab) in zip(rows, labels):
+        d_min = min(lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n))
+        ok = ok and r["detail"] == f"first zero at level {d_min}"
     ok = ok and time.monotonic() - t0 < 60.0
     report("7 Kac vanishing pattern ell=2,3", ok)
 
@@ -143,9 +145,10 @@ def test_criterion_9_gko_suite():
 
 
 def test_criterion_10_table1_audit():
-    rows = coset.table1_check()
-    ok = all(r.consistent for r in rows)
-    ok = ok and [r.bound for r in rows] == [7, 18, 33, 52, 75, 102, 133]
+    rows = run_check(cli.check_table1)
+    ok = passes(rows, [f"table1 ell={ell}" for ell in range(2, 9)])
+    # each row's detail is "p_max_known < bound"
+    ok = ok and [int(r["detail"].split(" < ")[1]) for r in rows] == [7, 18, 33, 52, 75, 102, 133]
     report("10 reducible-Weyl-module table audit", ok)
 
 

@@ -41,6 +41,17 @@ def test_classify(capsys):
     assert "(2,1)~(2,2)" in out
 
 
+def test_classify_tests_its_prime_once(capsys):
+    """One `virmod classify` run does the trial division on --prime once,
+    though `collision_count`, `degenerate_count` and `classify_prime` each
+    check it."""
+    exact.is_prime.cache_clear()
+    assert run(["classify", "--ell", "3", "--prime", "1099511627689"]) == 0
+    assert "good" in capsys.readouterr().out
+    info = exact.is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_bset_modes(capsys):
     assert run(["bset", "--ell", "2", "--bruteforce"]) == 0
     assert "{1, 2, 3, 4, 6, 7, 10}" in capsys.readouterr().out

@@ -382,6 +382,24 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(VermaParams.rational(F(1, 2), F(1, 16)), -1)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: gram_matrix(VermaParams.rational(F(1, 2), F(1, 16)), -1),
+            lambda: graded_rank(VermaParams.rational(F(1, 2), F(1, 16)), -1),
+            lambda: graded_rank(VermaParams.mod_p(F(1, 2), F(1, 16), 11), -1),
+            lambda: irreducibility_probe(2, MinimalLabel(2, 2, 2), 11, -1),
+            lambda: kac_vanishing_check(2, MinimalLabel(2, 2, 2), -3),
+            lambda: character(2, MinimalLabel(2, 2, 2), -1),
+        ],
+        ids=["gram_matrix", "graded_rank-qq", "graded_rank-fp", "irreducibility_probe", "kac_vanishing_check",
+             "character"],
+    )
+    def test_every_entry_point_rejects_a_negative_level(self, entry):
+        """A negative level is an error, not an empty verdict that passes."""
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            entry()
+
     def test_mod_p_matches_reduced_rational(self):
         for ell in (2, 3, 4):
             for lab in canonical_labels(ell):
@@ -491,10 +509,11 @@ class TestGradedRank:
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 5])
     def test_radical_basis_is_exact_kernel(self, ell, monkeypatch):
-        """K_n spans ker S_n in trailing form, and C_n carries an invertible
-        principal minor of size rank S_n.  The images of K_{n-1} and K_{n-2}
-        are kept exactly, so the kernel step finds new vectors only at the
-        levels of the two singular vectors.
+        """K_n spans ker S_n in trailing form, and the columns C_n where no
+        vector of K_n ends carry an invertible principal minor of size
+        rank S_n.  The images of K_{n-1} and K_{n-2} are kept exactly, so the
+        kernel step finds new vectors only at the levels of the two singular
+        vectors.
 
         No whole level is eliminated: the assertions fix rank S_n = r.  K_n
         lies in ker S_n (checked exactly) and holds dim - r vectors with
@@ -512,9 +531,9 @@ class TestGradedRank:
         for lab, params in minimal_points(ell):
             singular = {lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)}
             start = len(found)
-            radical = _radical_levels(params, 11)
+            radical = list(_radical_levels(params, 11))
             assert len(found) == start + 12  # one kernel step per level
-            for n, (r, basis, cols) in enumerate(radical):
+            for n, (r, basis) in enumerate(radical):
                 assert found[start + n] == 0 or n in singular
                 level = params._levels[n]
                 assert len(basis) == len(partitions(n)) - r
@@ -522,6 +541,7 @@ class TestGradedRank:
                     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in level)
                 lasts = [max(j for j, x in enumerate(v) if x) for v in basis]
                 assert len(set(lasts)) == len(lasts)
+                cols = [j for j in range(len(partitions(n))) if j not in lasts]
                 assert sorted(set(cols) | set(lasts)) == list(range(len(partitions(n))))
                 assert len(cols) == r
                 assert bareiss([[level[i][j] for j in cols] for i in cols])[0] == r
@@ -677,11 +697,11 @@ class TestProbe:
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_certified_radical_is_the_kernel(self, ell, fresh_towers):
-        """The exact radical certifies the probe's ranks over QQ.  On a tower
-        that probes at good and drop primes have used, the character gives
-        each level the rank of the whole level by `exact.kernel`, and the
-        radical that `graded_rank` then carries up holds a basis of that
-        kernel."""
+        """The probe's ranks over QQ, the character's, are the exact ranks.
+        On a tower that probes at good and drop primes have used, chi_n is
+        the rank of the whole level by `exact.kernel` and the rank that the
+        radical pass of `graded_rank` gives, and that pass's K_n is a basis
+        of the kernel."""
         for lab in canonical_labels(ell):
             chi = character(ell, lab, 8)
             for p in (7, 23, 101):
@@ -691,16 +711,16 @@ class TestProbe:
                     continue
                 assert [rq for _, rq, _ in v.levels] == chi, (lab, p)
             tower = virasoro._tower(central_charge(ell), highest_weight(ell, lab.m, lab.n))
-            for n, (r, basis, _) in enumerate(_radical_levels(tower, 8)):
+            for n, (r, basis) in enumerate(_radical_levels(tower, 8)):
                 level = tower._levels[n]
                 assert chi[n] == r == len(level) - len(exact.kernel(level)), (lab, n)
                 assert len(basis) == len(level) - r
                 assert not any(sum(map(mul, row, w)) for w in basis for row in level)
 
     def test_kept_ranks_are_per_prime(self, fresh_towers):
-        """A good prime probed first on the cold tower at (3; 3,2) leaves on
-        it nothing that a drop prime probed next reads: the drop prime's
-        ranks equal the F_p tower's."""
+        """The ranks mod p are the prime's own: after a good prime probed
+        first on the cold tower at (3; 3,2), a drop prime probed next on the
+        same tower drops at level 4 with the F_p tower's ranks."""
         lab = MinimalLabel(3, 3, 2)
         assert irreducibility_probe(3, lab, 101, 11).consistent
         v = irreducibility_probe(3, lab, 23, 11)

@@ -230,6 +230,12 @@ class TestScalars:
         with pytest.raises(ValueError):
             highest_weight(2, 3, 1)
 
+    @pytest.mark.parametrize("build", [g_blocks, canonical_labels])
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    def test_ell_below_2_rejected(self, build, ell):
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            build(ell)
+
 
 class TestCanonicalize:
     def test_examples(self):
