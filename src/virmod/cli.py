@@ -267,7 +267,7 @@ def cmd_probe(args) -> int:
         {"ell": args.ell, "label": f"{m},{n}", "prime": args.prime, "max_level": args.max_level},
     )
     env.note("probe-proxy")
-    label = weights.canonicalize(args.ell, m, n)
+    label = weights.MinimalLabel(args.ell, m, n)
     try:
         verdict = virasoro.irreducibility_probe(args.ell, label, args.prime, args.max_level)
     except DegenerateParams as e:

@@ -404,8 +404,10 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     """Cross-check the Gram engine against the classical vanishing locus.
 
     At (c_l, h_{m,n}) the level-N Gram determinant over QQ must vanish for
-    N >= d_min = min(m*n, (l+1-m)(l+2-n)) and be nonzero below.  Whether
-    det S_n is zero is decided without computing it.  Up to the first
+    N >= d_min = min(m*n, (l+1-m)(l+2-n)) and be nonzero below.  The label
+    is any label of ell: its mirror (l+1-m, l+2-n) names the same point and
+    has the same d_min, so both give the same report but for the label.
+    Whether det S_n is zero is decided without computing it.  Up to the first
     singular level, `kernel` settles each level: an empty kernel proves
     det != 0, and otherwise its first vector w is a witness.  From then on
     w <- L_{-1} w, and S_n w = 0, checked exactly, proves det = 0, since
@@ -413,8 +415,6 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     only a fault of the engine gives, is settled by `kernel` as well, so
     every flag is (det S_n == 0) exactly.
     """
-    if not label.is_canonical:
-        raise ValueError("label must be canonical")
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
     params = _tower(*_point(ell, label))
     _build_levels(params, n_max)

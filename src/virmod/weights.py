@@ -35,17 +35,17 @@ such p exceeds l+2, so e = 0, and 0 < |x_a - x_b| < p and
 0 < x_a + x_b < 2p, so every class is a pair whose x sum to p.
 
 Off D the verdict is a membership test for B_l.  With e = 0, two distinct
-canonical weights collide exactly when p divides
-(x_a + x_b)(x_a - x_b) = `d_plus` * `d_minus` of the pair.  The d_minus of
-(a, b) is the d_plus of (a, b') with b' = (l+1-m', l+2-n') the conjugate
-label, so every realized |d+-| is a value of B_l.  Enumeration over the
-distinct canonical pairs (tests/test_weights.py, ell = 2..30) shows the
-realized values are all of B_l except its top value 2(l^2+l-1), and at
-ell = 2 also except 2, which no odd p divides (p = 2 is bad by
-convention).  So p is bad exactly when a multiple of p below the top lies
-in B_l.  B_l holds [1, l^2+l-2], so every odd p <= l^2+l-2 off D is bad,
-and a larger p has 2p >= 2(l^2+l-1): it is bad exactly when p lies in B_l
-below the top.
+canonical weights collide exactly when p divides (x_a + x_b)(x_a - x_b).
+The sum x_a + x_b = (m+m')(l+2) - (n+n')(l+1) is a value of B_l up to
+sign.  The mirror (l+1-m', l+2-n') of b names the same weight and has
+x = -x_b, so x_a - x_b is the sum of the x of a and of that mirror, a
+value of B_l as well.  Enumeration over the distinct canonical pairs
+(tests/test_weights.py, ell = 2..30) shows the realized |x_a +- x_b| are
+all of B_l except its top value 2(l^2+l-1), and at ell = 2 also except 2,
+which no odd p divides (p = 2 is bad by convention).  So p is bad exactly
+when a multiple of p below the top lies in B_l.  B_l holds [1, l^2+l-2],
+so every odd p <= l^2+l-2 off D is bad, and a larger p has
+2p >= 2(l^2+l-1): it is bad exactly when p lies in B_l below the top.
 
 Membership takes O(1), with no table.  As l+2 = (l+1)+1, a value
 v = s(l+2) - t(l+1) has s = v (mod l+1).  So with k, r = divmod(v, l+1),
@@ -73,8 +73,9 @@ def _check_ell(ell: int) -> None:
 
 
 class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
-    """A weight label (m, n) at level parameter ell, canonical when n <= m.
-    Labels sort by (ell, m, n)."""
+    """A weight label (m, n) at level parameter ell.  It and its mirror
+    (l+1-m, l+2-n) name the same weight; `canonical_labels` lists the one
+    with n <= m.  Labels sort by (ell, m, n)."""
 
     __slots__ = ()
 
@@ -83,10 +84,6 @@ class MinimalLabel(namedtuple("MinimalLabel", "ell m n")):
         if not (1 <= m <= ell and 1 <= n <= ell + 1):
             raise ValueError(f"label ({m},{n}) out of range for ell={ell}")
         return super().__new__(cls, ell, m, n)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.n <= self.m
 
 
 def central_charge(ell: int) -> Fraction:
@@ -100,26 +97,10 @@ def highest_weight(ell: int, m: int, n: int) -> Fraction:
     return Fraction(num, 4 * (ell + 1) * (ell + 2))
 
 
-def canonicalize(ell: int, m: int, n: int) -> MinimalLabel:
-    """Apply the symmetry (m,n) -> (l+1-m, l+2-n) if needed so n <= m."""
-    MinimalLabel(ell, m, n)
-    if n <= m:
-        return MinimalLabel(ell, m, n)
-    return MinimalLabel(ell, ell + 1 - m, ell + 2 - n)
-
-
 def canonical_labels(ell: int) -> list[MinimalLabel]:
     """All l(l+1)/2 canonical labels, sorted."""
     _check_ell(ell)
     return [MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, m + 1)]
-
-
-def d_plus(ell: int, m: int, n: int, mp: int, np_: int) -> int:
-    return (m + mp) * (ell + 2) - (n + np_) * (ell + 1)
-
-
-def d_minus(ell: int, m: int, n: int, mp: int, np_: int) -> int:
-    return (m - mp) * (ell + 2) - (n - np_) * (ell + 1)
 
 
 class IntervalSet(namedtuple("IntervalSet", "intervals")):

@@ -132,6 +132,18 @@ def test_probe_good_prime(capsys):
     assert "consistent" in capsys.readouterr().out
 
 
+def test_probe_mirror_label_prints_the_same_report(capsys):
+    """`--label 1,2` and its mirror 2,2 name one weight of ell = 2: the
+    reports differ only in the label on their first line."""
+    outs = []
+    for label in ("1,2", "2,2"):
+        assert run(["probe", "--ell", "2", "--label", label, "--prime", "7", "--max-level", "6"]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert outs[0][1:] == outs[1][1:]
+    assert "rank-drop at level 3" in outs[0][-2]
+    assert outs[0][0].replace("'1,2'", "'2,2'") == outs[1][0]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["no-such-command"]) == 2
 

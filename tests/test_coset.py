@@ -63,7 +63,7 @@ def gko_verify_oracle(ell):
             js = [j for j, _, _ in summands]
             if sorted(js) != sorted(expected_js) or len(set(js)) != len(js):
                 part_ok = False
-            if any(not label.is_canonical for _, label, _ in summands):
+            if any(label.n > label.m for _, label, _ in summands):
                 labels_ok = False
             if any(depth.denominator != 1 or depth.numerator < 0 for _, _, depth in summands):
                 depths_ok = False
@@ -145,7 +145,8 @@ class TestVerify:
                 rows = list(_summand_rows(ell, n, eps))
                 assert sorted(j for j, _, _, _ in rows) == [j for j in range(ell + 1) if (j - n - eps) % 2 == 0]
                 for _, m, k, num in rows:
-                    assert MinimalLabel(ell, m, k).is_canonical
+                    lab = MinimalLabel(ell, m, k)
+                    assert lab.n <= lab.m
                     assert num % den == 0 and num >= 0
 
     @pytest.mark.parametrize("ell", range(2, 21))

@@ -1,7 +1,7 @@
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 from operator import mul
 from pathlib import Path
 
@@ -215,6 +215,38 @@ def kac_constants(t, h, n_max):
 
 
 KAC_REFERENCE = (F(2), F(1, 3))
+
+
+def kac_h_mod(r, s, t, q):
+    """h_{r,s}(t) = ((r^2-1)t^2 - 2(rs-1)t + s^2-1) / 4t mod q, t a unit mod q."""
+    return ((r * r - 1) * t * t - 2 * (r * s - 1) * t + s * s - 1) * pow(4 * t, -1, q) % q
+
+
+def kac_formula_mod(t, h, level, q):
+    """K_N prod_{rs <= N} (h - h_{r,s}(t))^{p(N-rs)} mod q, N = level, with
+    K_N = prod_{rs <= N} ((2r)^s s!)^{p(N-rs) - p(N-r(s+1))} (Kac 1979)."""
+
+    def p(k):
+        return len(partitions(k)) if k >= 0 else 0
+
+    det = 1
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            e = p(level - r * s)
+            k = pow((2 * r) ** s * factorial(s), e - p(level - r * (s + 1)), q)
+            det = det * k * pow(h - kac_h_mod(r, s, t, q), e, q) % q
+    return det
+
+
+def fp_determinants(t, h, q, n_max):
+    """det S_N mod q for N = 1..n_max, from the F_q tower at
+    c = 13 - 6(t + 1/t) and h, as `exact._echelon_mod_p` reads it off."""
+    params = VermaParams((13 - 6 * (t + pow(t, -1, q))) % q, h % q, PrimeField(q))
+    _build_levels(params, n_max)
+    return [exact._echelon_mod_p(params._levels[n], q)[2] for n in range(1, n_max + 1)]
+
+
+KAC_PRIMES = (1_000_003, 1_000_000_007)
 
 kac_curve_points = st.tuples(
     nonzero_rationals, st.sampled_from([(r, s) for r in range(1, 9) for s in range(1, 8 // r + 1)])
@@ -610,6 +642,46 @@ class TestKacDeterminant:
         _, dim, rk = graded_rank(params, r * s).levels[-1]
         assert rk < dim == len(partitions(r * s))
 
+    @pytest.mark.parametrize("q", KAC_PRIMES)
+    @pytest.mark.parametrize("t,h", [(123457, 98765), (2, 5), (31337, 271828)])
+    def test_determinant_mod_q_is_the_kac_formula(self, t, h, q):
+        """Off the Kac curves, det S_N mod q is the Kac formula's value, and
+        not 0, at every level to 12."""
+        expected = [kac_formula_mod(t, h, n, q) for n in range(1, 13)]
+        assert fp_determinants(t, h, q, 12) == expected
+        assert 0 not in expected
+
+    @pytest.mark.parametrize("q", KAC_PRIMES)
+    @pytest.mark.parametrize("rs", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 4), (3, 2), (2, 5), (4, 3)])
+    def test_determinant_mod_q_vanishes_on_kac_curves(self, rs, q):
+        """On the curve h = h_{r,s}(t), both sides are 0 from level rs on,
+        and equal and nonzero below it."""
+        r, s, t = *rs, 123457
+        h = kac_h_mod(r, s, t, q)
+        dets = fp_determinants(t, h, q, 12)
+        assert dets == [kac_formula_mod(t, h, n, q) for n in range(1, 13)]
+        assert [n for n, det in enumerate(dets, 1) if det == 0] == list(range(r * s, 13))
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    def test_determinant_mod_q_at_minimal_points(self, ell):
+        """At t = (l+2)/(l+1), c is c_l and h_{m,n}(t) the label's weight:
+        both sides are 0 from d_min on, and equal and nonzero below it."""
+        q = KAC_PRIMES[0]
+        t = (ell + 2) * pow(ell + 1, -1, q) % q
+        for lab in canonical_labels(ell):
+            h = kac_h_mod(lab.m, lab.n, t, q)
+            assert h == reduce_mod_p(highest_weight(ell, lab.m, lab.n), q)
+            dets = fp_determinants(t, h, q, 12)
+            assert dets == [kac_formula_mod(t, h, n, q) for n in range(1, 13)], lab
+            assert [n for n, det in enumerate(dets, 1) if det == 0] == list(range(d_min(ell, lab), 13)), lab
+
+    def test_determinant_mod_q_to_level_max(self):
+        """The generic point to `cli.LEVEL_MAX`, the deepest level the CLI
+        builds."""
+        t, h, q = 123457, 98765, KAC_PRIMES[1]
+        dets = fp_determinants(t, h, q, cli.LEVEL_MAX)
+        assert dets == [kac_formula_mod(t, h, n, q) for n in range(1, cli.LEVEL_MAX + 1)]
+
 
 class TestProbe:
     def test_consistent_at_good_primes(self):
@@ -878,9 +950,19 @@ class TestKacVanishing:
         assert rep.d_min == 2
         assert rep.passed
 
-    def test_noncanonical_rejected(self):
-        with pytest.raises(ValueError):
-            kac_vanishing_check(2, MinimalLabel(2, 1, 2), 3)
+    @pytest.mark.parametrize("ell", range(2, 7))
+    def test_mirror_label_gives_the_same_report(self, ell):
+        """Each label with n > m names the point of its mirror, a canonical
+        label, and its Kac report and its probe at a good prime (101, above
+        every bound 2l^2+l-3 here) are the mirror's but for the label."""
+        labels = [MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(m + 1, ell + 2)]
+        assert len(labels) == len(canonical_labels(ell))
+        for lab in labels:
+            other = MinimalLabel(ell, ell + 1 - lab.m, ell + 2 - lab.n)
+            assert other in canonical_labels(ell)
+            assert kac_vanishing_check(ell, lab, 8) == kac_vanishing_check(ell, other, 8)._replace(label=lab)
+            probe = irreducibility_probe(ell, other, 101, 8)
+            assert irreducibility_probe(ell, lab, 101, 8) == probe._replace(label=lab)
 
     def test_label_of_another_ell_rejected(self):
         with pytest.raises(ValueError, match="at ell = 2, not 3"):

@@ -21,13 +21,10 @@ from virmod.weights import (
     b_set_marks,
     bad_primes,
     canonical_labels,
-    canonicalize,
     central_charge,
     classify_prime,
     collision_count,
     d_matrix,
-    d_minus,
-    d_plus,
     degenerate_count,
     g_blocks,
     g_set,
@@ -87,14 +84,24 @@ def primes_dividing_d(ell):
     return [p for p in primes_upto(ell + 2) if 4 * (ell + 1) * (ell + 2) % p == 0]
 
 
+def mirror(lab):
+    """The other label (l+1-m, l+2-n) of lab's weight."""
+    return MinimalLabel(lab.ell, lab.ell + 1 - lab.m, lab.ell + 2 - lab.n)
+
+
+def all_labels(ell):
+    """Every label (m, n) of ell, canonical or not, sorted."""
+    return [MinimalLabel(ell, m, n) for m in range(1, ell + 1) for n in range(1, ell + 2)]
+
+
 def realized_differences(ell):
-    """The values |d_plus| and |d_minus| over the pairs of distinct canonical labels."""
-    labs = canonical_labels(ell)
+    """The values |x_a + x_b| and |x_a - x_b| over the pairs of distinct canonical labels."""
+    xs = [x_of(lab) for lab in canonical_labels(ell)]
     vals = set()
-    for i, a in enumerate(labs):
-        for b in labs[i + 1 :]:
-            vals.add(abs(d_plus(ell, a.m, a.n, b.m, b.n)))
-            vals.add(abs(d_minus(ell, a.m, a.n, b.m, b.n)))
+    for i, xa in enumerate(xs):
+        for xb in xs[i + 1 :]:
+            vals.add(abs(xa + xb))
+            vals.add(abs(xa - xb))
     return vals
 
 
@@ -106,7 +113,7 @@ def b_set_tuple_oracle(ell):
         for mp in range(1, ell + 1):
             for n in range(1, ell + 2):
                 for np_ in range(1, ell + 2):
-                    v = abs(d_plus(ell, m, n, mp, np_))
+                    v = abs((m + mp) * (ell + 2) - (n + np_) * (ell + 1))
                     if v:
                         vals.add(v)
     return sorted(vals)
@@ -238,18 +245,16 @@ class TestScalars:
 
 
 class TestCanonicalize:
-    def test_examples(self):
-        assert canonicalize(2, 1, 2) == MinimalLabel(2, 2, 2)
-        assert canonicalize(5, 3, 2) == MinimalLabel(5, 3, 2)
-        assert canonicalize(3, 1, 3) == MinimalLabel(3, 3, 2)
-
     @pytest.mark.parametrize("ell", range(2, 31))
     def test_weight_invariant(self, ell):
-        for m in range(1, ell + 1):
-            for n in range(1, ell + 2):
-                lab = canonicalize(ell, m, n)
-                assert lab.is_canonical
-                assert highest_weight(ell, m, n) == highest_weight(ell, lab.m, lab.n)
+        """A label and its mirror have one weight, and exactly one of the two
+        is canonical, so `canonical_labels` names each weight once."""
+        canonical = set(canonical_labels(ell))
+        for lab in all_labels(ell):
+            other = mirror(lab)
+            assert highest_weight(ell, lab.m, lab.n) == highest_weight(ell, other.m, other.n)
+            assert (lab in canonical) == (lab.n <= lab.m)
+            assert (lab in canonical) != (other in canonical)
 
     @pytest.mark.parametrize("ell", range(2, 20))
     def test_canonical_count(self, ell):
@@ -257,11 +262,19 @@ class TestCanonicalize:
 
 
 class TestDFactors:
-    def test_diagonal_is_zero(self):
-        assert d_minus(4, 3, 2, 3, 2) == 0
+    @pytest.mark.parametrize("ell", range(2, 9))
+    def test_diagonal_is_zero(self, ell):
+        """x_a - x_b vanishes only on the diagonal, and x_a + x_b only where b
+        is the mirror of a: the mirror's x is -x_a."""
+        labs = all_labels(ell)
+        for a in labs:
+            assert x_of(mirror(a)) == -x_of(a)
+            for b in labs:
+                assert (x_of(a) == x_of(b)) == (a == b)
+                assert (x_of(a) + x_of(b) == 0) == (b == mirror(a))
 
     def test_second_max_witness(self):
-        assert d_plus(5, 5, 1, 5, 2) == 52 == 2 * 25 + 5 - 3
+        assert x_of(MinimalLabel(5, 5, 1)) + x_of(MinimalLabel(5, 5, 2)) == 52 == 2 * 25 + 5 - 3
 
     @given(
         ell=st.integers(2, 20),
@@ -274,8 +287,9 @@ class TestDFactors:
     def test_numerator_difference_factors(self, ell, m, n, mp, np_):
         m, mp = min(m, ell), min(mp, ell)
         n, np_ = min(n, ell + 1), min(np_, ell + 1)
+        xa, xb = x_of(MinimalLabel(ell, m, n)), x_of(MinimalLabel(ell, mp, np_))
         diff = weight_numerator(ell, m, n) - weight_numerator(ell, mp, np_)
-        assert diff == d_plus(ell, m, n, mp, np_) * d_minus(ell, m, n, mp, np_)
+        assert diff == (xa + xb) * (xa - xb)
 
 
 class TestBSet:
