@@ -262,16 +262,16 @@ class TestCanonicalize:
 
 
 class TestDFactors:
-    @pytest.mark.parametrize("ell", range(2, 9))
-    def test_diagonal_is_zero(self, ell):
+    def test_diagonal_is_zero(self):
         """x_a - x_b vanishes only on the diagonal, and x_a + x_b only where b
         is the mirror of a: the mirror's x is -x_a."""
-        labs = all_labels(ell)
-        for a in labs:
-            assert x_of(mirror(a)) == -x_of(a)
-            for b in labs:
-                assert (x_of(a) == x_of(b)) == (a == b)
-                assert (x_of(a) + x_of(b) == 0) == (b == mirror(a))
+        for ell in range(2, 9):
+            labs = all_labels(ell)
+            for a in labs:
+                assert x_of(mirror(a)) == -x_of(a)
+                for b in labs:
+                    assert (x_of(a) == x_of(b)) == (a == b)
+                    assert (x_of(a) + x_of(b) == 0) == (b == mirror(a))
 
     def test_second_max_witness(self):
         assert x_of(MinimalLabel(5, 5, 1)) + x_of(MinimalLabel(5, 5, 2)) == 52 == 2 * 25 + 5 - 3
