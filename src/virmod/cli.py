@@ -128,9 +128,9 @@ def _parse_fraction(s: str) -> Fraction:
 # and 67 MB peak RSS (fresh interpreter, 2-CPU host), while the tables of a
 # far larger ell exhaust memory.
 ELL_MAX = 2000
-# The largest Gram level: gram --level 20 at (4/5, 21/40) takes 3.1 s and 129 MB,
-# and probe --max-level 20 1.2-1.6 s and 68-72 MB (2-CPU host), while level 24
-# takes 23 s and 0.8 GB and level 26 71 s and 1.9 GB.
+# The largest Gram level: gram --level 20 at (4/5, 21/40) takes 3.1 s and 129 MB, and
+# probe --max-level 20 (fresh process) 0.20-0.29 s and 27 MB at (2; 2,2), p = 101, and
+# 0.6-0.9 s and 46 MB at (6; 4,3), p = 83 (2-CPU host), while gram level 24 takes 23 s and 0.8 GB.
 LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.
@@ -444,7 +444,7 @@ PAPER_CHECKS = (
 
 
 # The engine's process-wide caches; --timings shows how the checks share them.
-ENGINE_CACHES = (virasoro._prepend, virasoro._lower, virasoro.partitions, virasoro._tower)
+ENGINE_CACHES = (virasoro._prepend, virasoro._lower, virasoro.partitions, virasoro._generators)
 
 
 def _cache_counts() -> list[tuple[int, int]]:

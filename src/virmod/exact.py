@@ -282,6 +282,11 @@ def _slots(n: int, nb: int) -> Struct:
     return Struct(f">{n}{code}" if code else ">" + f"{nb}s" * n)
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot to hold `bound`: 1, 2, 4 or 8 if one does, else the fewest."""
+    return next((b for b in _INT_CODES if bound >> 8 * b == 0), (bound.bit_length() + 7) // 8)
+
+
 def _pack(vals: Sequence[int], nb: int) -> bytes:
     """Non-negative ints in big-endian slots of nb bytes, by one struct call."""
     if nb not in _INT_CODES:
@@ -325,7 +330,7 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[
     nrow = len(m)
     ncol = len(m[0]) if m else 0
     bound = (min(nrow, ncol) + 1) * (p - 1) ** 2 + p
-    nb = next((b for b in _INT_CODES if bound >> 8 * b == 0), (bound.bit_length() + 7) // 8)
+    nb = _slot_bytes(bound)
     width = 8 * nb
     slot = (1 << width) - 1
     rows = [int.from_bytes(_pack([x % p for x in row], nb), "big") for row in m]

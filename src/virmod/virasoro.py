@@ -50,16 +50,23 @@ vectors of S_n[C, C] from `exact.kernel` each end at their own free column.
 Level n reads only K_{n-1} and K_{n-2}, so `graded_rank` carries the
 radical up in one pass per call and keeps no other level of it.
 
-Each minimal-series point has one QQ tower per process, in the bounded
-cache `_tower`, shared by the Kac-vanishing check and the probes at every
-prime.  A probe needs p to divide neither denominator
-of (c, h), hence not D, so S_n mod p is the unit D^n times the F_p engine's
-Gram matrix (reduction mod p is a ring map on Z[h, c/2]): its rank mod p
-is that of the tower's whole S_n.  Its rank over QQ is chi_n, the level-n
-coefficient of the irreducible character (Rocha-Caridi 1985), which
-`character` sums from partition counts, as at (c_l, h_{m,n}) the radical
-is the maximal submodule (Feigin-Fuchs 1984).  Reduction mod p only loses
-rank, so rank_p S_n > chi_n is a fault of the engine or of the character.
+Over F_p, `graded_rank` and the probe build no Gram level.  Row mu of G_n
+is lam -> vac(L_{mu_k}...L_{mu_1} lam), and for odd p, L_1 and L_2 generate
+Vir^+ ([L_m, L_1] = (m-1) L_{m+1}, [L_{m-1}, L_2] = (m-3) L_{m+1}, and p
+cannot divide both m-1 and m-3), so the row space R_n of G_n is
+R_{n-1} L_1 + R_{n-2} L_2, R_0 = span{(1)}, (f L_k)[lam] = sum_q (L_k lam)_q f[q].
+`_ranks_mod_p` keeps each R_j by columns, column q one int of `exact`'s
+slots packing the basis vectors' residues at q, so a candidate column costs
+one big-int multiply-add per term of L_1 lam and L_2 lam (`_generators`),
+and a slot sums at most p(n_max-1) products of two residues.  Eliminating
+the candidates as rows gives rank G_n and the basis of R_n.  A probe needs
+p to divide neither denominator of (c, h), so S_n mod p is a unit times the
+F_p Gram matrix (reduction mod p is a ring map on Z[h, c/2]).  Its rank
+over QQ is chi_n, the level-n coefficient of the irreducible character
+(Rocha-Caridi 1985), which `character` sums from partition counts, as at
+(c_l, h_{m,n}) the radical is the maximal submodule (Feigin-Fuchs 1984).
+Reduction mod p only loses rank, so rank_p S_n > chi_n is a fault of the
+engine or of the character.
 
 The Kac-vanishing check asks only whether each det S_n is zero, and
 computes no determinant: `kernel` settles the levels up to the first
@@ -74,7 +81,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import mul
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, kernel, rank, reduce_mod_p
+from .exact import ELIMINATIONS, DenseMatrix, PrimeField, QQ, RationalField, kernel, reduce_mod_p
+from .exact import _echelon_mod_p, _pack, _slot_bytes, _unpack
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -253,6 +261,50 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
     return DenseMatrix(params.field_, rows)
 
 
+@lru_cache(maxsize=None)
+def _generators(n: int) -> list[tuple[list[tuple[int, int, int, int]], ...]]:
+    """For each partition lam of n >= 1, the terms of `_lower(k, lam)` for
+    k = 1, 2 with q as its position in `partitions(n - k)`; read only."""
+    at1, at2 = _positions(n - 1), _positions(n - 2) if n > 1 else {}
+    return [
+        ([(at1[q], a, b, e) for q, a, b, e in _lower(1, lam)], [(at2[q], a, b, e) for q, a, b, e in _lower(2, lam)])
+        for lam in partitions(n)
+    ]
+
+
+def _ranks_mod_p(params: VermaParams, n_max: int) -> list[int]:
+    """rank G_n over F_p for n = 0..n_max, from row spaces (module docstring)."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    p, h, c2 = params._mod, params._dh, params._dc2
+    nb = _slot_bytes(len(partitions(max(n_max - 1, 0))) * (p - 1) ** 2)
+    ranks, below = [1], ((1, [1]), (0, []))  # (dim R_j, its columns) for j = n-1, n-2
+    for n in range(1, n_max + 1):
+        (r1, cols1), (r2, cols2) = below
+        r, cands = r1 + r2, []  # candidate columns: R_{n-1} L_1 over R_{n-2} L_2
+        for ones, twos in _generators(n):
+            x = y = 0
+            for at, a, b, e in ones:
+                x += (a + b * h + e * c2) % p * cols1[at]
+            for at, a, b, e in twos:
+                y += (a + b * h + e * c2) % p * cols2[at]
+            cands.append((x << 8 * nb * r2 | y).to_bytes(nb * r, "big"))
+        size = len(cands)
+        entries = _unpack(b"".join(cands), size * r)
+        pivots, tails, _ = _echelon_mod_p([entries[i::r] for i in range(r)], p)
+        ELIMINATIONS["fp-rank"] += 1
+        k = len(pivots)
+        ranks.append(k)
+        if n < n_max:  # R_n by columns; echelon row i times -1/pivot is p - 1, then its tail
+            entries = [0] * (size * k)
+            for i, (c, tail) in enumerate(zip(pivots, tails)):
+                entries[i + c * k] = p - 1
+                entries[i + (c + 1) * k :: k] = _unpack(tail, size - 1 - c)
+            packed, w = _pack(entries, nb), nb * k
+            below = ((k, [int.from_bytes(packed[j * w : (j + 1) * w], "big") for j in range(size)]), below[0])
+    return ranks
+
+
 class GramReport(namedtuple("GramReport", "levels")):
     """`levels` holds one (degree, verma dim p(N), rank) per level."""
 
@@ -262,8 +314,7 @@ class GramReport(namedtuple("GramReport", "levels")):
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
     if params._mod:
-        _build_levels(params, n_max)
-        ranks = [rank(DenseMatrix(params.field_, level)) for level in params._levels[: n_max + 1]]
+        ranks = _ranks_mod_p(params, n_max)
     else:
         ranks = [r for r, _ in _radical_levels(params, n_max)]
     return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
@@ -352,14 +403,6 @@ def character(ell: int, label: MinimalLabel, n_max: int) -> list[int]:
     return [sum(sign * len(partitions(N - e)) for e, sign in shifts if e <= N) for N in range(n_max + 1)]
 
 
-@lru_cache(maxsize=16)
-def _tower(c: Fraction, h: Fraction) -> VermaParams:
-    """The one QQ parameter set at (c, h), whose levels every check shares.
-    A paper run holds nine (the Kac-vanishing labels at ell = 2, 3); the
-    bound keeps a long run from holding every tower."""
-    return VermaParams.rational(c, h)
-
-
 class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):
     """`levels` holds one (degree, chi_n, rank mod p) per level; `verdict` is
     "consistent", or "rank-drop" or "fault" at `drop_level` (else None), the
@@ -377,16 +420,15 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
 
     Equal ranks at every level are evidence that reduction mod p preserves
     the irreducible quotient at this truncation.  The rank over QQ is the
-    character's coefficient chi_n, and the rank mod p that of the whole
-    level S_n of the QQ tower at (c, h), as the module docstring explains.
+    character's coefficient chi_n, and the rank mod p that of G_n over F_p
+    at (c, h) mod p, from its row space, as the module docstring explains.
     """
     c, h = _point(ell, label)
     if p == 2:
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
-    field_ = VermaParams.mod_p(c, h, p).field_  # raises unless c and h reduce mod p
-    tower, chi = _tower(c, h), character(ell, label, n_max)
-    _build_levels(tower, n_max)
-    levels = tuple((n, chi[n], rank(DenseMatrix(field_, tower._levels[n]))) for n in range(n_max + 1))
+    params = VermaParams.mod_p(c, h, p)  # raises unless c and h reduce mod p
+    chi = character(ell, label, n_max)
+    levels = tuple(zip(range(n_max + 1), chi, _ranks_mod_p(params, n_max)))
     faults = [n for n, rq, rp in levels if rp > rq]
     drops = [n for n, rq, rp in levels if rp < rq]
     verdict = "fault" if faults else "rank-drop" if drops else "consistent"
@@ -416,7 +458,7 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     every flag is (det S_n == 0) exactly.
     """
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
-    params = _tower(*_point(ell, label))
+    params = VermaParams.rational(*_point(ell, label))
     _build_levels(params, n_max)
     levels = []
     w = None

@@ -382,7 +382,7 @@ def test_reproduce_paper_timings(tmp_path, capsys):
         "level2-gram", "kac-vanishing", "probes", "gko", "table1",
     ]
     assert list(doc) == [c.__name__.removeprefix("check_").replace("_", "-") for c in PAPER_CHECKS]
-    caches = ["_prepend", "_lower", "partitions", "_tower"]
+    caches = ["_prepend", "_lower", "partitions", "_generators"]
     for v in doc.values():
         assert list(v) == ["wall_s", "caches", "eliminations", "gram"] and v["wall_s"] >= 0
         assert list(v["caches"]) == caches
@@ -396,10 +396,9 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     """No check runs a determinant.  kac-vanishing certifies its regular levels
     mod the fixed prime and runs no F_p rank.  The probes take their ranks
     over QQ from the character, so they run no kernel, certified or
-    multi-modular.  Each of the 12 probes ranks every level mod p once, whole,
-    on the ell = 2 towers that kac-vanishing built to level 8, so the probes
-    build no Gram level.  Checks that run no elimination show none."""
-    virasoro._tower.cache_clear()
+    multi-modular.  Each of the 12 probes eliminates the candidates of every
+    level 1..8 mod p once, from the row spaces of the two levels below, so
+    the probes build no Gram level.  Checks that run no elimination show none."""
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = json.loads(timings.read_text(encoding="utf-8"))
@@ -408,31 +407,30 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     assert runs["kac-vanishing"]["mod-cert-prime"] > 0
     assert runs["kac-vanishing"]["fp-rank"] == 0
     none = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
-    assert runs["probes"] == dict(none, **{"fp-rank": 12 * (PROBE_LEVEL + 1)})
+    assert runs["probes"] == dict(none, **{"fp-rank": 12 * PROBE_LEVEL})
     assert doc["probes"]["gram"] == {"levels": 0, "entries": 0}
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "level2-gram", "gko", "table1"):
         assert runs[name] == none, name
 
 
-def test_reproduce_paper_timings_show_the_shared_towers(tmp_path, capsys):
-    """From cold tower caches, kac-vanishing builds the nine QQ towers and
-    the probes find their three there, one hit per probe."""
-    virasoro._tower.cache_clear()
+def test_reproduce_paper_timings_show_the_shared_generator_table(tmp_path, capsys):
+    """From a cold table of L_1 and L_2, the first probe fills levels 1..8
+    and the other eleven find them there; no other check reads the table."""
+    virasoro._generators.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = json.loads(timings.read_text(encoding="utf-8"))
-    assert doc["kac-vanishing"]["caches"]["_tower"] == {"hits": 0, "misses": 9}
-    assert doc["probes"]["caches"]["_tower"] == {"hits": 12, "misses": 0}
+    assert doc["probes"]["caches"]["_generators"] == {"hits": 11 * PROBE_LEVEL, "misses": PROBE_LEVEL}
     untouched = {"hits": 0, "misses": 0}
+    assert doc["kac-vanishing"]["caches"]["_generators"] == untouched
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "gko", "table1"):
-        assert doc[name]["caches"]["_tower"] == doc[name]["caches"]["_lower"] == untouched, name
+        assert doc[name]["caches"]["_generators"] == doc[name]["caches"]["_lower"] == untouched, name
 
 
 def test_reproduce_paper_timings_count_gram_builds(tmp_path, capsys):
-    """From cold tower caches, kac-vanishing builds levels 1..8 of the nine
-    QQ towers, level2-gram levels 1 and 2 of its five samples, and every
-    other check none, the probes included."""
-    virasoro._tower.cache_clear()
+    """kac-vanishing builds levels 1..8 of the nine QQ towers, level2-gram
+    levels 1 and 2 of its five samples, and every other check none, the
+    probes included."""
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["gram"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}

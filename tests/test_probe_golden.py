@@ -5,11 +5,15 @@ rank mod p) of every level, the verdict and the drop level; a prime where
 (c, h) does not reduce is written as "degenerate".  The grids run every
 probe to level 9 at every odd prime up to 89.
 
+The grids were recorded while the probes at one label shared its QQ tower
+and ranked its whole levels mod p; they now rank each level from the row
+spaces of the two below, with the process-wide table of L_1 and L_2.
+
 - `shared`: ell = 2..6, every canonical label, the primes in turn, so the
-  probes at one label share its QQ tower (1265 probes).
-- `fresh`: ell = 2..4, with the tower cache cleared before each probe, so
-  every probe builds its own tower (437 probes).
-- `deep`: three probes past level 9, each on a cold tower: (2; 2,2) at
+  probes share the table (1265 probes).
+- `fresh`: ell = 2..4, with the table cleared before each probe, so every
+  probe fills its own (437 probes).
+- `deep`: three probes past level 9, each on a cold table: (2; 2,2) at
   p = 101 and (6; 4,3) at p = 83 to level 16, and (3; 2,1) at p = 23 to
   level 18, where it drops.  Recorded while the probe still took its QQ
   ranks from the exact radical, so it pins the character's ranks to the
@@ -48,7 +52,7 @@ def dump_sha256(probes, fresh):
     h = hashlib.sha256()
     for ell, lab, p, level in probes:
         if fresh:
-            virasoro._tower.cache_clear()
+            virasoro._generators.cache_clear()
         try:
             v = irreducibility_probe(ell, lab, p, level)
             line = f"{v.levels} {v.verdict} {v.drop_level}"
@@ -63,17 +67,11 @@ def test_shared_towers_match_the_recording():
 
 
 def test_fresh_towers_match_the_recording():
-    try:
-        assert dump_sha256(grid(range(2, 5)), fresh=True) == DUMP_SHA256["fresh"]
-    finally:
-        virasoro._tower.cache_clear()
+    assert dump_sha256(grid(range(2, 5)), fresh=True) == DUMP_SHA256["fresh"]
 
 
 def test_deep_probes_match_the_recording():
-    try:
-        assert dump_sha256(deep(), fresh=True) == DUMP_SHA256["deep"]
-    finally:
-        virasoro._tower.cache_clear()
+    assert dump_sha256(deep(), fresh=True) == DUMP_SHA256["deep"]
 
 
 if __name__ == "__main__":

@@ -612,6 +612,19 @@ class TestGradedRank:
         for (_, _, a), (_, _, b) in zip(rq.levels, rp.levels):
             assert b <= a
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_mod_p_are_the_fp_gram_ranks(self, data):
+        """Over F_p the graded rank comes from the row spaces carried up by
+        L_1 and L_2: at any (c, h) and odd prime p, 3 and a prime near 2^40
+        among them, it equals the rank of the F_p engine's whole Gram level
+        at every level to 7."""
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 1099511627689]))
+        c, h = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        params = VermaParams(c, h, PrimeField(p))
+        ranks = [r for _, _, r in graded_rank(params, 7).levels]
+        assert ranks == [exact.rank(gram_matrix(params, n)) for n in range(8)]
+
 
 class TestKacDeterminant:
     """The Kac determinant formula as an oracle for the Gram engine, the
@@ -702,42 +715,46 @@ class TestProbe:
         with pytest.raises(ValueError, match="at ell = 2, not 3"):
             irreducibility_probe(3, MinimalLabel(2, 2, 2), 11, 3)
 
-    def test_paper_probes_rank_each_rational_tower_once(self, fresh_towers, monkeypatch):
-        """The four primes probed at each ell = 2 label share its tower, built
-        once, and take their ranks over QQ from the character: no probe
-        calls `kernel`."""
-        found = []
-        real = virasoro.kernel
-        monkeypatch.setattr(virasoro, "kernel", lambda m: found.append(real(m)) or found[-1])
+    def test_probe_and_fp_graded_rank_build_no_gram_level(self, monkeypatch):
+        """The probe and the F_p graded rank take their ranks mod p from the
+        row spaces, one elimination per level from 1 on: they build no Gram
+        level and call no `exact.rank`.  The paper's probes also call no
+        `kernel`, as they take their ranks over QQ from the character."""
+
+        def fail(*args):
+            raise AssertionError("a Gram level was built or ranked whole")
+
+        monkeypatch.setattr(virasoro, "_build_levels", fail)
+        monkeypatch.setattr(exact, "rank", fail)
+        monkeypatch.setattr(virasoro, "kernel", fail)
         cli.check_probes(cli.ReportEnvelope("t", {}))
-        assert virasoro._tower.cache_info().misses == len(canonical_labels(2))
-        assert found == []
+        before = exact.ELIMINATIONS["fp-rank"]
+        assert irreducibility_probe(3, MinimalLabel(3, 3, 2), 23, 12).drop_level == 4
+        rep = graded_rank(VermaParams.mod_p(F(3, 7), F(5, 11), 1000003), 12)
+        assert [r for _, _, r in rep.levels] == [len(partitions(n)) for n in range(13)]
+        assert exact.ELIMINATIONS["fp-rank"] == before + 2 * 12
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
-    def test_ranks_mod_p_equal_the_fp_tower(self, ell, fresh_towers, monkeypatch):
+    def test_ranks_mod_p_equal_the_fp_tower(self, ell):
         """Probe every canonical label of ell at several primes to level 8,
-        on towers that start cold and that the primes at a label share.  At
-        good and drop primes alike, the probe ranks each whole level mod p
-        once, those ranks equal the F_p engine's, its oracle, and its ranks
-        over QQ are the character's."""
-        calls = []
-        real = virasoro.rank
-        monkeypatch.setattr(virasoro, "rank", lambda m: calls.append(len(m.entries)) or real(m))
+        3 and a prime near 2^40 among them, whose slots are wider than 8
+        bytes.  At good and drop primes alike, the probe's ranks mod p equal
+        those of the F_p engine's whole Gram levels, its oracle, and its
+        ranks over QQ are the character's."""
         drops = 0
-        for lab in canonical_labels(ell):
-            c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
-            for p in (7, 11, 13, 17, 19, 23, 37, 101):
+        for p in (3, 7, 11, 13, 17, 19, 23, 37, 101, 1099511627689):
+            for lab in canonical_labels(ell):
+                c, h = central_charge(ell), highest_weight(ell, lab.m, lab.n)
                 try:
-                    over_p = graded_rank(VermaParams.mod_p(c, h, p), 8).levels
+                    params = VermaParams.mod_p(c, h, p)
                 except DegenerateParams:
                     with pytest.raises(DegenerateParams):
                         irreducibility_probe(ell, lab, p, 8)
                     continue
-                calls.clear()
                 v = irreducibility_probe(ell, lab, p, 8)
-                assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p], (lab, p)
+                oracle = [exact.rank(gram_matrix(params, n)) for n in range(9)]
+                assert [rp for _, _, rp in v.levels] == oracle, (lab, p)
                 assert [rq for _, rq, _ in v.levels] == character(ell, lab, 8)
-                assert calls == [len(partitions(n)) for n in range(9)]
                 drops += v.verdict == "rank-drop"
         assert drops > 0
 
@@ -768,12 +785,11 @@ class TestProbe:
         assert err == ""
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
-    def test_certified_radical_is_the_kernel(self, ell, fresh_towers):
-        """The probe's ranks over QQ, the character's, are the exact ranks.
-        On a tower that probes at good and drop primes have used, chi_n is
-        the rank of the whole level by `exact.kernel` and the rank that the
-        radical pass of `graded_rank` gives, and that pass's K_n is a basis
-        of the kernel."""
+    def test_certified_radical_is_the_kernel(self, ell):
+        """The probe's ranks over QQ, the character's, are the exact ranks:
+        at good and drop primes alike, chi_n is the rank of the whole QQ
+        level by `exact.kernel` and the rank that the radical pass of
+        `graded_rank` gives, and that pass's K_n is a basis of the kernel."""
         for lab in canonical_labels(ell):
             chi = character(ell, lab, 8)
             for p in (7, 23, 101):
@@ -782,29 +798,28 @@ class TestProbe:
                 except DegenerateParams:
                     continue
                 assert [rq for _, rq, _ in v.levels] == chi, (lab, p)
-            tower = virasoro._tower(central_charge(ell), highest_weight(ell, lab.m, lab.n))
+            tower = VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
             for n, (r, basis) in enumerate(_radical_levels(tower, 8)):
                 level = tower._levels[n]
                 assert chi[n] == r == len(level) - len(exact.kernel(level)), (lab, n)
                 assert len(basis) == len(level) - r
                 assert not any(sum(map(mul, row, w)) for w in basis for row in level)
 
-    def test_kept_ranks_are_per_prime(self, fresh_towers):
+    def test_kept_ranks_are_per_prime(self):
         """The ranks mod p are the prime's own: after a good prime probed
-        first on the cold tower at (3; 3,2), a drop prime probed next on the
-        same tower drops at level 4 with the F_p tower's ranks."""
+        first at (3; 3,2), a drop prime probed next drops at level 4 with
+        the ranks of the F_p engine's whole Gram levels."""
         lab = MinimalLabel(3, 3, 2)
         assert irreducibility_probe(3, lab, 101, 11).consistent
         v = irreducibility_probe(3, lab, 23, 11)
-        over_p = graded_rank(VermaParams.mod_p(central_charge(3), highest_weight(3, 3, 2), 23), 11).levels
+        params = VermaParams.mod_p(central_charge(3), highest_weight(3, 3, 2), 23)
         assert v.drop_level == 4
-        assert [(n, rp) for n, _, rp in v.levels] == [(n, r) for n, _, r in over_p]
+        assert [rp for _, _, rp in v.levels] == [exact.rank(gram_matrix(params, n)) for n in range(12)]
 
     def test_reproduce_builds_each_tower_once(self, monkeypatch):
         """The paper run builds each Gram level of each (c, h) once, over QQ
-        only: the nine minimal-series towers to level 8, shared by the
-        Kac-vanishing check and the probes."""
-        virasoro._tower.cache_clear()
+        only: the nine minimal-series towers to level 8, which the
+        Kac-vanishing check builds, and none for the probes."""
         built = Counter()
         real = virasoro._build_levels
 
@@ -823,7 +838,7 @@ class TestProbe:
             (central_charge(ell), highest_weight(ell, lab.m, lab.n)) for ell in (2, 3) for lab in canonical_labels(ell)
         }
 
-    def test_kernel_gets_int_rows(self, fresh_towers, monkeypatch):
+    def test_kernel_gets_int_rows(self, monkeypatch):
         """The paper run hands `kernel` only integer entries: the levels S_n
         and their minors, never Fractions.  A level-11 probe at (4; 3,2)
         adds no `kernel` call."""
@@ -849,20 +864,13 @@ class TestProbe:
             assert rp <= rq
 
 
-@pytest.fixture
-def fresh_towers():
-    """Cold QQ tower caches, cleared again after the test, which may alter a
-    cached level."""
-    virasoro._tower.cache_clear()
-    yield
-    virasoro._tower.cache_clear()
-
-
-def cached_level(ell, label, n):
-    """The cached QQ tower at the label's minimal-series point, built to
-    level 8, and its level n as lists."""
-    params = virasoro._tower(central_charge(ell), highest_weight(ell, label.m, label.n))
+def planted_level(monkeypatch, ell, label, n):
+    """The QQ parameter set at the label's minimal-series point, built to
+    level 8 and handed to the next `kac_vanishing_check` as its own, and its
+    level n as lists, for the test to alter."""
+    params = VermaParams.rational(central_charge(ell), highest_weight(ell, label.m, label.n))
     _build_levels(params, 8)
+    monkeypatch.setattr(VermaParams, "rational", lambda c, h: params)
     return params, [list(row) for row in params._levels[n]]
 
 
@@ -897,7 +905,7 @@ class TestKacVanishing:
             assert rep.levels == tuple((n, determinant(params._levels[n]) == 0) for n in range(1, 9))
             assert rep.passed
 
-    def test_runs_no_bareiss(self, fresh_towers):
+    def test_runs_no_bareiss(self):
         before = dict(exact.ELIMINATIONS)
         for ell, lab in LABELS_2_3:
             kac_vanishing_check(ell, lab, 8)
@@ -905,23 +913,22 @@ class TestKacVanishing:
         assert exact.ELIMINATIONS["mod-cert-prime"] > before["mod-cert-prime"]
 
     @pytest.mark.parametrize("ell,lab", [(ell, lab) for ell, lab in LABELS_2_3 if d_min(ell, lab) > 1])
-    def test_zeroed_row_below_d_min_fails(self, fresh_towers, ell, lab):
+    def test_zeroed_row_below_d_min_fails(self, monkeypatch, ell, lab):
         for n in range(1, d_min(ell, lab)):
-            params, rows = cached_level(ell, lab, n)
+            params, rows = planted_level(monkeypatch, ell, lab, n)
             rows[-1] = [0] * len(rows)
             params._levels[n] = tuple(map(tuple, rows))
             rep = kac_vanishing_check(ell, lab, 8)
             assert (n, True) in rep.levels
             assert not rep.passed
-            virasoro._tower.cache_clear()
 
     @pytest.mark.parametrize("ell,lab", LABELS_2_3)
-    def test_perturbed_entry_at_d_min_fails(self, fresh_towers, ell, lab):
+    def test_perturbed_entry_at_d_min_fails(self, monkeypatch, ell, lab):
         """One diagonal entry of S_{d_min} moved where the radical vector is
         nonzero: the radical has dimension one there, so the cofactor of
         that entry is nonzero and the level becomes regular."""
         n = d_min(ell, lab)
-        params, rows = cached_level(ell, lab, n)
+        params, rows = planted_level(monkeypatch, ell, lab, n)
         (w,) = exact.kernel(params._levels[n])
         i = next(i for i, x in enumerate(w) if x)
         rows[i][i] += 1
@@ -933,11 +940,11 @@ class TestKacVanishing:
 
     @pytest.mark.parametrize("ell,lab", LABELS_2_3)
     @pytest.mark.parametrize("shift", [0, 1, 3])
-    def test_perturbed_entry_at_or_above_d_min_keeps_exact_flags(self, fresh_towers, ell, lab, shift):
+    def test_perturbed_entry_at_or_above_d_min_keeps_exact_flags(self, monkeypatch, ell, lab, shift):
         """A moved entry at or above d_min leaves every flag equal to
         (det S_n == 0), whether or not the witness still proves it."""
         n = d_min(ell, lab) + shift
-        params, rows = cached_level(ell, lab, n)
+        params, rows = planted_level(monkeypatch, ell, lab, n)
         rows[0][-1] += 1
         params._levels[n] = tuple(map(tuple, rows))
         rep = kac_vanishing_check(ell, lab, 8)
