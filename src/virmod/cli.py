@@ -129,8 +129,8 @@ def _parse_fraction(s: str) -> Fraction:
 # far larger ell exhaust memory.
 ELL_MAX = 2000
 # The largest Gram level: gram --level 20 at (4/5, 21/40) takes 3.1 s and 129 MB, and
-# probe --max-level 20 (fresh process) 0.20-0.29 s and 27 MB at (2; 2,2), p = 101, and
-# 0.6-0.9 s and 46 MB at (6; 4,3), p = 83 (2-CPU host), while gram level 24 takes 23 s and 0.8 GB.
+# probe --max-level 20 (fresh process) 0.22 s and 27 MB at (2; 2,2), p = 101, and
+# 0.85-0.91 s and 45 MB at (6; 4,3), p = 83 (2-CPU host), while gram level 24 takes 23 s and 0.8 GB.
 LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.

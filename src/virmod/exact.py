@@ -50,7 +50,9 @@ the residue of least absolute value mod P.
 Every elimination mod p packs each row into one int, a fixed-width slot
 per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
 call), so that a row update is one big-int multiply-add with no reduction
-of the updated row.  No randomness, no floats.
+of the updated row.  `_row_space_mod_p` also takes and returns matrices
+packed by columns in such slots, so a caller combines their columns with
+big-int arithmetic and never reads the layout.  No randomness, no floats.
 """
 from __future__ import annotations
 
@@ -276,29 +278,62 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
 
 @lru_cache(maxsize=1024)
 def _slots(n: int, nb: int) -> Struct:
-    """The big-endian struct of n slots of nb bytes: one unsigned int code
-    (`B`, `H`, `I`, `Q`) for nb in 1, 2, 4, 8, else one nb-byte chunk each."""
-    code = _INT_CODES.get(nb)
-    return Struct(f">{n}{code}" if code else ">" + f"{nb}s" * n)
+    """The big-endian struct of n unsigned ints of nb = 1, 2, 4 or 8 bytes."""
+    return Struct(f">{n}{_INT_CODES[nb]}")
 
 
 def _slot_bytes(bound: int) -> int:
     """Bytes per slot to hold `bound`: 1, 2, 4 or 8 if one does, else the fewest."""
-    return next((b for b in _INT_CODES if bound >> 8 * b == 0), (bound.bit_length() + 7) // 8)
+    for b in _INT_CODES:
+        if bound >> 8 * b == 0:
+            return b
+    return (bound.bit_length() + 7) // 8
 
 
 def _pack(vals: Sequence[int], nb: int) -> bytes:
-    """Non-negative ints in big-endian slots of nb bytes, by one struct call."""
-    if nb not in _INT_CODES:
-        vals = [x.to_bytes(nb, "big") for x in vals]
-    return _slots(len(vals), nb).pack(*vals)
+    """Non-negative ints in big-endian slots of nb bytes: one struct call
+    for nb in 1, 2, 4, 8, else one conversion per int."""
+    if nb in _INT_CODES:
+        return _slots(len(vals), nb).pack(*vals)
+    return b"".join([x.to_bytes(nb, "big") for x in vals])
 
 
 def _unpack(data: bytes, n: int) -> Sequence[int]:
     """The n ints that `_pack` put in `data`."""
     nb = len(data) // n if n else 1
-    vals = _slots(n, nb).unpack(data)
-    return vals if nb in _INT_CODES else [int.from_bytes(x, "big") for x in vals]
+    if nb in _INT_CODES:
+        return _slots(n, nb).unpack(data)
+    return [int.from_bytes(data[i : i + nb], "big") for i in range(0, len(data), nb)]
+
+
+def _row_space_mod_p(top, bottom, p: int, bound: int, basis: bool = True) -> tuple[int, list[int]]:
+    """Rank k mod p of the matrix C whose rows are those of the block `top`
+    over those of the block `bottom`, and a basis of its row space.
+
+    A block (r, cols) holds r rows by columns: cols[j] packs their entries
+    at column j, each below `bound`, the first row in the top slot.  So a
+    sum of such ints packs the entrywise sums while those stay below
+    `bound`, and a caller builds a block from the columns of earlier ones.
+    The basis is a block (k, cols) of residues, or (k, []) without `basis`:
+    the echelon rows of `_echelon_mod_p` scaled to p - 1 at their pivots.
+    """
+    ELIMINATIONS["fp-rank"] += 1
+    nb = _slot_bytes(bound)
+    (r, cols), (r2, cols2) = top, bottom
+    shift, r, size = 8 * nb * r2, r + r2, len(cols)
+    entries = _unpack(b"".join([(x << shift | y).to_bytes(nb * r, "big") for x, y in zip(cols, cols2)]), size * r)
+    ne = _slot_bytes((min(r, size) + 1) * (p - 1) ** 2 + p)
+    packed, w = _pack([entries[j] % p for i in range(r) for j in range(i, size * r, r)], ne), ne * size
+    pivots, tails = _eliminate([int.from_bytes(packed[i * w : (i + 1) * w], "big") for i in range(r)], size, p, ne)[:2]
+    k = len(pivots)
+    if not basis:
+        return k, []
+    entries = [0] * (size * k)
+    for i, (c, tail) in enumerate(zip(pivots, tails)):
+        entries[i + c * k] = p - 1
+        entries[i + (c + 1) * k :: k] = _unpack(tail, size - 1 - c)
+    packed, w = _pack(entries, nb), nb * k
+    return k, [int.from_bytes(packed[j * w : (j + 1) * w], "big") for j in range(size)]
 
 
 def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[bytes], int]:
@@ -329,19 +364,27 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[
     """
     nrow = len(m)
     ncol = len(m[0]) if m else 0
-    bound = (min(nrow, ncol) + 1) * (p - 1) ** 2 + p
-    nb = _slot_bytes(bound)
+    nb = _slot_bytes((min(nrow, ncol) + 1) * (p - 1) ** 2 + p)
+    return _eliminate([int.from_bytes(_pack([x % p for x in row], nb), "big") for row in m], ncol, p, nb)
+
+
+def _eliminate(rows: list[int], ncol: int, p: int, nb: int) -> tuple[list[int], list[bytes], int]:
+    """`_echelon_mod_p` on its rows packed already: ncol slots of nb bytes of
+    residues each, nb holding (min(rows, ncol) + 1)(p-1)^2 + p; the list
+    `rows` is consumed."""
+    nrow = len(rows)
     width = 8 * nb
     slot = (1 << width) - 1
-    rows = [int.from_bytes(_pack([x % p for x in row], nb), "big") for row in m]
     pivots: list[int] = []
     tails: list[bytes] = []
     det = 1
     for col in range(ncol):
         r = len(pivots)
         sh = width * (ncol - 1 - col)
-        piv = next((i for i in range(r, nrow) if (rows[i] >> sh & slot) % p), None)
-        if piv is None:
+        for piv in range(r, nrow):
+            if (rows[piv] >> sh & slot) % p:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]

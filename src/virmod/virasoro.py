@@ -55,11 +55,12 @@ is lam -> vac(L_{mu_k}...L_{mu_1} lam), and for odd p, L_1 and L_2 generate
 Vir^+ ([L_m, L_1] = (m-1) L_{m+1}, [L_{m-1}, L_2] = (m-3) L_{m+1}, and p
 cannot divide both m-1 and m-3), so the row space R_n of G_n is
 R_{n-1} L_1 + R_{n-2} L_2, R_0 = span{(1)}, (f L_k)[lam] = sum_q (L_k lam)_q f[q].
-`_ranks_mod_p` keeps each R_j by columns, column q one int of `exact`'s
-slots packing the basis vectors' residues at q, so a candidate column costs
-one big-int multiply-add per term of L_1 lam and L_2 lam (`_generators`),
-and a slot sums at most p(n_max-1) products of two residues.  Eliminating
-the candidates as rows gives rank G_n and the basis of R_n.  A probe needs
+`_ranks_mod_p` keeps a basis of each R_j by columns, as a block of
+`exact._row_space_mod_p`: column q is one int packing the basis vectors'
+residues at q.  So a candidate column costs one big-int multiply-add per
+term of L_1 lam and L_2 lam (`_generators`), and each of its entries sums
+at most p(n_max-1) products of two residues.  `_row_space_mod_p` eliminates
+the candidates and returns rank G_n and a basis of R_n.  A probe needs
 p to divide neither denominator of (c, h), so S_n mod p is a unit times the
 F_p Gram matrix (reduction mod p is a ring map on Z[h, c/2]).  Its rank
 over QQ is chi_n, the level-n coefficient of the irreducible character
@@ -78,11 +79,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
-from .exact import ELIMINATIONS, DenseMatrix, PrimeField, QQ, RationalField, kernel, reduce_mod_p
-from .exact import _echelon_mod_p, _pack, _slot_bytes, _unpack
+from .exact import DenseMatrix, PrimeField, QQ, RationalField, _row_space_mod_p, kernel, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -262,14 +262,14 @@ def gram_matrix(params: VermaParams, n: int) -> DenseMatrix:
 
 
 @lru_cache(maxsize=None)
-def _generators(n: int) -> list[tuple[list[tuple[int, int, int, int]], ...]]:
-    """For each partition lam of n >= 1, the terms of `_lower(k, lam)` for
-    k = 1, 2 with q as its position in `partitions(n - k)`; read only."""
-    at1, at2 = _positions(n - 1), _positions(n - 2) if n > 1 else {}
-    return [
-        ([(at1[q], a, b, e) for q, a, b, e in _lower(1, lam)], [(at2[q], a, b, e) for q, a, b, e in _lower(2, lam)])
-        for lam in partitions(n)
-    ]
+def _generators(n: int) -> tuple[list[list[tuple[int, int, int, int]]], ...]:
+    """For k = 1, 2, the terms of `_lower(k, lam)` on each partition lam of
+    n >= 1, as (a, b, e, at) with at the position of q in partitions(n - k);
+    read only."""
+    return tuple(
+        [[(a, b, e, at[q]) for q, a, b, e in _lower(k, lam)] for lam in partitions(n)]
+        for k, at in ((1, _positions(n - 1)), (2, _positions(max(n - 2, 0))))
+    )
 
 
 def _ranks_mod_p(params: VermaParams, n_max: int) -> list[int]:
@@ -277,31 +277,21 @@ def _ranks_mod_p(params: VermaParams, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n must be >= 0")
     p, h, c2 = params._mod, params._dh, params._dc2
-    nb = _slot_bytes(len(partitions(max(n_max - 1, 0))) * (p - 1) ** 2)
-    ranks, below = [1], ((1, [1]), (0, []))  # (dim R_j, its columns) for j = n-1, n-2
+    bound = len(partitions(max(n_max - 1, 0))) * (p - 1) ** 2  # a candidate entry's largest sum
+    ranks, below = [1], ((1, [1]), (0, []))  # R_{n-1} and R_{n-2}, as blocks of `_row_space_mod_p`
     for n in range(1, n_max + 1):
-        (r1, cols1), (r2, cols2) = below
-        r, cands = r1 + r2, []  # candidate columns: R_{n-1} L_1 over R_{n-2} L_2
-        for ones, twos in _generators(n):
-            x = y = 0
-            for at, a, b, e in ones:
-                x += (a + b * h + e * c2) % p * cols1[at]
-            for at, a, b, e in twos:
-                y += (a + b * h + e * c2) % p * cols2[at]
-            cands.append((x << 8 * nb * r2 | y).to_bytes(nb * r, "big"))
-        size = len(cands)
-        entries = _unpack(b"".join(cands), size * r)
-        pivots, tails, _ = _echelon_mod_p([entries[i::r] for i in range(r)], p)
-        ELIMINATIONS["fp-rank"] += 1
-        k = len(pivots)
-        ranks.append(k)
-        if n < n_max:  # R_n by columns; echelon row i times -1/pivot is p - 1, then its tail
-            entries = [0] * (size * k)
-            for i, (c, tail) in enumerate(zip(pivots, tails)):
-                entries[i + c * k] = p - 1
-                entries[i + (c + 1) * k :: k] = _unpack(tail, size - 1 - c)
-            packed, w = _pack(entries, nb), nb * k
-            below = ((k, [int.from_bytes(packed[j * w : (j + 1) * w], "big") for j in range(size)]), below[0])
+        blocks = []  # R_{n-1} L_1 and R_{n-2} L_2
+        for (r, cols), images in zip(below, _generators(n)):
+            block = []
+            for terms in images:
+                x = 0
+                for a, b, e, at in terms:
+                    x += (a + b * h + e * c2) % p * cols[at]
+                block.append(x)
+            blocks.append((r, block))
+        rank, basis = _row_space_mod_p(*blocks, p, bound, n < n_max)
+        ranks.append(rank)
+        below = ((rank, basis), below[0])
     return ranks
 
 
@@ -395,12 +385,14 @@ def character(ell: int, label: MinimalLabel, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n must be >= 0")
     p, pp, m, n = ell + 2, ell + 1, label.m, label.n
-    # a_k(s) >= pp'((|k|-1)^2 - 1/4) > n_max once |k| > n_max + 1
+    # a_k(s) >= pp'((|k|-1)^2 - 1/4), as |pm - p's| < 2pp', so only |k| <= K add terms
+    K = isqrt((4 * n_max + p * pp) // (4 * p * pp)) + 1
     shifts = [
         (((2 * p * pp * k + p * m - pp * s) ** 2 - (p * m - pp * n) ** 2) // (4 * p * pp), sign)
-        for k in range(-n_max - 1, n_max + 2) for s, sign in ((n, 1), (-n, -1))
+        for k in range(-K, K + 1) for s, sign in ((n, 1), (-n, -1))
     ]
-    return [sum(sign * len(partitions(N - e)) for e, sign in shifts if e <= N) for N in range(n_max + 1)]
+    counts = [len(partitions(j)) for j in range(n_max + 1)]
+    return [sum(sign * counts[N - e] for e, sign in shifts if e <= N) for N in range(n_max + 1)]
 
 
 class ProbeVerdict(namedtuple("ProbeVerdict", "label p n_max levels verdict drop_level")):

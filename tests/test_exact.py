@@ -385,6 +385,51 @@ class TestEchelonModP:
         self.check(fixed_matrix(rows, cols, p, rows * cols + p % 1000, rank_bound), p)
 
 
+def column_block(rows, ncol, bound):
+    """`rows` as a block of `exact._row_space_mod_p`: their number, and one
+    int per column packing its entries, the first row in the top slot."""
+    nb = exact._slot_bytes(bound)
+    return len(rows), [int.from_bytes(exact._pack([row[j] for row in rows], nb), "big") for j in range(ncol)]
+
+
+def block_rows(block, bound):
+    """The rows of a block of `exact._row_space_mod_p`."""
+    k, cols = block
+    nb = exact._slot_bytes(bound)
+    columns = [exact._unpack(x.to_bytes(nb * k, "big"), k) for x in cols]
+    return [[col[i] for col in columns] for i in range(k)]
+
+
+class TestRowSpaceModP:
+    """`_row_space_mod_p` ranks two stacked blocks as the list oracle does,
+    and its basis is a block of residues that spans their row space and
+    whose columns combine by big-int sums."""
+
+    @given(top=st.integers(0, 8), bottom=st.integers(0, 8), ncol=st.integers(1, 12),
+           p=st.sampled_from([3, 5, 101, _CERT_PRIME, 1099511627689]), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_list_oracle(self, top, bottom, ncol, p, data):
+        bound = 4 * (p - 1) ** 2
+        row = st.lists(st.integers(0, bound - 1), min_size=ncol, max_size=ncol)
+        m = data.draw(st.lists(row, min_size=top + bottom, max_size=top + bottom))
+        blocks = column_block(m[:top], ncol, bound), column_block(m[top:], ncol, bound)
+        before = exact.ELIMINATIONS["fp-rank"]
+        k, cols = exact._row_space_mod_p(*blocks, p, bound)
+        assert exact.ELIMINATIONS["fp-rank"] == before + 1
+        assert k == len(list_echelon_mod_p(m, p)[0])
+        assert exact._row_space_mod_p(*blocks, p, bound, basis=False) == (k, [])
+        basis = block_rows((k, cols), bound)
+        assert all(0 <= x < p for r in basis for x in r)
+        assert len(list_echelon_mod_p(basis, p)[0]) == k
+        assert len(list_echelon_mod_p(m + basis, p)[0]) == k
+        # columns a*B_j + b*B_{j+1}: entries below 2(p-1)^2 < bound
+        a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        mixed = [a * x + b * y for x, y in zip(cols, cols[1:] + cols[:1])]
+        rows = [[a * r[j] + b * r[(j + 1) % ncol] for j in range(ncol)] for r in basis]
+        assert block_rows((k, mixed), bound) == rows
+        assert exact._row_space_mod_p((k, mixed), (0, [0] * ncol), p, bound)[0] == len(list_echelon_mod_p(rows, p)[0])
+
+
 class TestCertifiedRank:
     """The QQ rank from kernel, certified or not, is the Gauss-Jordan rank."""
 

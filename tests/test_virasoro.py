@@ -865,10 +865,11 @@ class TestProbe:
 
 
 def planted_level(monkeypatch, ell, label, n):
-    """The QQ parameter set at the label's minimal-series point, built to
+    """A new QQ parameter set at the label's minimal-series point, built to
     level 8 and handed to the next `kac_vanishing_check` as its own, and its
-    level n as lists, for the test to alter."""
-    params = VermaParams.rational(central_charge(ell), highest_weight(ell, label.m, label.n))
+    level n as lists, for the test to alter.  It is built by the constructor,
+    not by `VermaParams.rational`, which an earlier call may have patched."""
+    params = VermaParams(central_charge(ell), highest_weight(ell, label.m, label.n), QQ)
     _build_levels(params, 8)
     monkeypatch.setattr(VermaParams, "rational", lambda c, h: params)
     return params, [list(row) for row in params._levels[n]]
@@ -919,7 +920,7 @@ class TestKacVanishing:
             rows[-1] = [0] * len(rows)
             params._levels[n] = tuple(map(tuple, rows))
             rep = kac_vanishing_check(ell, lab, 8)
-            assert (n, True) in rep.levels
+            assert rep.levels[:n] == tuple((k, k == n) for k in range(1, n + 1))
             assert not rep.passed
 
     @pytest.mark.parametrize("ell,lab", LABELS_2_3)
