@@ -9,8 +9,9 @@ integer matrix S_n = D^n G_n, so no denominators are cleared.
 
 `rank` serves F_p only, on a `DenseMatrix` of residues tagged with a
 `PrimeField` holding p (a `QQ` tag raises); callers compute in ints and
-reduce mod p themselves.  QQ ranks come from `virasoro.graded_rank` for Gram levels,
-and from `kernel` otherwise, as columns less the kernel dimension.  The
+reduce mod p themselves.  QQ ranks come from `virasoro.graded_rank` for Gram levels
+(a level of full rank mod `_CERT_PRIME` by `_row_space_mod_p` is full, as in
+`kernel`), and from `kernel` otherwise, as columns less the kernel dimension.  The
 tag and `DenseMatrix` stay only because the benchmark's tracer,
 `bench/spans.py`, names its rank span by the tag, reads `rows` and `cols`,
 and rebinds `determinant`; they go with ROADMAP items 1 and 2.
@@ -321,10 +322,10 @@ def _row_space_mod_p(top, bottom, p: int, bound: int, basis: bool = True) -> tup
     nb = _slot_bytes(bound)
     (r, cols), (r2, cols2) = top, bottom
     shift, r, size = 8 * nb * r2, r + r2, len(cols)
-    entries = _unpack(b"".join([(x << shift | y).to_bytes(nb * r, "big") for x, y in zip(cols, cols2)]), size * r)
+    # each column reduced as it is unpacked, so the unreduced entries are never held whole
+    cols = [[e % p for e in _unpack((x << shift | y).to_bytes(nb * r, "big"), r)] for x, y in zip(cols, cols2)]
     ne = _slot_bytes((min(r, size) + 1) * (p - 1) ** 2 + p)
-    packed, w = _pack([entries[j] % p for i in range(r) for j in range(i, size * r, r)], ne), ne * size
-    pivots, tails = _eliminate([int.from_bytes(packed[i * w : (i + 1) * w], "big") for i in range(r)], size, p, ne)[:2]
+    pivots, tails = _eliminate([int.from_bytes(_pack(row, ne), "big") for row in zip(*cols)], size, p, ne)[:2]
     k = len(pivots)
     if not basis:
         return k, []

@@ -31,8 +31,13 @@ S_n[mu, lam] = sum_q (D L_{mu_1} lam)_q * D^(mu_1 - 1) * S_{n-mu_1}[mu minus mu_
 `gram_matrix` divides by D^n; ranks are taken on S_n, since scaling a row
 by a nonzero number keeps the rank.
 
-Over QQ, `graded_rank` never eliminates a whole singular level.  It carries
-an integer basis K_n of the radical ker S_n up the levels, on three facts.
+Over QQ, `graded_rank` first ranks each G_n mod `exact._CERT_PRIME` from
+its row space, as over F_p below.  Reduction mod p is a ring map on
+Z[h, c/2], so full rank mod p proves full rank over QQ, and such a level is
+not built.  From the first level left short, or from level 0 when c or h
+has no image mod p, the levels are built, and a radical pass, started with
+K = 0 as the levels below have full rank, carries an integer basis K_n of
+the radical ker S_n up the levels, on three facts.
 The radical is a submodule, so L_{-1} K_{n-1} and L_{-2} K_{n-2} lie in
 ker S_n.  U(Vir^-) is generated by L_{-1} and L_{-2}, so those images span
 the radical at level n except for new singular vectors (Feigin-Fuchs: at
@@ -82,7 +87,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
-from .exact import DenseMatrix, PrimeField, QQ, RationalField, _row_space_mod_p, kernel, reduce_mod_p
+from .exact import _CERT_PRIME, DenseMatrix, PrimeField, QQ, RationalField, _row_space_mod_p, kernel, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
 
 Partition = tuple[int, ...]
@@ -272,13 +277,13 @@ def _generators(n: int) -> tuple[list[list[tuple[int, int, int, int]]], ...]:
     )
 
 
-def _ranks_mod_p(params: VermaParams, n_max: int) -> list[int]:
-    """rank G_n over F_p for n = 0..n_max, from row spaces (module docstring)."""
+def _ranks_mod_p(p: int, h: int, c2: int, n_max: int):
+    """Yield rank G_n over F_p at residues h, c/2 for n = 0..n_max, from row spaces (module docstring)."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    p, h, c2 = params._mod, params._dh, params._dc2
     bound = len(partitions(max(n_max - 1, 0))) * (p - 1) ** 2  # a candidate entry's largest sum
-    ranks, below = [1], ((1, [1]), (0, []))  # R_{n-1} and R_{n-2}, as blocks of `_row_space_mod_p`
+    yield 1
+    below = ((1, [1]), (0, []))  # R_{n-1} and R_{n-2}, as blocks of `_row_space_mod_p`
     for n in range(1, n_max + 1):
         blocks = []  # R_{n-1} L_1 and R_{n-2} L_2
         for (r, cols), images in zip(below, _generators(n)):
@@ -290,9 +295,8 @@ def _ranks_mod_p(params: VermaParams, n_max: int) -> list[int]:
                 block.append(x)
             blocks.append((r, block))
         rank, basis = _row_space_mod_p(*blocks, p, bound, n < n_max)
-        ranks.append(rank)
+        yield rank
         below = ((rank, basis), below[0])
-    return ranks
 
 
 class GramReport(namedtuple("GramReport", "levels")):
@@ -304,7 +308,7 @@ class GramReport(namedtuple("GramReport", "levels")):
 def graded_rank(params: VermaParams, n_max: int) -> GramReport:
     """Per-level Gram ranks (of S_n): the graded dimension of the irreducible quotient."""
     if params._mod:
-        ranks = _ranks_mod_p(params, n_max)
+        ranks = list(_ranks_mod_p(params._mod, params._dh, params._dc2, n_max))
     else:
         ranks = [r for r, _ in _radical_levels(params, n_max)]
     return GramReport(tuple((n, len(partitions(n)), r) for n, r in enumerate(ranks)))
@@ -339,10 +343,20 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
 def _radical_levels(params: VermaParams, n_max: int):
     """Yield (rank S_n, K_n) for n = 0..n_max over QQ: K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, in trailing form,
-    built from K_{n-1} and K_{n-2} alone as the module docstring says."""
+    built from K_{n-1} and K_{n-2} alone as the module docstring says.  Below
+    the first level short mod `_CERT_PRIME`, each level yields (p(n), [])."""
+    p, d, start = _CERT_PRIME, params._scale, 0
+    if d % p:  # c and h have images mod p
+        inv = pow(d, -1, p)
+        for start, r in enumerate(_ranks_mod_p(p, params._dh * inv % p, params._dc2 * inv % p, n_max)):
+            if r < len(partitions(start)):
+                break
+            yield r, []
+        else:
+            return
     _build_levels(params, n_max)
-    below = ([], [])  # K_{n-1} and K_{n-2}
-    for n in range(n_max + 1):
+    below = ([], [])  # K_{n-1} and K_{n-2}, empty below the first short level
+    for n in range(start, n_max + 1):
         size = len(partitions(n))
         trailing: dict[int, list[int]] = {}  # each vector of K_n by its last nonzero column
         for a, lower in zip((1, 2), below):
@@ -420,7 +434,7 @@ def irreducibility_probe(ell: int, label: MinimalLabel, p: int, n_max: int = 8) 
         raise DegenerateParams(f"(c, h) = ({c}, {h}) does not reduce mod 2; no naive mod-p module")
     params = VermaParams.mod_p(c, h, p)  # raises unless c and h reduce mod p
     chi = character(ell, label, n_max)
-    levels = tuple(zip(range(n_max + 1), chi, _ranks_mod_p(params, n_max)))
+    levels = tuple(zip(range(n_max + 1), chi, list(_ranks_mod_p(params._mod, params._dh, params._dc2, n_max))))
     faults = [n for n, rq, rp in levels if rp > rq]
     drops = [n for n, rq, rp in levels if rp < rq]
     verdict = "fault" if faults else "rank-drop" if drops else "consistent"

@@ -78,6 +78,8 @@ SWEEP = [
     ["probe", "--ell", "4", "--label", "3,2", "--prime", "47", "--max-level", "11"],
     ["probe", "--ell", "4", "--label", "3,2", "--prime", "1099511627689", "--max-level", "11"],
     ["gram", "--c", "4/5", "--h", "21/40", "--level", "9"],
+    ["gram", "--c", "1", "--h", "67108859", "--level", "3"],
+    ["gram", "--c", "1", "--h", "1/67108859", "--level", "3"],
     ["no-such-command"],
     [],
 ]

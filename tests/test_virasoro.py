@@ -543,9 +543,10 @@ class TestGradedRank:
     def test_radical_basis_is_exact_kernel(self, ell, monkeypatch):
         """K_n spans ker S_n in trailing form, and the columns C_n where no
         vector of K_n ends carry an invertible principal minor of size
-        rank S_n.  The images of K_{n-1} and K_{n-2} are kept exactly, so the
-        kernel step finds new vectors only at the levels of the two singular
-        vectors.
+        rank S_n.  The levels below d_min have full rank mod `_CERT_PRIME`, so
+        the kernel step runs once per level from d_min on.  The images of
+        K_{n-1} and K_{n-2} are kept exactly, so it finds new vectors only at
+        the levels of the two singular vectors.
 
         No whole level is eliminated: the assertions fix rank S_n = r.  K_n
         lies in ker S_n (checked exactly) and holds dim - r vectors with
@@ -562,11 +563,13 @@ class TestGradedRank:
         monkeypatch.setattr(virasoro, "kernel", counting)
         for lab, params in minimal_points(ell):
             singular = {lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)}
+            d = min(singular)
+            _build_levels(params, 11)
             start = len(found)
             radical = list(_radical_levels(params, 11))
-            assert len(found) == start + 12  # one kernel step per level
+            assert len(found) == start + 12 - d  # one kernel step per level from d_min
             for n, (r, basis) in enumerate(radical):
-                assert found[start + n] == 0 or n in singular
+                assert n < d or found[start + n - d] == 0 or n in singular
                 level = params._levels[n]
                 assert len(basis) == len(partitions(n)) - r
                 for v in basis:
@@ -577,6 +580,75 @@ class TestGradedRank:
                 assert sorted(set(cols) | set(lasts)) == list(range(len(partitions(n))))
                 assert len(cols) == r
                 assert bareiss([[level[i][j] for j in cols] for i in cols])[0] == r
+
+    def test_generic_point_builds_no_level_and_runs_no_kernel(self, monkeypatch):
+        """At a generic six-digit point every level to 11 has full rank mod
+        `_CERT_PRIME`, which proves it full over QQ: one row-space elimination
+        per level from 1 on, no Gram level built and no `kernel` run."""
+
+        def fail(*args):
+            raise AssertionError("a Gram level was built or a kernel run")
+
+        monkeypatch.setattr(virasoro, "_build_levels", fail)
+        monkeypatch.setattr(virasoro, "kernel", fail)
+        before = dict(exact.ELIMINATIONS)
+        rep = graded_rank(VermaParams.rational(F(734521, 912346), F(-612345, 555557)), 11)
+        assert [r for _, _, r in rep.levels] == [len(partitions(n)) for n in range(12)]
+        assert exact.ELIMINATIONS == dict(before, **{"fp-rank": before["fp-rank"] + 11})
+
+    def test_kernel_runs_from_the_first_short_level(self, monkeypatch):
+        """At (3; 3,2), d_min = 3: the certificate settles levels 0..2, then
+        the levels are built once, to 10, and the kernel step runs at levels
+        3..10 alone, first on the whole of S_3."""
+        built, steps = [], []
+        real_build, real_kernel = virasoro._build_levels, virasoro.kernel
+        monkeypatch.setattr(virasoro, "_build_levels", lambda params, n: built.append(n) or real_build(params, n))
+        monkeypatch.setattr(virasoro, "kernel", lambda m: steps.append(len(m)) or real_kernel(m))
+        lab = MinimalLabel(3, 3, 2)
+        rep = graded_rank(VermaParams.rational(central_charge(3), highest_weight(3, 3, 2)), 10)
+        assert [r for _, _, r in rep.levels] == character(3, lab, 10)
+        assert built == [10]
+        assert len(steps) == 8 and steps[0] == len(partitions(3))
+
+    @pytest.mark.parametrize(
+        "h,steps",
+        [(F(exact._CERT_PRIME), [1, 2, 3]), (F(1, exact._CERT_PRIME), [1, 1, 2, 3])],
+        ids=["short-at-level-1", "no-certificate"],
+    )
+    def test_levels_the_certificate_leaves_go_to_kernel(self, h, steps, monkeypatch):
+        """h = `_CERT_PRIME` makes G_1 = 2h vanish mod that prime, so the
+        certificate is short at level 1 while QQ has full rank: the kernel
+        step settles levels 1..3, each whole.  h = 1/`_CERT_PRIME` has no
+        image mod it, so there is no certificate and the kernel step runs
+        from level 0."""
+        sizes = []
+        real = virasoro.kernel
+        monkeypatch.setattr(virasoro, "kernel", lambda m: sizes.append(len(m)) or real(m))
+        rep = graded_rank(VermaParams.rational(F(1), h), 3)
+        assert [r for _, _, r in rep.levels] == [1, 1, 2, 3]
+        assert sizes == steps
+
+    @given(
+        point=st.one_of(
+            st.tuples(small_rationals, small_rationals),
+            st.tuples(
+                st.fractions(max_denominator=10**6),
+                st.sampled_from([F(exact._CERT_PRIME), F(1, exact._CERT_PRIME), F(-exact._CERT_PRIME, 3)]),
+            ),
+            kac_curve_points.map(lambda pt: (13 - 6 * (pt[0] + 1 / pt[0]), kac_h(*pt[1], pt[0]))),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_are_the_kernel_ranks(self, point):
+        """At random rational (c, h), Kac-curve points and points that
+        `_CERT_PRIME` divides among them, the QQ graded rank is p(n) less the
+        dimension of ker S_n by `exact.kernel`, on levels built apart, at
+        every level to 7."""
+        c, h = point
+        other = VermaParams.rational(c, h)
+        _build_levels(other, 7)
+        expected = [len(partitions(n)) - len(exact.kernel(other._levels[n])) for n in range(8)]
+        assert [r for _, _, r in graded_rank(VermaParams.rational(c, h), 7).levels] == expected
 
     @given(point=kac_curve_points)
     @settings(max_examples=25, deadline=None)
@@ -785,11 +857,15 @@ class TestProbe:
         assert err == ""
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
-    def test_certified_radical_is_the_kernel(self, ell):
+    def test_certified_radical_is_the_kernel(self, ell, monkeypatch):
         """The probe's ranks over QQ, the character's, are the exact ranks:
         at good and drop primes alike, chi_n is the rank of the whole QQ
         level by `exact.kernel` and the rank that the radical pass of
-        `graded_rank` gives, and that pass's K_n is a basis of the kernel."""
+        `graded_rank` gives, and that pass's K_n is a basis of the kernel.
+        The pass runs its kernel step at the levels d_min..8 alone."""
+        steps = []
+        real = virasoro.kernel
+        monkeypatch.setattr(virasoro, "kernel", lambda m: steps.append(len(m)) or real(m))
         for lab in canonical_labels(ell):
             chi = character(ell, lab, 8)
             for p in (7, 23, 101):
@@ -799,11 +875,14 @@ class TestProbe:
                     continue
                 assert [rq for _, rq, _ in v.levels] == chi, (lab, p)
             tower = VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
+            _build_levels(tower, 8)
+            steps.clear()
             for n, (r, basis) in enumerate(_radical_levels(tower, 8)):
                 level = tower._levels[n]
                 assert chi[n] == r == len(level) - len(exact.kernel(level)), (lab, n)
                 assert len(basis) == len(level) - r
                 assert not any(sum(map(mul, row, w)) for w in basis for row in level)
+            assert len(steps) == 9 - d_min(ell, lab), lab
 
     def test_kept_ranks_are_per_prime(self):
         """The ranks mod p are the prime's own: after a good prime probed
