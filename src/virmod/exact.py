@@ -53,7 +53,11 @@ per column (1, 2, 4 or 8 bytes unless p is large, filled by one `struct`
 call), so that a row update is one big-int multiply-add with no reduction
 of the updated row.  `_row_space_mod_p` also takes and returns matrices
 packed by columns in such slots, so a caller combines their columns with
-big-int arithmetic and never reads the layout.  No randomness, no floats.
+big-int arithmetic and never reads the layout.  It eliminates the slots as
+they come, unreduced, below a bound from the caller that leaves room for
+the updates, and it turns columns into rows, and echelon rows back into
+columns, by moving whole slots (`_transpose`), reading no entry.  No
+randomness, no floats.
 """
 from __future__ import annotations
 
@@ -307,34 +311,51 @@ def _unpack(data: bytes, n: int) -> Sequence[int]:
     return [int.from_bytes(data[i : i + nb], "big") for i in range(0, len(data), nb)]
 
 
+def _transpose(data: bytes, n: int, nb: int) -> list[bytes]:
+    """The n columns of the matrix whose rows `data` holds in turn, n slots
+    of nb bytes each: every column holds its slots, the top row's first.
+    A slot moves as nb/u units of u bytes, u the largest of 8, 4, 2 and 1
+    dividing nb, so only wide slots take more than one strided slice."""
+    u = next(u for u in (8, 4, 2, 1) if nb % u == 0)
+    m, units = nb // u, memoryview(data).cast(_INT_CODES[u])
+    cols = []
+    for j in range(0, n * m, m):
+        col = units[j :: n * m]
+        if m > 1:
+            col = memoryview(bytearray(len(data) // n)).cast(_INT_CODES[u])
+            for t in range(m):
+                col[t::m] = units[j + t :: n * m]
+        cols.append(col.tobytes())
+    return cols
+
+
 def _row_space_mod_p(top, bottom, p: int, bound: int, basis: bool = True) -> tuple[int, list[int]]:
     """Rank k mod p of the matrix C whose rows are those of the block `top`
     over those of the block `bottom`, and a basis of its row space.
 
     A block (r, cols) holds r rows by columns: cols[j] packs their entries
-    at column j, each below `bound`, the first row in the top slot.  So a
-    sum of such ints packs the entrywise sums while those stay below
-    `bound`, and a caller builds a block from the columns of earlier ones.
-    The basis is a block (k, cols) of residues, or (k, []) without `basis`:
-    the echelon rows of `_echelon_mod_p` scaled to p - 1 at their pivots.
+    at column j in slots of `_slot_bytes(bound)` bytes, the first row in the
+    top slot.  So a sum of such ints packs the entrywise sums while those
+    stay below `bound`, and a caller builds a block from the columns of
+    earlier ones.  The entries need not be residues: C is eliminated as it
+    stands, so each entry plus (p-1)^2 per pivot, min(rows, columns) of C,
+    must stay below `bound`.  The basis is a block (k, cols) of residues, or
+    (k, []) without `basis`: the echelon rows of `_echelon_mod_p` scaled to
+    p - 1 at their pivots.
     """
     ELIMINATIONS["fp-rank"] += 1
     nb = _slot_bytes(bound)
     (r, cols), (r2, cols2) = top, bottom
     shift, r, size = 8 * nb * r2, r + r2, len(cols)
-    # each column reduced as it is unpacked, so the unreduced entries are never held whole
-    cols = [[e % p for e in _unpack((x << shift | y).to_bytes(nb * r, "big"), r)] for x, y in zip(cols, cols2)]
-    ne = _slot_bytes((min(r, size) + 1) * (p - 1) ** 2 + p)
-    pivots, tails = _eliminate([int.from_bytes(_pack(row, ne), "big") for row in zip(*cols)], size, p, ne)[:2]
+    # C by columns in turn, so row i of C is every r-th slot from slot i
+    data = b"".join([(x << shift | y).to_bytes(nb * r, "big") for x, y in zip(cols, cols2)])
+    pivots, tails = _eliminate([int.from_bytes(row, "big") for row in _transpose(data, r, nb)], size, p, nb)[:2]
     k = len(pivots)
     if not basis:
         return k, []
-    entries = [0] * (size * k)
-    for i, (c, tail) in enumerate(zip(pivots, tails)):
-        entries[i + c * k] = p - 1
-        entries[i + (c + 1) * k :: k] = _unpack(tail, size - 1 - c)
-    packed, w = _pack(entries, nb), nb * k
-    return k, [int.from_bytes(packed[j * w : (j + 1) * w], "big") for j in range(size)]
+    lead, zeros = (p - 1).to_bytes(nb, "big"), bytes(nb * size)
+    echelon = b"".join([zeros[: nb * c] + lead + tail for c, tail in zip(pivots, tails)])
+    return k, [int.from_bytes(col, "big") for col in _transpose(echelon, size, nb)]
 
 
 def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[bytes], int]:
@@ -370,9 +391,11 @@ def _echelon_mod_p(m: Sequence[Sequence[int]], p: int) -> tuple[list[int], list[
 
 
 def _eliminate(rows: list[int], ncol: int, p: int, nb: int) -> tuple[list[int], list[bytes], int]:
-    """`_echelon_mod_p` on its rows packed already: ncol slots of nb bytes of
-    residues each, nb holding (min(rows, ncol) + 1)(p-1)^2 + p; the list
-    `rows` is consumed."""
+    """`_echelon_mod_p` on its rows packed already, ncol slots of nb bytes
+    each; the list `rows` is consumed.  A slot is read only through % p, so
+    it may start unreduced: nb must hold its start plus (p-1)^2 per pivot,
+    min(rows, ncol) of them, as (min(rows, ncol) + 1)(p-1)^2 + p does for
+    residues."""
     nrow = len(rows)
     width = 8 * nb
     slot = (1 << width) - 1

@@ -35,7 +35,8 @@ Over QQ, `graded_rank` first ranks each G_n mod `exact._CERT_PRIME` from
 its row space, as over F_p below.  Reduction mod p is a ring map on
 Z[h, c/2], so full rank mod p proves full rank over QQ, and such a level is
 not built.  From the first level left short, or from level 0 when c or h
-has no image mod p, the levels are built, and a radical pass, started with
+has no image mod p or when the parameter set holds the levels already (as
+after `gram_matrix`), the levels are built, and a radical pass, started with
 K = 0 as the levels below have full rank, carries an integer basis K_n of
 the radical ker S_n up the levels, on three facts.
 The radical is a submodule, so L_{-1} K_{n-1} and L_{-2} K_{n-2} lie in
@@ -65,7 +66,9 @@ R_{n-1} L_1 + R_{n-2} L_2, R_0 = span{(1)}, (f L_k)[lam] = sum_q (L_k lam)_q f[q
 residues at q.  So a candidate column costs one big-int multiply-add per
 term of L_1 lam and L_2 lam (`_generators`), and each of its entries sums
 at most p(n_max-1) products of two residues.  `_row_space_mod_p` eliminates
-the candidates and returns rank G_n and a basis of R_n.  A probe needs
+the candidates unreduced and returns rank G_n and a basis of R_n, so one
+slot width serves the tower: it holds such a sum plus (p-1)^2 for each of
+at most p(n_max) pivots.  A probe needs
 p to divide neither denominator of (c, h), so S_n mod p is a unit times the
 F_p Gram matrix (reduction mod p is a ring map on Z[h, c/2]).  Its rank
 over QQ is chi_n, the level-n coefficient of the irreducible character
@@ -95,19 +98,15 @@ Partition = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, lexicographically descending."""
+    """All partitions of n, lexicographically descending: by first part, each
+    followed by the partitions of n - first with no larger part, in turn."""
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    if n == 0:
+        return ((),)
+    return tuple(
+        (first,) + rest for first in range(n, 0, -1) for rest in partitions(n - first) if not rest or rest[0] <= first
+    )
 
 
 class DegenerateParams(ValueError):
@@ -281,7 +280,8 @@ def _ranks_mod_p(p: int, h: int, c2: int, n_max: int):
     """Yield rank G_n over F_p at residues h, c/2 for n = 0..n_max, from row spaces (module docstring)."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    bound = len(partitions(max(n_max - 1, 0))) * (p - 1) ** 2  # a candidate entry's largest sum
+    # a candidate entry's largest sum, plus (p-1)^2 per pivot of its elimination
+    bound = (len(partitions(max(n_max - 1, 0))) + len(partitions(n_max)) + 1) * (p - 1) ** 2 + p
     yield 1
     below = ((1, [1]), (0, []))  # R_{n-1} and R_{n-2}, as blocks of `_row_space_mod_p`
     for n in range(1, n_max + 1):
@@ -344,9 +344,10 @@ def _radical_levels(params: VermaParams, n_max: int):
     """Yield (rank S_n, K_n) for n = 0..n_max over QQ: K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, in trailing form,
     built from K_{n-1} and K_{n-2} alone as the module docstring says.  Below
-    the first level short mod `_CERT_PRIME`, each level yields (p(n), [])."""
+    the first level short mod `_CERT_PRIME`, each level yields (p(n), []),
+    unless `params` holds the levels through n_max: then the pass runs from 0."""
     p, d, start = _CERT_PRIME, params._scale, 0
-    if d % p:  # c and h have images mod p
+    if d % p and len(params._levels) <= n_max:  # c and h have images mod p, and the levels are not held
         inv = pow(d, -1, p)
         for start, r in enumerate(_ranks_mod_p(p, params._dh * inv % p, params._dc2 * inv % p, n_max)):
             if r < len(partitions(start)):

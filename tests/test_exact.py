@@ -400,19 +400,38 @@ def block_rows(block, bound):
     return [[col[i] for col in columns] for i in range(k)]
 
 
+class TestTranspose:
+    """`_transpose` moves whole slots: each column holds its rows' slots in
+    turn, and transposing the joined columns gives the rows back, for slots
+    of one unit (1, 2, 4, 8 bytes) and of several (12, 16)."""
+
+    @pytest.mark.parametrize("nb", [1, 2, 4, 8, 12, 16])
+    def test_round_trips(self, nb):
+        rng = random.Random(nb)
+        for nrow, ncol in [(1, 1), (1, 5), (4, 1), (3, 7), (9, 4)]:
+            rows = [[rng.randrange(256**nb) for _ in range(ncol)] for _ in range(nrow)]
+            data = b"".join(x.to_bytes(nb, "big") for row in rows for x in row)
+            cols = exact._transpose(data, ncol, nb)
+            assert [bytes(col) for col in cols] == [
+                b"".join(row[j].to_bytes(nb, "big") for row in rows) for j in range(ncol)
+            ]
+            assert b"".join(exact._transpose(b"".join(cols), nrow, nb)) == data
+
+
 class TestRowSpaceModP:
     """`_row_space_mod_p` ranks two stacked blocks as the list oracle does,
     and its basis is a block of residues that spans their row space and
-    whose columns combine by big-int sums.  Entries up to 2^20 (p-1)^2 are
-    wider than the elimination's slots for so few rows, so they must be
-    reduced mod p before they are packed."""
+    whose columns combine by big-int sums.  The entries go in unreduced, up
+    to 4 (p-1)^2 or 2^20 (p-1)^2, and the bound adds the elimination's
+    headroom: (p-1)^2 per pivot, and p."""
 
     @given(top=st.integers(0, 8), bottom=st.integers(0, 8), ncol=st.integers(1, 12),
            p=st.sampled_from([3, 5, 101, _CERT_PRIME, 1099511627689]), data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_list_oracle(self, top, bottom, ncol, p, data):
-        bound = data.draw(st.sampled_from([4, 2**20])) * (p - 1) ** 2
-        row = st.lists(st.integers(0, bound - 1), min_size=ncol, max_size=ncol)
+        entry = data.draw(st.sampled_from([4, 2**20])) * (p - 1) ** 2
+        bound = entry + (min(top + bottom, ncol) + 1) * (p - 1) ** 2 + p
+        row = st.lists(st.integers(0, entry), min_size=ncol, max_size=ncol)
         m = data.draw(st.lists(row, min_size=top + bottom, max_size=top + bottom))
         blocks = column_block(m[:top], ncol, bound), column_block(m[top:], ncol, bound)
         before = exact.ELIMINATIONS["fp-rank"]

@@ -271,6 +271,18 @@ class TestPartitions:
     def test_counts(self, n, count):
         assert len(partitions(n)) == count
 
+    def test_equal_the_recursive_oracle(self):
+        """The partitions of n, built from the cached ones of n - first,
+        are those of plain recursion, in the same order, to n = 25."""
+
+        def oracle(n, cap):
+            if n == 0:
+                return [()]
+            return [(first,) + rest for first in range(min(n, cap), 0, -1) for rest in oracle(n - first, first)]
+
+        for n in range(26):
+            assert list(partitions(n)) == oracle(n, n), n
+
     @pytest.mark.parametrize("n", range(9))
     def test_sorted_descending_parts(self, n):
         for p in partitions(n):
@@ -564,10 +576,10 @@ class TestGradedRank:
         for lab, params in minimal_points(ell):
             singular = {lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)}
             d = min(singular)
-            _build_levels(params, 11)
             start = len(found)
             radical = list(_radical_levels(params, 11))
             assert len(found) == start + 12 - d  # one kernel step per level from d_min
+            _build_levels(params, 11)  # after the pass, which skips its certificate on held levels
             for n, (r, basis) in enumerate(radical):
                 assert n < d or found[start + n - d] == 0 or n in singular
                 level = params._levels[n]
@@ -609,6 +621,23 @@ class TestGradedRank:
         assert [r for _, _, r in rep.levels] == character(3, lab, 10)
         assert built == [10]
         assert len(steps) == 8 and steps[0] == len(partitions(3))
+
+    def test_held_levels_skip_the_certificate(self, monkeypatch):
+        """When `params` already holds the levels through n_max, as after
+        `gram_matrix`, the QQ graded rank runs no row-space certificate and
+        gives the ranks of fresh params; with fewer levels held it runs the
+        certificate as before."""
+        real = virasoro._row_space_mod_p
+        for c, h in [(F(734521, 912346), F(-612345, 555557)), (central_charge(3), highest_weight(3, 3, 2))]:
+            fresh = [r for _, _, r in graded_rank(VermaParams.rational(c, h), 9).levels]
+            params = VermaParams.rational(c, h)
+            gram_matrix(params, 9)
+            monkeypatch.setattr(virasoro, "_row_space_mod_p", None)  # calling it would raise
+            assert [r for _, _, r in graded_rank(params, 9).levels] == fresh
+            monkeypatch.setattr(virasoro, "_row_space_mod_p", real)
+            before = exact.ELIMINATIONS["fp-rank"]
+            assert [r for _, _, r in graded_rank(params, 10).levels][:10] == fresh
+            assert exact.ELIMINATIONS["fp-rank"] > before
 
     @pytest.mark.parametrize(
         "h,steps",
@@ -830,6 +859,50 @@ class TestProbe:
                 drops += v.verdict == "rank-drop"
         assert drops > 0
 
+    def test_ranks_mod_p_at_every_slot_width(self, monkeypatch):
+        """`_ranks_mod_p` to level 9 gives the ranks of the F_p engine's
+        whole Gram levels at one prime per slot width of its tower, from
+        1 byte at p = 3 to 11 bytes at a prime near 2^40, at every label of
+        ell = 3 and at a generic point, wherever they reduce mod p.  Its
+        bound leaves the elimination room: every unreduced candidate entry
+        plus (p-1)^2 per pivot of the candidates stays below it."""
+        bounds = []
+        real = virasoro._row_space_mod_p
+
+        def checked(top, bottom, p, bound, *basis):
+            nb, r, size = exact._slot_bytes(bound), top[0] + bottom[0], len(top[1])
+            shift = 8 * nb * bottom[0]
+            cols = [(x << shift | y).to_bytes(nb * r, "big") for x, y in zip(top[1], bottom[1])]
+            entries = [e for col in cols for e in exact._unpack(col, r)]
+            assert max(entries, default=0) + min(r, size) * (p - 1) ** 2 < bound
+            bounds.append(bound)
+            return real(top, bottom, p, bound, *basis)
+
+        monkeypatch.setattr(virasoro, "_row_space_mod_p", checked)
+        points = [(central_charge(3), highest_weight(3, lab.m, lab.n)) for lab in canonical_labels(3)]
+        widths = set()
+        for p in (3, 11, 101, 65521, exact._CERT_PRIME, 1099511627689):
+            for c, h in points + [(F(734521, 912346), F(-612345, 555557))]:
+                try:
+                    params = VermaParams.mod_p(c, h, p)
+                except DegenerateParams:
+                    continue
+                bounds.clear()
+                ranks = list(virasoro._ranks_mod_p(p, params._dh, params._dc2, 9))
+                assert ranks == [exact.rank(gram_matrix(params, n)) for n in range(10)], (c, h, p)
+                widths |= {exact._slot_bytes(b) for b in bounds}
+        assert widths == {1, 2, 4, 8, 11}
+
+    def test_cert_prime_tower_packs_into_8_byte_slots(self, monkeypatch):
+        """The certificate's tower to `cli.LEVEL_MAX` keeps 8-byte slots:
+        the bound on a candidate entry and its elimination fits 64 bits."""
+        bounds = []
+        real = virasoro._row_space_mod_p
+        monkeypatch.setattr(virasoro, "_row_space_mod_p", lambda *a: bounds.append(a[3]) or real(*a))
+        ranks = virasoro._ranks_mod_p(exact._CERT_PRIME, 5, 7, cli.LEVEL_MAX)
+        assert next(ranks) == next(ranks) == 1
+        assert bounds and {exact._slot_bytes(b) for b in bounds} == {8}
+
     def test_character_off_by_one_is_a_fault(self, monkeypatch, capsys):
         """Mutation: a character one too small at level 2, where no ell = 2
         probe drops, is a fault there, as a fault of the engine or of the
@@ -875,9 +948,10 @@ class TestProbe:
                     continue
                 assert [rq for _, rq, _ in v.levels] == chi, (lab, p)
             tower = VermaParams.rational(central_charge(ell), highest_weight(ell, lab.m, lab.n))
-            _build_levels(tower, 8)
             steps.clear()
-            for n, (r, basis) in enumerate(_radical_levels(tower, 8)):
+            radical = list(_radical_levels(tower, 8))
+            _build_levels(tower, 8)  # after the pass, which skips its certificate on held levels
+            for n, (r, basis) in enumerate(radical):
                 level = tower._levels[n]
                 assert chi[n] == r == len(level) - len(exact.kernel(level)), (lab, n)
                 assert len(basis) == len(level) - r
