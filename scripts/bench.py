@@ -10,21 +10,27 @@ and the run length `BENCHMARK.json` gives; the record keeps its last output
 line (the result object), and from its metadata the commit, the Python
 version and the line count of `src/`.  Beside that total, `src_files` holds
 the line count of each `src/virmod/*.py`, as `wc -l` gives it, so a change
-shows which module grew or shrank.  The Tier-1 tests run once, and the
-record keeps their wall time and summary line.  The record goes under KEY
+shows which module grew or shrank.  `paper_checks` holds the median
+`wall_s` of each paper check, read from `virmod reproduce-paper --timings`
+in `PAPER_RUNS` fresh processes, so a change to one check shows in its own
+figure.  The Tier-1 tests run once, and the record keeps their wall time
+and summary line.  The record goes under KEY
 in the output file, and keys already there are kept, so one file can hold
 the records of a parent commit and of a change.
 """
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+PAPER_RUNS = 9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -47,11 +53,31 @@ def src_files() -> dict[str, int]:
     return {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "virmod").glob("*.py"))}
 
 
-def run_tier1() -> dict:
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH="src" + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH="src" + (os.pathsep + path if path else ""))
+
+
+def paper_checks(runs: int) -> dict[str, float]:
+    """The median `wall_s` of each paper check over `runs` fresh processes
+    of `virmod reproduce-paper --timings`, by check name in report order."""
+    walls: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        timings = Path(tmp) / "timings.json"
+        for _ in range(runs):
+            subprocess.run(
+                [sys.executable, "-m", "virmod.cli", "reproduce-paper", "--timings", str(timings)],
+                cwd=ROOT, env=src_env(), capture_output=True, check=True,
+            )
+            for name, v in json.loads(timings.read_text(encoding="utf-8")).items():
+                walls.setdefault(name, []).append(v["wall_s"])
+    return {name: statistics.median(w) for name, w in walls.items()}
+
+
+def run_tier1() -> dict:
     t0 = time.monotonic()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall = time.monotonic() - t0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     return {"wall_s": round(wall, 2), "exit": proc.returncode, "summary": summary}
@@ -69,6 +95,7 @@ def main() -> int:
     for w in spec["workloads"]:
         result, meta = run_workload(w["name"], SEED, seconds)
         workloads[w["name"]] = result
+    checks = paper_checks(PAPER_RUNS)  # beside the workloads, before the long Tier-1 run
     record = {
         "commit": meta["commit"],
         "python": meta["python"],
@@ -78,6 +105,7 @@ def main() -> int:
         "seconds": seconds,
         "tier1": run_tier1(),
         "workloads": workloads,
+        "paper_checks": checks,
     }
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.key] = record

@@ -16,6 +16,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from . import __version__, coset, exact, virasoro, weights
 from .exact import is_prime, rank
@@ -50,6 +51,12 @@ DISCREPANCIES = {
 
 def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _over(x: int, d: int) -> str:
+    """x/d in lowest terms, as `_rat` prints it, for d > 0."""
+    g = gcd(x, d)
+    return f"{x // g}/{d // g}"
 
 
 def _label(lab: weights.MinimalLabel) -> str:
@@ -241,21 +248,24 @@ def cmd_gram(args) -> int:
         {"c": _rat(args.c), "h": _rat(args.h), "level": args.level, "prime": args.prime},
     )
     if args.prime is None:
+        # G_n = S_n / D^n, each entry printed in lowest terms by one gcd;
+        # the graded rank carries the radical up the levels
         params = VermaParams.rational(args.c, args.h)
-        fmt = _rat
+        virasoro._build_levels(params, args.level)
+        scale = params._scale**args.level
+        rows = ((_over(x, scale) for x in row) for row in params._levels[args.level])
+        r = virasoro.graded_rank(params, args.level).levels[-1][2]
     else:
         try:
             params = VermaParams.mod_p(args.c, args.h, args.prime)
         except DegenerateParams as e:
             env.add("gram", "info", f"degenerate parameters: {e}")
             return _emit(env, args)
-        fmt = str
-    m = gram_matrix(params, args.level)
-    for row in m.entries:
-        env.add("row", "pass", "  ".join(fmt(v) for v in row))
-    # exact.rank serves F_p only; over QQ the graded rank carries the
-    # radical up the levels.
-    r = rank(m) if args.prime is not None else virasoro.graded_rank(params, args.level).levels[-1][2]
+        m = gram_matrix(params, args.level)
+        rows = (map(str, row) for row in m.entries)
+        r = rank(m)  # exact.rank serves F_p only
+    for row in rows:
+        env.add("row", "pass", "  ".join(row))
     env.add("rank", "info", str(r))
     return _emit(env, args)
 

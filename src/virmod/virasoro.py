@@ -77,10 +77,19 @@ over QQ is chi_n, the level-n coefficient of the irreducible character
 Reduction mod p only loses rank, so rank_p S_n > chi_n is a fault of the
 engine or of the character.
 
-The Kac-vanishing check asks only whether each det S_n is zero, and
-computes no determinant: `kernel` settles the levels up to the first
-singular one, and from there a radical vector carried up by L_{-1} is a
-witness, checked by one exact product with S_n.
+The Kac-vanishing check asks only whether each det S_n is zero, and builds
+no Gram level.  A level of full rank mod `_CERT_PRIME` is regular.  L_1
+and L_2 generate Vir^+ over QQ too, so R_n = R_{n-1} L_1 + R_{n-2} L_2 as
+above, and w lies in the radical ker S_n exactly when L_1 w lies in ker
+S_{n-1} and L_2 w in ker S_{n-2}.  At the first short level n0 the levels
+below are regular, so ker S_{n0} is the null space of D L_1 over D L_2
+(`_raised`), the singular vectors, and `kernel` gives one, w_{n0}.  Above
+n0, w_n = L_{-1} w_{n-1} is nonzero in a Verma module, and L_1 L_{-1} =
+L_{-1} L_1 + 2 L_0 and L_2 L_{-1} = L_{-1} L_2 + 3 L_1 make L_1 w_n a
+multiple of w_{n-1} and L_2 w_n one of w_{n-2} (zero at n0 + 1), so w_n
+lies in the radical.  The check tests both multiples exactly, and a level
+where a test fails, or where no null vector is found, is built and settled
+by `kernel` on S_n.
 """
 from __future__ import annotations
 
@@ -88,7 +97,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from operator import mul
 
 from .exact import _CERT_PRIME, DenseMatrix, PrimeField, QQ, RationalField, _row_space_mod_p, kernel, reduce_mod_p
 from .weights import MinimalLabel, central_charge, highest_weight
@@ -340,21 +348,34 @@ def _minor(level: tuple[tuple[int, ...], ...], cols: list[int]) -> tuple[tuple[i
     return tuple(tuple(map(level[i].__getitem__, cols)) for i in cols)
 
 
+def _first_short_level(params: VermaParams, n_max: int) -> int:
+    """The first level n <= n_max where G_n has rank below p(n) mod
+    `_CERT_PRIME`, from its row space; n_max + 1 when no level does, and 0
+    when c or h has no image mod p.  Reduction mod p is a ring map on
+    Z[h, c/2], so each level below has full rank over QQ."""
+    p, d = _CERT_PRIME, params._scale
+    if d % p == 0:
+        return 0
+    inv = pow(d, -1, p)
+    for n, r in enumerate(_ranks_mod_p(p, params._dh * inv % p, params._dc2 * inv % p, n_max)):
+        if r < len(partitions(n)):
+            return n
+    return n_max + 1
+
+
 def _radical_levels(params: VermaParams, n_max: int):
     """Yield (rank S_n, K_n) for n = 0..n_max over QQ: K_n an integer basis
     of ker S_n as dense vectors over `partitions(n)`, in trailing form,
     built from K_{n-1} and K_{n-2} alone as the module docstring says.  Below
-    the first level short mod `_CERT_PRIME`, each level yields (p(n), []),
-    unless `params` holds the levels through n_max: then the pass runs from 0."""
-    p, d, start = _CERT_PRIME, params._scale, 0
-    if d % p and len(params._levels) <= n_max:  # c and h have images mod p, and the levels are not held
-        inv = pow(d, -1, p)
-        for start, r in enumerate(_ranks_mod_p(p, params._dh * inv % p, params._dc2 * inv % p, n_max)):
-            if r < len(partitions(start)):
-                break
-            yield r, []
-        else:
-            return
+    `_first_short_level`, each level yields (p(n), []), unless `params` holds
+    the levels through n_max: then the pass runs from 0."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    start = _first_short_level(params, n_max) if len(params._levels) <= n_max else 0
+    for n in range(start):
+        yield len(partitions(n)), []
+    if start > n_max:
+        return
     _build_levels(params, n_max)
     below = ([], [])  # K_{n-1} and K_{n-2}, empty below the first short level
     for n in range(start, n_max + 1):
@@ -449,6 +470,30 @@ class VanishingReport(namedtuple("VanishingReport", "label d_min n_max levels pa
     __slots__ = ()
 
 
+def _raised(params: VermaParams, w: list[int], n: int) -> list[list[int]]:
+    """D L_1 w and D L_2 w, for w dense over `partitions(n)`, n >= 1: each
+    dense over `partitions(n - k)`, read off `_generators`, and D L_2 w
+    empty at n = 1."""
+    d, dh, dc2 = params._scale, params._dh, params._dc2
+    images = []
+    for k, terms_of in zip((1, 2), _generators(n)):
+        image = [0] * (len(partitions(n - k)) if n >= k else 0)
+        for x, terms in zip(w, terms_of):
+            if x:
+                for a, b, e, at in terms:
+                    image[at] += (a * d + b * dh + e * dc2) * x
+        images.append(image)
+    return images
+
+
+def _multiple(u: list[int], v: list[int] | None) -> bool:
+    """Whether u is a rational multiple of v, or zero when v is None."""
+    if v is None:
+        return not any(u)
+    i = _last(v)
+    return all(x * v[i] == y * u[i] for x, y in zip(u, v))
+
+
 def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> VanishingReport:
     """Cross-check the Gram engine against the classical vanishing locus.
 
@@ -456,28 +501,34 @@ def kac_vanishing_check(ell: int, label: MinimalLabel, n_max: int = 8) -> Vanish
     N >= d_min = min(m*n, (l+1-m)(l+2-n)) and be nonzero below.  The label
     is any label of ell: its mirror (l+1-m, l+2-n) names the same point and
     has the same d_min, so both give the same report but for the label.
-    Whether det S_n is zero is decided without computing it.  Up to the first
-    singular level, `kernel` settles each level: an empty kernel proves
-    det != 0, and otherwise its first vector w is a witness.  From then on
-    w <- L_{-1} w, and S_n w = 0, checked exactly, proves det = 0, since
-    L_{-1}^k w != 0 in a Verma module.  A level where S_n w != 0, which
-    only a fault of the engine gives, is settled by `kernel` as well, so
-    every flag is (det S_n == 0) exactly.
+    Whether det S_n is zero is decided without building S_n, as the module
+    docstring says.  Below `_first_short_level` each level is regular.  From
+    there a nonzero w proves det S_n = 0 when D L_1 w is a multiple of a
+    vector known in ker S_{n-1} (zero if none is) and D L_2 w one of a vector
+    known in ker S_{n-2}: a null vector of D L_1 over D L_2 where no vector
+    is known at n - 1, else L_{-1} of that vector.  A level without such a w,
+    as when c or h has no image mod p, when p divides det S_n at the first
+    short level, or on a fault of the engine, is built and settled by
+    `kernel`, so every flag is (det S_n == 0) exactly.
     """
     d_min = min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
     params = VermaParams.rational(*_point(ell, label))
-    _build_levels(params, n_max)
-    levels = []
-    w = None
-    for n in range(1, n_max + 1):
-        level = params._levels[n]
-        if w is not None:
-            w = _lowered(1, w, n)
-            singular = not any(sum(map(mul, row, w)) for row in level)
-        if w is None or not singular:
-            null = kernel(level)
-            singular = bool(null)
+    n0 = max(_first_short_level(params, n_max), 1)
+    levels = [(n, False) for n in range(1, n0)]
+    below = (None, None)  # vectors known in ker S_{n-1} and ker S_{n-2}, None where none is
+    for n in range(n0, n_max + 1):
+        if below[0] is None:  # D L_1 over D L_2, by columns: the images of the basis vectors
+            size = len(partitions(n))
+            columns = [sum(_raised(params, [int(i == j) for i in range(size)], n), []) for j in range(size)]
+            null = kernel(list(zip(*columns)))
             w = list(null[0]) if null else None
-        levels.append((n, singular))
+        else:
+            w = _lowered(1, below[0], n)
+        if not (w and any(w) and all(map(_multiple, _raised(params, w, n), below))):
+            _build_levels(params, n)
+            null = kernel(params._levels[n])
+            w = list(null[0]) if null else None
+        levels.append((n, w is not None))
+        below = (w, below[0])
     ok = all(singular == (n >= d_min) for n, singular in levels)
     return VanishingReport(label, d_min, n_max, tuple(levels), ok)

@@ -12,6 +12,7 @@ from virmod import exact, virasoro
 from virmod.cli import (
     CLASSIFY_PAIRS_MAX, ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, PROBE_LEVEL, build_parser, run,
 )
+from virmod.weights import canonical_labels
 
 # A 31-digit prime: trial division does not finish on it.
 BIG_PRIME = 1000000000000000000000000000057
@@ -393,9 +394,12 @@ def test_reproduce_paper_timings(tmp_path, capsys):
 
 
 def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
-    """No check runs a determinant.  kac-vanishing certifies its regular levels
-    mod the fixed prime and runs no F_p rank.  The probes take their ranks
-    over QQ from the character, so they run no kernel, certified or
+    """No check runs a determinant.  kac-vanishing ranks levels 1..d_min of
+    each of its nine labels mod the fixed prime from their row spaces, one
+    F_p elimination each, and d_min is the first level short there; its one
+    `kernel`, of D L_1 over D L_2 at d_min, is certified and then
+    multi-modular, as the singular vector is there.  The probes take their
+    ranks over QQ from the character, so they run no kernel, certified or
     multi-modular.  Each of the 12 probes eliminates the candidates of every
     level 1..8 mod p once, from the row spaces of the two levels below, so
     the probes build no Gram level.  Checks that run no elimination show none."""
@@ -404,8 +408,11 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
     doc = json.loads(timings.read_text(encoding="utf-8"))
     runs = {name: v["eliminations"] for name, v in doc.items()}
     assert all(v["determinant"] == 0 for v in runs.values())
-    assert runs["kac-vanishing"]["mod-cert-prime"] > 0
-    assert runs["kac-vanishing"]["fp-rank"] == 0
+    d_min = sum(
+        min(lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n)) for ell in (2, 3) for lab in canonical_labels(ell)
+    )
+    assert d_min == 20
+    assert runs["kac-vanishing"] == {"mod-cert-prime": 9, "fp-rank": d_min, "multi-modular": 9, "determinant": 0}
     none = {"mod-cert-prime": 0, "fp-rank": 0, "multi-modular": 0, "determinant": 0}
     assert runs["probes"] == dict(none, **{"fp-rank": 12 * PROBE_LEVEL})
     assert doc["probes"]["gram"] == {"levels": 0, "entries": 0}
@@ -414,31 +421,38 @@ def test_reproduce_paper_timings_count_eliminations_by_path(tmp_path, capsys):
 
 
 def test_reproduce_paper_timings_show_the_shared_generator_table(tmp_path, capsys):
-    """From a cold table of L_1 and L_2, the first probe fills levels 1..8
-    and the other eleven find them there; no other check reads the table."""
+    """From a cold table of L_1 and L_2, kac-vanishing reads, at each of its
+    nine labels, levels 1..d_min for the certificate, level d_min once per
+    basis vector for the columns of L_1 over L_2 there, and levels d_min..8
+    for the witness: 9 + p(d_min) reads.  Its first label fills levels
+    1..8, and the 12 probes find every level there.  No other check reads
+    the table."""
     virasoro._generators.cache_clear()
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = json.loads(timings.read_text(encoding="utf-8"))
-    assert doc["probes"]["caches"]["_generators"] == {"hits": 11 * PROBE_LEVEL, "misses": PROBE_LEVEL}
+    reads = sum(
+        9 + len(virasoro.partitions(min(lab.m * lab.n, (ell + 1 - lab.m) * (ell + 2 - lab.n))))
+        for ell in (2, 3) for lab in canonical_labels(ell)
+    )
+    assert reads == 102
+    assert doc["kac-vanishing"]["caches"]["_generators"] == {"hits": reads - 8, "misses": 8}
+    assert doc["probes"]["caches"]["_generators"] == {"hits": 12 * PROBE_LEVEL, "misses": 0}
     untouched = {"hits": 0, "misses": 0}
-    assert doc["kac-vanishing"]["caches"]["_generators"] == untouched
     for name in ("bad-primes", "collision-set", "g-identity", "neighbour-primes", "gko", "table1"):
         assert doc[name]["caches"]["_generators"] == doc[name]["caches"]["_lower"] == untouched, name
 
 
 def test_reproduce_paper_timings_count_gram_builds(tmp_path, capsys):
-    """kac-vanishing builds levels 1..8 of the nine QQ towers, level2-gram
-    levels 1 and 2 of its five samples, and every other check none, the
-    probes included."""
+    """level2-gram builds levels 1 and 2 of its five samples, and every
+    other check none: kac-vanishing settles its nine QQ towers from row
+    spaces and singular vectors, and the probes rank theirs mod p."""
     timings = tmp_path / "timings.json"
     assert run(["reproduce-paper", "--timings", str(timings)]) == 0
     doc = {name: v["gram"] for name, v in json.loads(timings.read_text(encoding="utf-8")).items()}
-    sizes = [len(virasoro.partitions(n)) for n in range(1, 9)]
-    assert doc["kac-vanishing"] == {"levels": 9 * 8, "entries": 9 * sum(s * s for s in sizes)}
     assert doc["level2-gram"] == {"levels": 10, "entries": 5 * (1 + 4)}
     for name in ("bad-primes", "collision-set", "difference-table", "g-identity", "neighbour-primes",
-                 "probes", "gko", "table1"):
+                 "kac-vanishing", "probes", "gko", "table1"):
         assert doc[name] == {"levels": 0, "entries": 0}, name
 
 

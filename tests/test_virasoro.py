@@ -971,8 +971,9 @@ class TestProbe:
 
     def test_reproduce_builds_each_tower_once(self, monkeypatch):
         """The paper run builds each Gram level of each (c, h) once, over QQ
-        only: the nine minimal-series towers to level 8, which the
-        Kac-vanishing check builds, and none for the probes."""
+        only: levels 0..2 of the five samples of the level-2 check, and no
+        level of a minimal-series point, as neither the Kac-vanishing check
+        nor the probes build one."""
         built = Counter()
         real = virasoro._build_levels
 
@@ -986,10 +987,9 @@ class TestProbe:
         cli.reproduce(cli.ReportEnvelope("t", {}))
         assert max(built.values()) == 1
         assert {field_ for _, _, field_, _ in built} == {"QQ"}
-        towers = {(c, h) for c, h, _, level in built if level == cli.PROBE_LEVEL}
-        assert towers == {
-            (central_charge(ell), highest_weight(ell, lab.m, lab.n)) for ell in (2, 3) for lab in canonical_labels(ell)
-        }
+        assert Counter(level for *_, level in built) == {0: 5, 1: 5, 2: 5}
+        points = {(c, h) for c, h, _, _ in built}
+        assert not {(central_charge(ell), highest_weight(ell, lab.m, lab.n)) for ell, lab in LABELS_2_3} & points
 
     def test_kernel_gets_int_rows(self, monkeypatch):
         """The paper run hands `kernel` only integer entries: the levels S_n
@@ -1028,6 +1028,28 @@ def planted_level(monkeypatch, ell, label, n):
     return params, [list(row) for row in params._levels[n]]
 
 
+def zero_determinants(params):
+    """(n, det S_n == 0) for n = 1..8, on the levels `params` holds."""
+    return tuple((n, determinant(params._levels[n]) == 0) for n in range(1, 9))
+
+
+def zeroed_first_witness(monkeypatch):
+    """Patch `kernel` so that its next call returns its first null vector
+    with the first nonzero entry zeroed; later calls are exact."""
+    calls = []
+
+    def kernel(rows):
+        null = exact.kernel(rows)
+        if not calls and null:
+            w = list(null[0])
+            w[next(i for i, x in enumerate(w) if x)] = 0
+            null = [tuple(w)] + null[1:]
+        calls.append(rows)
+        return null
+
+    monkeypatch.setattr(virasoro, "kernel", kernel)
+
+
 def d_min(ell, label):
     return min(label.m * label.n, (ell + 1 - label.m) * (ell + 2 - label.n))
 
@@ -1051,12 +1073,34 @@ class TestKacVanishing:
         assert rep.levels == ((1, False), (2, True), (3, True), (4, True))
         assert rep.passed
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("ell", range(2, 7))
     def test_flags_are_zero_determinants(self, ell):
         for lab, params in minimal_points(ell):
             rep = kac_vanishing_check(ell, lab, 8)
             _build_levels(params, 8)
-            assert rep.levels == tuple((n, determinant(params._levels[n]) == 0) for n in range(1, 9))
+            assert rep.levels == zero_determinants(params)
+            assert rep.passed
+
+    def test_builds_no_gram_level(self):
+        """Every label of ell = 2, 3 is settled to level 8 from the row
+        spaces and the L_{-1} chain, with no level built."""
+        before = dict(virasoro.GRAM_BUILDS)
+        for ell, lab in LABELS_2_3:
+            assert kac_vanishing_check(ell, lab, 8).passed
+        assert virasoro.GRAM_BUILDS == before
+
+    def test_certificate_prime_dividing_the_scale_falls_back(self, monkeypatch):
+        """With a certificate prime dividing D, as 5 does at ell = 3, no
+        level is certified: levels 1..d_min-1 have no singular vector, so
+        each is built and settled by `kernel`, and the flags stay exact."""
+        monkeypatch.setattr(virasoro, "_CERT_PRIME", 5)
+        for lab, params in minimal_points(3):
+            assert params._scale % 5 == 0
+            before = virasoro.GRAM_BUILDS["levels"]
+            rep = kac_vanishing_check(3, lab, 8)
+            assert virasoro.GRAM_BUILDS["levels"] - before == d_min(3, lab) - 1
+            _build_levels(params, 8)
+            assert rep.levels == zero_determinants(params)
             assert rep.passed
 
     def test_runs_no_bareiss(self):
@@ -1068,41 +1112,77 @@ class TestKacVanishing:
 
     @pytest.mark.parametrize("ell,lab", [(ell, lab) for ell, lab in LABELS_2_3 if d_min(ell, lab) > 1])
     def test_zeroed_row_below_d_min_fails(self, monkeypatch, ell, lab):
+        """A certificate rank read one short at a level n below d_min sends
+        level n to `kernel` on the built S_n, which finds it regular, so
+        every flag stays (det S_n == 0) and the report passes.  With the last
+        row of S_n zeroed as well, level n is flagged singular and the
+        report fails."""
+        real = virasoro._ranks_mod_p
         for n in range(1, d_min(ell, lab)):
+            monkeypatch.setattr(
+                virasoro, "_ranks_mod_p", lambda *args, n=n: (r - (k == n) for k, r in enumerate(real(*args)))
+            )
             params, rows = planted_level(monkeypatch, ell, lab, n)
+            rep = kac_vanishing_check(ell, lab, 8)
+            assert rep.levels == zero_determinants(params)
+            assert rep.passed
             rows[-1] = [0] * len(rows)
             params._levels[n] = tuple(map(tuple, rows))
             rep = kac_vanishing_check(ell, lab, 8)
+            assert rep.levels == zero_determinants(params)
             assert rep.levels[:n] == tuple((k, k == n) for k in range(1, n + 1))
             assert not rep.passed
 
     @pytest.mark.parametrize("ell,lab", LABELS_2_3)
     def test_perturbed_entry_at_d_min_fails(self, monkeypatch, ell, lab):
-        """One diagonal entry of S_{d_min} moved where the radical vector is
-        nonzero: the radical has dimension one there, so the cofactor of
-        that entry is nonzero and the level becomes regular."""
+        """The singular vector that `kernel` gives at d_min, the first short
+        level, with its first nonzero entry zeroed, is no witness: the
+        singular vectors there are the multiples of one.  So level d_min goes
+        to `kernel` on the built S_n, and every flag stays (det S_n == 0).
+        With one diagonal entry of S_{d_min} moved as well, where the radical
+        vector is nonzero, the level is regular, as the radical has dimension
+        one there and the cofactor of that entry is nonzero, and the report
+        fails."""
         n = d_min(ell, lab)
         params, rows = planted_level(monkeypatch, ell, lab, n)
+        zeroed_first_witness(monkeypatch)
+        rep = kac_vanishing_check(ell, lab, 8)
+        assert rep.levels == zero_determinants(params)
+        assert rep.passed
         (w,) = exact.kernel(params._levels[n])
         i = next(i for i, x in enumerate(w) if x)
         rows[i][i] += 1
         params._levels[n] = tuple(map(tuple, rows))
         assert determinant(params._levels[n]) != 0
+        zeroed_first_witness(monkeypatch)
         rep = kac_vanishing_check(ell, lab, 8)
+        assert rep.levels == zero_determinants(params)
         assert (n, False) in rep.levels
         assert not rep.passed
 
     @pytest.mark.parametrize("ell,lab", LABELS_2_3)
     @pytest.mark.parametrize("shift", [0, 1, 3])
     def test_perturbed_entry_at_or_above_d_min_keeps_exact_flags(self, monkeypatch, ell, lab, shift):
-        """A moved entry at or above d_min leaves every flag equal to
-        (det S_n == 0), whether or not the witness still proves it."""
-        n = d_min(ell, lab) + shift
+        """The witness L_{-1} w carried up from level d_min + shift to n,
+        with its first entry moved, sends level n to `kernel` on the built
+        S_n, and every flag stays (det S_n == 0).  So it stays with an entry
+        of S_n moved as well, whether or not S_n is still singular."""
+        n = d_min(ell, lab) + shift + 1
+        real = virasoro._lowered
+        monkeypatch.setattr(
+            virasoro, "_lowered", lambda a, v, m: [x + (m == n and not i) for i, x in enumerate(real(a, v, m))]
+        )
+        calls = []
+        monkeypatch.setattr(virasoro, "kernel", lambda m: calls.append(m) or exact.kernel(m))
         params, rows = planted_level(monkeypatch, ell, lab, n)
+        rep = kac_vanishing_check(ell, lab, 8)
+        assert rep.levels == zero_determinants(params)
+        assert rep.passed
+        assert any(m is params._levels[n] for m in calls)
         rows[0][-1] += 1
         params._levels[n] = tuple(map(tuple, rows))
         rep = kac_vanishing_check(ell, lab, 8)
-        expected = tuple((k, determinant(params._levels[k]) == 0) for k in range(1, 9))
+        expected = zero_determinants(params)
         assert rep.levels == expected
         assert rep.passed == all(flag == (k >= rep.d_min) for k, flag in expected)
 
