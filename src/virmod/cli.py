@@ -135,9 +135,9 @@ def _parse_fraction(s: str) -> Fraction:
 # and 67 MB peak RSS (fresh interpreter, 2-CPU host), while the tables of a
 # far larger ell exhaust memory.
 ELL_MAX = 2000
-# The largest Gram level: gram --level 20 at (4/5, 21/40) takes 2.5-2.8 s and 127 MB, and
-# probe --max-level 20 (fresh process) 0.24-0.29 s and 24 MB at (2; 2,2), p = 101, and
-# 0.66-0.76 s and 33 MB at (6; 4,3), p = 83 (2-CPU host), while gram level 24 takes 23 s and 0.8 GB.
+# The largest Gram level: gram --level 20 at (4/5, 21/40) takes 1.9-2.1 s and 83 MB, and
+# probe --max-level 20 (fresh process) 0.17-0.19 s and 24 MB at (2; 2,2), p = 101, and
+# 0.47-0.51 s and 32 MB at (6; 4,3), p = 83 (2-CPU host), while gram level 24 takes 23 s and 0.8 GB.
 LEVEL_MAX = 20
 # The largest --prime: is_prime is trial division, 0.04 s at 2^40 but
 # unbounded at a 31-digit prime.
@@ -148,6 +148,10 @@ PRIME_MAX = 2**40
 # 3,380,770 pairs and exhausts memory at ell = 200, and (1998, 1999) lists
 # 1,995,002 degenerate labels in 23.7 MB.
 CLASSIFY_PAIRS_MAX = 100_000
+# The largest verify gko --ell-max, whose cost grows like its cube: 250 takes
+# 3.1 s and 17 MB (fresh process, 2-CPU host), as long as verify gko --ell 2000
+# alone, while 400 takes 13 s and 2000 would take about half an hour.
+GKO_ELL_MAX = 250
 
 
 def _int_in(low: int | None = None, high: int | None = None):
@@ -302,6 +306,8 @@ def _verify_range(args) -> list[int]:
             raise ValueError("verify table1 covers a fixed table and takes no --ell or --ell-max")
         return []
     if args.ell_max is not None:
+        if args.what == "gko" and args.ell_max > GKO_ELL_MAX:
+            raise ValueError(f"verify gko takes --ell-max up to {GKO_ELL_MAX}, got {args.ell_max}")
         return list(range(2, args.ell_max + 1))
     return [args.ell if args.ell is not None else 2]
 

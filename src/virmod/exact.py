@@ -56,8 +56,10 @@ packed by columns in such slots, so a caller combines their columns with
 big-int arithmetic and never reads the layout.  It eliminates the slots as
 they come, unreduced, below a bound from the caller that leaves room for
 the updates, and it turns columns into rows, and echelon rows back into
-columns, by moving whole slots (`_transpose`), reading no entry.  No
-randomness, no floats.
+columns, by moving whole slots (`_transpose`), reading no entry.  At full
+rank the row space is all of F_p^ncol, and it returns the identity block,
+whose 0/1 entries serve any caller as residues do.  No randomness, no
+floats.
 """
 from __future__ import annotations
 
@@ -340,8 +342,9 @@ def _row_space_mod_p(top, bottom, p: int, bound: int, basis: bool = True) -> tup
     earlier ones.  The entries need not be residues: C is eliminated as it
     stands, so each entry plus (p-1)^2 per pivot, min(rows, columns) of C,
     must stay below `bound`.  The basis is a block (k, cols) of residues, or
-    (k, []) without `basis`: the echelon rows of `_echelon_mod_p` scaled to
-    p - 1 at their pivots.
+    (k, []) without `basis`: the identity when k is the number of columns,
+    else the echelon rows of `_echelon_mod_p` scaled to p - 1 at their
+    pivots.
     """
     ELIMINATIONS["fp-rank"] += 1
     nb = _slot_bytes(bound)
@@ -353,6 +356,8 @@ def _row_space_mod_p(top, bottom, p: int, bound: int, basis: bool = True) -> tup
     k = len(pivots)
     if not basis:
         return k, []
+    if k == size:  # all of F_p^size: the identity block
+        return k, [1 << 8 * nb * (size - 1 - j) for j in range(size)]
     lead, zeros = (p - 1).to_bytes(nb, "big"), bytes(nb * size)
     echelon = b"".join([zeros[: nb * c] + lead + tail for c, tail in zip(pivots, tails)])
     return k, [int.from_bytes(col, "big") for col in _transpose(echelon, size, nb)]
@@ -399,6 +404,7 @@ def _eliminate(rows: list[int], ncol: int, p: int, nb: int) -> tuple[list[int], 
     nrow = len(rows)
     width = 8 * nb
     slot = (1 << width) - 1
+    structs = nb in _INT_CODES
     pivots: list[int] = []
     tails: list[bytes] = []
     det = 1
@@ -417,10 +423,14 @@ def _eliminate(rows: list[int], ncol: int, p: int, nb: int) -> tuple[list[int], 
         top = rows[r]
         lead = (top >> sh & slot) % p
         det = det * lead % p
-        scale = -pow(lead, -1, p)
+        scale = p - pow(lead, -1, p)
         below = (1 << sh) - 1
-        vals = _unpack((top & below).to_bytes(sh // 8, "big"), ncol - 1 - col)
-        tails.append(_pack([scale * x % p for x in vals], nb))
+        tail = (top & below).to_bytes(sh // 8, "big")
+        if structs:
+            s = _slots(ncol - 1 - col, nb)
+            tails.append(s.pack(*[scale * x % p for x in s.unpack(tail)]))
+        else:
+            tails.append(_pack([scale * x % p for x in _unpack(tail, ncol - 1 - col)], nb))
         if r + 1 == nrow:
             break
         neg = int.from_bytes(tails[-1], "big")

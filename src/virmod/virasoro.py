@@ -66,9 +66,14 @@ R_{n-1} L_1 + R_{n-2} L_2, R_0 = span{(1)}, (f L_k)[lam] = sum_q (L_k lam)_q f[q
 residues at q.  So a candidate column costs one big-int multiply-add per
 term of L_1 lam and L_2 lam (`_generators`), and each of its entries sums
 at most p(n_max-1) products of two residues.  `_row_space_mod_p` eliminates
-the candidates unreduced and returns rank G_n and a basis of R_n, so one
-slot width serves the tower: it holds such a sum plus (p-1)^2 for each of
-at most p(n_max) pivots.  A probe needs
+the candidates unreduced and returns rank G_n and a basis of R_n in
+residues (the identity at full rank), so one slot width serves the tower:
+it holds such a sum plus (p-1)^2 for each of at most p(n_max) pivots.
+From level 2 on, L_1's matrix is in echelon form: row q (of
+partitions(n-1)) is zero before column (q1+1, q2, ...) and holds the
+integer q1 + 2 there.  So for p > n + 1 an echelon basis of R_{n-1} maps
+to an echelon block of R_{n-1} L_1 with as many rows, and
+rank_p G_n >= rank_p G_{n-1}.  A probe needs
 p to divide neither denominator of (c, h), so S_n mod p is a unit times the
 F_p Gram matrix (reduction mod p is a ring map on Z[h, c/2]).  Its rank
 over QQ is chi_n, the level-n coefficient of the irreducible character

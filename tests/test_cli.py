@@ -10,7 +10,7 @@ import pytest
 
 from virmod import exact, virasoro
 from virmod.cli import (
-    CLASSIFY_PAIRS_MAX, ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, PROBE_LEVEL, build_parser, run,
+    CLASSIFY_PAIRS_MAX, ELL_MAX, GKO_ELL_MAX, LEVEL_MAX, PAPER_CHECKS, PRIME_MAX, PROBE_LEVEL, build_parser, run,
 )
 from virmod.weights import canonical_labels
 
@@ -235,6 +235,10 @@ def test_contract_error_exits_2(capsys):
         ),
         (["classify", "--ell", "1", "--prime", "7"], "ell must be >= 2"),
         (["classify", "--ell", "5", "--prime", "9"], "9 is not prime"),
+        (
+            ["verify", "gko", "--ell-max", str(GKO_ELL_MAX + 1)],
+            f"verify gko takes --ell-max up to {GKO_ELL_MAX}, got {GKO_ELL_MAX + 1}",
+        ),
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):

@@ -55,6 +55,7 @@ SWEEP = [
     ["verify", "gko"],
     ["verify", "gko", "--ell-max", "12"],
     ["verify", "gko", "--ell", "0"],
+    ["verify", "gko", "--ell-max", "251"],
     ["verify", "table1"],
     ["verify", "table1", "--ell", "3"],
     ["verify", "prop-h", "--ell", "3", "--ell-max", "4"],

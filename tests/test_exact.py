@@ -450,6 +450,29 @@ class TestRowSpaceModP:
         assert block_rows((k, mixed), bound) == rows
         assert exact._row_space_mod_p((k, mixed), (0, [0] * ncol), p, bound)[0] == len(list_echelon_mod_p(rows, p)[0])
 
+    @pytest.mark.parametrize("p", [3, 101, _CERT_PRIME, 1099511627689])
+    @pytest.mark.parametrize("ncol,rank_bound", [(1, None), (7, None), (7, 4), (12, 11)])
+    def test_identity_at_full_rank_else_the_echelon(self, p, ncol, rank_bound):
+        """At full rank the basis is exactly the identity block, each
+        column j one 1 in row j's slot; below it, the echelon rows of the
+        list oracle scaled to p - 1 at their pivots.  Without `basis` either
+        gives (k, [])."""
+        m = [[x % p for x in row] for row in fixed_matrix(ncol + 3, ncol, p, ncol + p % 1000, rank_bound)]
+        bound = (ncol + 1) * (p - 1) ** 2 + p
+        blocks = column_block(m[:2], ncol, bound), column_block(m[2:], ncol, bound)
+        k, cols = exact._row_space_mod_p(*blocks, p, bound)
+        assert exact._row_space_mod_p(*blocks, p, bound, basis=False) == (k, [])
+        pivots, tails, _ = list_echelon_mod_p(m, p)
+        assert k == len(pivots) == (ncol if rank_bound is None else rank_bound)
+        if k == ncol:
+            nb = exact._slot_bytes(bound)
+            assert cols == [1 << 8 * nb * (ncol - 1 - j) for j in range(ncol)]
+            assert block_rows((k, cols), bound) == [[int(i == j) for j in range(ncol)] for i in range(ncol)]
+        else:
+            assert block_rows((k, cols), bound) == [
+                [0] * c + [p - 1] + list(tail) for c, tail in zip(pivots, tails)
+            ]
+
 
 class TestCertifiedRank:
     """The QQ rank from kernel, certified or not, is the Gauss-Jordan rank."""

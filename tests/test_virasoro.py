@@ -903,6 +903,39 @@ class TestProbe:
         assert next(ranks) == next(ranks) == 1
         assert bounds and {exact._slot_bytes(b) for b in bounds} == {8}
 
+    @pytest.mark.parametrize("n", range(2, cli.LEVEL_MAX + 1))
+    def test_l1_matrix_is_echelon(self, n):
+        """Row q of L_1's matrix at level n >= 2 (q over partitions(n-1),
+        a column per lam in partitions(n), from `_generators(n)[0]`) is zero
+        before column (q1+1, q2, ...) and holds the integer q1 + 2 there:
+        [L_1, L_{-(q1+1)}] = (q1+2) L_{-q1}, while L_1 on an earlier column
+        keeps a larger first part.  So L_1 maps a basis in echelon form,
+        the identity among them, to one in echelon form."""
+        first = {}  # row -> (its first nonzero column, the entry there)
+        for j, terms in enumerate(virasoro._generators(n)[0]):
+            for a, b, e, at in terms:
+                first.setdefault(at, (j, (a, b, e)))
+        lead = virasoro._positions(n)
+        assert [first.get(i) for i in range(len(partitions(n - 1)))] == [
+            (lead[(q[0] + 1,) + q[1:]], (q[0] + 2, 0, 0)) for q in partitions(n - 1)
+        ]
+
+    def test_ranks_mod_p_never_drop_from_level_2(self):
+        """By the echelon form of L_1, rank_p G_n >= rank_p G_{n-1} for
+        n >= 2 when the odd p exceeds n + 1, so that no q1 + 2 <= n + 1
+        vanishes mod p.  Checked at every canonical label of ell = 2..6 at
+        six primes to level 14: 3,850 level pairs."""
+        pairs = 0
+        for ell in range(2, 7):
+            for lab in canonical_labels(ell):
+                for p in (11, 13, 23, 29, 83, 101):
+                    params = VermaParams.mod_p(central_charge(ell), highest_weight(ell, lab.m, lab.n), p)
+                    ranks = list(virasoro._ranks_mod_p(p, params._dh, params._dc2, 14))
+                    for n in range(2, min(14, p - 2) + 1):
+                        assert ranks[n] >= ranks[n - 1], (ell, lab, p, n)
+                        pairs += 1
+        assert pairs == 3850
+
     def test_character_off_by_one_is_a_fault(self, monkeypatch, capsys):
         """Mutation: a character one too small at level 2, where no ell = 2
         probe drops, is a fault there, as a fault of the engine or of the
